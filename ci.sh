@@ -234,4 +234,12 @@ echo "==> regime detection gate (planted boundaries caught, clean run silent)"
 # provenance of the bound. The runner exits nonzero if any check fails.
 ./target/release/autosens-experiments regime --bench > /dev/null
 
+echo "==> perfbench smoke (every workload at toy size, traced pass included)"
+# perfbench/ and perfbench/layers/ are workspaces of their own, so none of
+# the steps above builds them. The smoke test runs every workload at toy
+# size through perfbench/run.sh with --trace 0 and --trace 1, so a change
+# to a core, stream, serve or telemetry API that the traced pass
+# (perfbench/layers) calls fails here rather than at the next benchmark.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> ci.sh: all green"

@@ -53,6 +53,24 @@ pub struct Degradation {
     pub detail: String,
 }
 
+impl Degradation {
+    /// Sanitize's report that the input arrived out of time order.
+    pub fn resorted() -> Degradation {
+        Degradation {
+            stage: op::SANITIZE.name.into(),
+            detail: "records arrived out of time order; re-sorted".into(),
+        }
+    }
+
+    /// Sanitize's report that it dropped `removed` exact duplicates.
+    pub fn duplicates_removed(removed: u64) -> Degradation {
+        Degradation {
+            stage: op::SANITIZE.name.into(),
+            detail: format!("removed {removed} exact duplicate records"),
+        }
+    }
+}
+
 impl std::fmt::Display for Degradation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}] {}", self.stage, self.detail)
@@ -289,10 +307,7 @@ impl AutoSens {
         // re-sorts as a side effect, so the order check looks at the input.
         let mut span = root.child(op::SANITIZE.name);
         if !view.is_sorted() {
-            degradations.push(Degradation {
-                stage: op::SANITIZE.name.into(),
-                detail: "records arrived out of time order; re-sorted".into(),
-            });
+            degradations.push(Degradation::resorted());
         }
         let (selected, filter_report) = slice
             .clone()
@@ -316,10 +331,7 @@ impl AutoSens {
             (owned.view(), removed, records_in)
         };
         if removed > 0 {
-            degradations.push(Degradation {
-                stage: op::SANITIZE.name.into(),
-                detail: format!("removed {removed} exact duplicate records"),
-            });
+            degradations.push(Degradation::duplicates_removed(removed as u64));
         }
         span.field("records_in", records_in);
         span.field("records_dropped", removed);

@@ -118,10 +118,18 @@ pub fn unbiased_histogram_par<R: Rng>(
 /// fixed-size chunks, each chunk draws from its own RNG stream (seeded
 /// from one `u64` taken off the caller's `rng`, mixed with the chunk
 /// index), and the per-chunk histograms merge in chunk order — so the
-/// result is bit-identical for every thread count. Each chunk pre-draws
-/// its instants and processes them in time order, walking a cursor over
-/// the window prefix sums — cache-friendly where the serial variant's
-/// random-order lookups are not.
+/// result is bit-identical for every thread count.
+///
+/// Each chunk pre-draws its `(pick, tie)` pairs, orders them by `pick`
+/// (an offset into the union of the windows), and resolves them in one
+/// forward sweep: a cursor over the window prefix sums maps each pick to
+/// its instant, and a [`NearestCursor`] over the log's timestamps finds
+/// the nearest samples, both moving forward only. Ordering by `pick` alone
+/// is exact: every draw's bin depends only on its own `(pick, tie)`, and
+/// draws that share a pick deposit the same weight, so swapping them
+/// leaves every f64 sum — and the result's bits — unchanged.
+///
+/// [`NearestCursor`]: autosens_telemetry::log::NearestCursor
 pub fn unbiased_histogram_in_windows_par<R: Rng>(
     log: &LogView<'_>,
     binner: &Binner,
@@ -130,76 +138,17 @@ pub fn unbiased_histogram_in_windows_par<R: Rng>(
     threads: usize,
     rng: &mut R,
 ) -> Result<(Histogram, ExecReport), AutoSensError> {
-    if log.is_empty() {
-        return Err(AutoSensError::EmptySlice("unbiased estimation".into()));
-    }
-    if n_draws == 0 {
-        return Err(AutoSensError::BadConfig(
-            "unbiased draws must be > 0".into(),
-        ));
-    }
-    // Cumulative window lengths: cum[i] = total length of windows[..i].
-    let mut cum: Vec<i64> = Vec::with_capacity(windows.len() + 1);
-    cum.push(0);
-    for &(lo, hi) in windows {
-        let len = if hi < lo { 0 } else { hi - lo + 1 };
-        cum.push(cum.last().unwrap() + len);
-    }
-    let total_len = *cum.last().unwrap();
-    if total_len <= 0 {
-        return Err(AutoSensError::BadConfig(
-            "unbiased windows have zero total length".into(),
-        ));
-    }
-    // One sequential draw establishes the job's seed; every chunk then
-    // derives its own stream, keeping the caller's RNG consumption (and
-    // the draws themselves) independent of the worker count.
-    let base_seed = rng.gen::<u64>();
-    let (parts, report) = autosens_exec::run_chunks(
+    check_draw_inputs(log, n_draws)?;
+    sweep_draws(
         "unbiased_draws",
+        log,
+        binner,
+        windows,
         n_draws,
-        autosens_exec::chunk_size_for(n_draws),
         threads,
-        |chunk, range| -> Result<Histogram, AutoSensError> {
-            let mut rng = StdRng::seed_from_u64(autosens_exec::chunk_seed(base_seed, chunk as u64));
-            // Draw every (instant, tie-break) pair up front, then process in
-            // instant order: the nearest-sample lookups sweep the log
-            // forward instead of jumping to random timestamps, which keeps
-            // the search path in cache. The sort key (pick, tie) is a total
-            // order on the draws, so the accumulation order — and the f64
-            // bits of the result — stay a pure function of the chunk seed.
-            let mut draws: Vec<(i64, u64)> = range
-                .map(|_| (rng.gen_range(0..total_len), rng.gen::<u64>()))
-                .collect();
-            draws.sort_unstable();
-            let mut h = Histogram::new(binner.clone());
-            let mut w = 0usize;
-            for (pick, tie) in draws {
-                // Advance to the window owning this pick; zero-length
-                // windows are skipped because their cum entry equals the
-                // next window's.
-                while cum[w + 1] <= pick {
-                    w += 1;
-                }
-                let t = windows[w].0 + (pick - cum[w]);
-                let (lo, hi) = log
-                    .nearest_in_time(SimTime(t))
-                    .map_err(AutoSensError::from)?;
-                let idx = if hi - lo == 1 {
-                    lo
-                } else {
-                    lo + (tie as usize) % (hi - lo)
-                };
-                h.record(log.latency_at(idx));
-            }
-            Ok(h)
-        },
-    )?;
-    let mut pooled = Histogram::new(binner.clone());
-    for part in parts {
-        pooled.merge(&part?).map_err(AutoSensError::from)?;
-    }
-    Ok((pooled, report))
+        rng,
+        |_| 1.0,
+    )
 }
 
 /// The exponential-decay weight of an event-time instant `t_ms` relative to
@@ -232,6 +181,28 @@ pub fn unbiased_histogram_decayed_par<R: Rng>(
     threads: usize,
     rng: &mut R,
 ) -> Result<(Histogram, ExecReport), AutoSensError> {
+    check_draw_inputs(log, n_draws)?;
+    if half_life_ms <= 0 {
+        return Err(AutoSensError::BadConfig(
+            "decay half-life must be > 0 ms".into(),
+        ));
+    }
+    let start = log.start_time().expect("non-empty").millis();
+    let end = log.end_time().expect("non-empty").millis();
+    sweep_draws(
+        "unbiased_decayed_draws",
+        log,
+        binner,
+        &[(start, end)],
+        n_draws,
+        threads,
+        rng,
+        |t| decay_weight(t, frontier_ms, half_life_ms),
+    )
+}
+
+/// The input checks every chunked estimator makes before drawing.
+fn check_draw_inputs(log: &LogView<'_>, n_draws: usize) -> Result<(), AutoSensError> {
     if log.is_empty() {
         return Err(AutoSensError::EmptySlice("unbiased estimation".into()));
     }
@@ -240,43 +211,71 @@ pub fn unbiased_histogram_decayed_par<R: Rng>(
             "unbiased draws must be > 0".into(),
         ));
     }
-    if half_life_ms <= 0 {
+    Ok(())
+}
+
+/// The chunked draw job behind both public kernels: `n_draws` instants
+/// uniform over the union of `windows`, each depositing `weight(instant)`
+/// on the latency of its nearest sample (ties broken by the draw's own
+/// random `tie`). See [`unbiased_histogram_in_windows_par`] for the sweep
+/// and the determinism contract.
+#[allow(clippy::too_many_arguments)]
+fn sweep_draws<R: Rng>(
+    job: &'static str,
+    log: &LogView<'_>,
+    binner: &Binner,
+    windows: &[(i64, i64)],
+    n_draws: usize,
+    threads: usize,
+    rng: &mut R,
+    weight: impl Fn(i64) -> f64 + Sync,
+) -> Result<(Histogram, ExecReport), AutoSensError> {
+    // Cumulative window lengths: cum[i] = total length of windows[..i].
+    let mut cum: Vec<i64> = Vec::with_capacity(windows.len() + 1);
+    cum.push(0);
+    for &(lo, hi) in windows {
+        let len = if hi < lo { 0 } else { hi - lo + 1 };
+        cum.push(cum.last().unwrap() + len);
+    }
+    let total_len = *cum.last().unwrap();
+    if total_len <= 0 {
         return Err(AutoSensError::BadConfig(
-            "decay half-life must be > 0 ms".into(),
+            "unbiased windows have zero total length".into(),
         ));
     }
-    let (start, end) = match (log.start_time(), log.end_time()) {
-        (Some(s), Some(e)) => (s.millis(), e.millis()),
-        _ => return Err(AutoSensError::EmptySlice("unbiased estimation".into())),
-    };
-    let total_len = end - start + 1;
+    // One sequential draw establishes the job's seed; every chunk then
+    // derives its own stream, keeping the caller's RNG consumption (and
+    // the draws themselves) independent of the worker count.
     let base_seed = rng.gen::<u64>();
     let (parts, report) = autosens_exec::run_chunks(
-        "unbiased_decayed_draws",
+        job,
         n_draws,
         autosens_exec::chunk_size_for(n_draws),
         threads,
         |chunk, range| -> Result<Histogram, AutoSensError> {
+            let mut nearest = log.nearest_cursor().map_err(AutoSensError::from)?;
             let mut rng = StdRng::seed_from_u64(autosens_exec::chunk_seed(base_seed, chunk as u64));
             let mut draws: Vec<(i64, u64)> = range
                 .map(|_| (rng.gen_range(0..total_len), rng.gen::<u64>()))
                 .collect();
-            draws.sort_unstable();
+            sort_by_pick(&mut draws, total_len);
             let mut h = Histogram::new(binner.clone());
+            let mut w = 0usize;
             for (pick, tie) in draws {
-                let t = start + pick;
-                let (lo, hi) = log
-                    .nearest_in_time(SimTime(t))
-                    .map_err(AutoSensError::from)?;
+                // Advance to the window owning this pick; zero-length
+                // windows are skipped because their cum entry equals the
+                // next window's.
+                while cum[w + 1] <= pick {
+                    w += 1;
+                }
+                let t = windows[w].0 + (pick - cum[w]);
+                let (lo, hi) = nearest.nearest(SimTime(t));
                 let idx = if hi - lo == 1 {
                     lo
                 } else {
                     lo + (tie as usize) % (hi - lo)
                 };
-                h.record_weighted(
-                    log.latency_at(idx),
-                    decay_weight(t, frontier_ms, half_life_ms),
-                );
+                h.record_weighted(log.latency_at(idx), weight(t));
             }
             Ok(h)
         },
@@ -286,6 +285,33 @@ pub fn unbiased_histogram_decayed_par<R: Rng>(
         pooled.merge(&part?).map_err(AutoSensError::from)?;
     }
     Ok((pooled, report))
+}
+
+/// Order draws by `pick` (every pick in `0..bound`) with an LSD radix sort
+/// on 8-bit digits, one stable counting pass per digit that `bound - 1`
+/// uses. Draws sharing a pick keep their drawing order, which is as good
+/// as any order (see [`unbiased_histogram_in_windows_par`]).
+fn sort_by_pick(draws: &mut Vec<(i64, u64)>, bound: i64) {
+    debug_assert!(draws.iter().all(|&(p, _)| (0..bound).contains(&p)));
+    let bits = u64::BITS - ((bound - 1) as u64).leading_zeros();
+    let mut scratch: Vec<(i64, u64)> = vec![(0, 0); draws.len()];
+    for shift in (0..bits).step_by(8) {
+        let digit = |p: i64| ((p as u64 >> shift) & 0xFF) as usize;
+        let mut start = [0usize; 256];
+        for &(p, _) in draws.iter() {
+            start[digit(p)] += 1;
+        }
+        let mut sum = 0;
+        for slot in start.iter_mut() {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        for &d in draws.iter() {
+            let slot = &mut start[digit(d.0)];
+            scratch[*slot] = d;
+            *slot += 1;
+        }
+        std::mem::swap(draws, &mut scratch);
+    }
 }
 
 #[cfg(test)]

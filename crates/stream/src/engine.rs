@@ -625,17 +625,10 @@ impl StreamEngine {
         // streaming-only lateness drop (absent in the equivalence regime).
         let mut degradations = Vec::new();
         if self.saw_out_of_order {
-            degradations.push(Degradation {
-                stage: "sanitize".into(),
-                detail: "records arrived out of time order; re-sorted".into(),
-            });
+            degradations.push(Degradation::resorted());
         }
         if self.duplicates > 0 {
-            let removed = self.duplicates;
-            degradations.push(Degradation {
-                stage: "sanitize".into(),
-                detail: format!("removed {removed} exact duplicate records"),
-            });
+            degradations.push(Degradation::duplicates_removed(self.duplicates));
         }
         if self.late > 0 {
             degradations.push(Degradation {
