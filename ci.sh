@@ -6,28 +6,17 @@ set -eu
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
-echo "==> cargo clippy -q --all-targets -- -D warnings"
-cargo clippy -q --all-targets -- -D warnings
+echo "==> cargo clippy -q --workspace --all-targets -- -D warnings"
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo doc -q --no-deps"
-cargo doc -q --no-deps
-
-echo "==> plan-layer enforcement (no deprecated analyze_* calls outside crates/core)"
-# The analysis plan layer is the single public entry point; the historical
-# AutoSens::analyze* methods are #[deprecated] shims living out one release
-# inside crates/core. No caller elsewhere may construct the stage sequence
-# by hand or call a shim.
-if grep -rnE '\.analyze(_slice|_view|_prepared|_slice_with_ci|_view_with_ci)?\(' \
-    --include='*.rs' crates tests examples | grep -v '^crates/core/'; then
-    echo "ci.sh: deprecated analyze_* call outside crates/core (use AnalysisPlan::run)" >&2
-    exit 1
-fi
+echo "==> cargo doc -q --workspace --no-deps"
+cargo doc -q --workspace --no-deps
 
 echo "==> profiled smoke run (stage spans + finite metrics)"
 # End-to-end observability gate: generate a smoke log, analyze it with

@@ -109,6 +109,7 @@ fn bench_alpha(c: &mut Criterion) {
                 Grouping::HourSlots,
                 &cfg,
                 &mut rng,
+                None,
             )
             .expect("ok");
             black_box(est.groups.len())

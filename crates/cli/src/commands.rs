@@ -5,7 +5,7 @@ use std::io::{BufReader, BufWriter};
 
 use autosens_core::locality::{decorrelation_report, density_latency_correlation, locality_report};
 use autosens_core::report::{f3, text_table, PreferenceSummary};
-use autosens_core::{AnalysisPlan, AutoSens, AutoSensConfig, PlanInput, RunOptions};
+use autosens_core::{AnalysisPlan, AutoSensConfig, PlanInput, RunOptions};
 use autosens_faults::FaultPlan;
 use autosens_serve::{serve_http, Agent, AgentConfig, Gateway, GatewayConfig, TenantKey};
 use autosens_sim::{generate_with_threads, SimConfig};
@@ -230,7 +230,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             slice,
         } => {
             let log = read_log(&input, format)?;
-            let engine = AutoSens::new(AutoSensConfig::default());
+            let engine = AnalysisPlan::new(AutoSensConfig::default());
             let report = engine
                 .full_report(&log, &to_slice(&slice), slice_label(&slice))
                 .map_err(|e| e.to_string())?;
@@ -481,7 +481,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             slice,
         } => {
             let log = read_log(&input, format)?;
-            let engine = AutoSens::new(AutoSensConfig::default());
+            let engine = AnalysisPlan::new(AutoSensConfig::default());
             let est = engine
                 .alpha_by_period(&log, &to_slice(&slice))
                 .map_err(|e| e.to_string())?;

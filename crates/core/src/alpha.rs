@@ -337,9 +337,7 @@ impl GroupPartition {
     /// Fold one record into the partition (the incremental counterpart of
     /// the batch map-reduce's per-chunk loop).
     pub fn record(&mut self, r: &ActionRecord) {
-        let c = GroupPartition::cell_of(r);
-        self.cells[c].record(r.latency_ms);
-        self.cell_actions[c] += 1;
+        self.record_weighted(r, 1.0);
     }
 
     /// Fold one record in with a loss-correction weight on its histogram
@@ -382,39 +380,16 @@ impl GroupPartition {
     }
 
     /// Per-group biased histograms under a grouping: each group is the sum
-    /// of its cells, in cell order. `weights` (one per cell, finite and
-    /// ≥ 1) applies the loss correction; `None` is the exact unit-weight
-    /// path (bit-identical to direct per-group accumulation — see the type
-    /// docs).
-    pub fn group_biased(
-        &self,
-        grouping: Grouping,
-        weights: Option<&[f64]>,
-    ) -> Result<Vec<Histogram>, AutoSensError> {
-        if let Some(w) = weights {
-            if w.len() != self.cells.len() {
-                return Err(AutoSensError::Internal(format!(
-                    "{} cell weights for {} cells",
-                    w.len(),
-                    self.cells.len()
-                )));
-            }
-        }
+    /// of its cells, in cell order (bit-identical to direct per-group
+    /// accumulation for a unit-weight partition — see the type docs).
+    pub fn group_biased(&self, grouping: Grouping) -> Result<Vec<Histogram>, AutoSensError> {
         let binner = self.cells[0].binner();
         let mut out = Vec::with_capacity(grouping.n_groups());
         for g in 0..grouping.n_groups() {
             let mut h = Histogram::new(binner.clone());
             for (cell, ch) in self.cells.iter().enumerate() {
-                if !GroupPartition::cell_in_group(grouping, cell, g) {
-                    continue;
-                }
-                match weights.map(|w| w[cell]) {
-                    Some(w) if w != 1.0 => {
-                        let mut scaled = ch.clone();
-                        scaled.scale(w).map_err(AutoSensError::from)?;
-                        h.merge(&scaled).map_err(AutoSensError::from)?;
-                    }
-                    _ => h.merge(ch).map_err(AutoSensError::from)?,
+                if GroupPartition::cell_in_group(grouping, cell, g) {
+                    h.merge(ch).map_err(AutoSensError::from)?;
                 }
             }
             out.push(h);
@@ -422,30 +397,14 @@ impl GroupPartition {
         Ok(out)
     }
 
-    /// The pooled biased histogram over *all* cells, in cell order
-    /// (optionally loss-weighted). This is the no-α-correction counterpart
-    /// of [`GroupPartition::group_biased`]; with unit weights it is
-    /// bit-identical to recording every row directly.
-    pub fn pooled_biased(&self, weights: Option<&[f64]>) -> Result<Histogram, AutoSensError> {
-        if let Some(w) = weights {
-            if w.len() != self.cells.len() {
-                return Err(AutoSensError::Internal(format!(
-                    "{} cell weights for {} cells",
-                    w.len(),
-                    self.cells.len()
-                )));
-            }
-        }
+    /// The pooled biased histogram over *all* cells, in cell order. This is
+    /// the no-α-correction counterpart of [`GroupPartition::group_biased`];
+    /// for a unit-weight partition it is bit-identical to recording every
+    /// row directly.
+    pub fn pooled_biased(&self) -> Result<Histogram, AutoSensError> {
         let mut h = Histogram::new(self.cells[0].binner().clone());
-        for (cell, ch) in self.cells.iter().enumerate() {
-            match weights.map(|w| w[cell]) {
-                Some(w) if w != 1.0 => {
-                    let mut scaled = ch.clone();
-                    scaled.scale(w).map_err(AutoSensError::from)?;
-                    h.merge(&scaled).map_err(AutoSensError::from)?;
-                }
-                _ => h.merge(ch).map_err(AutoSensError::from)?,
-            }
+        for ch in &self.cells {
+            h.merge(ch).map_err(AutoSensError::from)?;
         }
         Ok(h)
     }
@@ -474,30 +433,7 @@ pub fn partition_by_group(
     binner: &Binner,
     threads: usize,
 ) -> Result<(GroupPartition, ExecReport), AutoSensError> {
-    let (partial, report) = autosens_exec::map_reduce(
-        "alpha_partition",
-        log.len(),
-        autosens_exec::scan_chunk_size_for(log.len()),
-        threads,
-        |_, range| {
-            let mut part = GroupPartition::empty(binner);
-            for i in range {
-                part.record(&log.get(i));
-            }
-            (part.cells, part.cell_actions)
-        },
-    )?;
-    let (cells, cell_actions) = partial.unwrap_or_else(|| {
-        let empty = GroupPartition::empty(binner);
-        (empty.cells, empty.cell_actions)
-    });
-    Ok((
-        GroupPartition {
-            cells,
-            cell_actions,
-        },
-        report,
-    ))
+    partition_fold("alpha_partition", log, binner, threads, |_| 1.0)
 }
 
 /// [`partition_by_group`] with per-record loss-correction weights: each
@@ -511,8 +447,24 @@ pub fn partition_by_group_weighted(
     model: &LossModel,
     threads: usize,
 ) -> Result<(GroupPartition, ExecReport), AutoSensError> {
+    partition_fold("alpha_partition_weighted", log, binner, threads, |r| {
+        let day = r.time.day_local(r.tz_offset_ms);
+        let weekend = r.time.is_weekend_local(r.tz_offset_ms);
+        model.weight_for(day, r.hour_slot().0, weekend, r.class.code())
+    })
+}
+
+/// The shared chunked fold of both partition builds: every row enters its
+/// loss cell with histogram weight `weight(record)`.
+fn partition_fold(
+    label: &str,
+    log: &LogView<'_>,
+    binner: &Binner,
+    threads: usize,
+    weight: impl Fn(&ActionRecord) -> f64 + Sync,
+) -> Result<(GroupPartition, ExecReport), AutoSensError> {
     let (partial, report) = autosens_exec::map_reduce(
-        "alpha_partition_weighted",
+        label,
         log.len(),
         autosens_exec::scan_chunk_size_for(log.len()),
         threads,
@@ -520,10 +472,7 @@ pub fn partition_by_group_weighted(
             let mut part = GroupPartition::empty(binner);
             for i in range {
                 let r = log.get(i);
-                let day = r.time.day_local(r.tz_offset_ms);
-                let weekend = r.time.is_weekend_local(r.tz_offset_ms);
-                let w = model.weight_for(day, r.hour_slot().0, weekend, r.class.code());
-                part.record_weighted(&r, w);
+                part.record_weighted(&r, weight(&r));
             }
             (part.cells, part.cell_actions)
         },
@@ -541,22 +490,11 @@ pub fn partition_by_group_weighted(
     ))
 }
 
-/// Estimate α over a log.
+/// Estimate α over a log, optionally from a precomputed
+/// [`GroupPartition`].
 ///
-/// The log must be sorted and non-empty. `n_days` bounds the day windows
-/// used for the group-conditional unbiased draws; it is derived from the
-/// log's span.
-pub fn estimate_alpha<R: Rng>(
-    log: &LogView<'_>,
-    binner: &Binner,
-    grouping: Grouping,
-    cfg: &AutoSensConfig,
-    rng: &mut R,
-) -> Result<AlphaEstimate, AutoSensError> {
-    estimate_alpha_with_partition(log, binner, grouping, cfg, rng, None)
-}
-
-/// [`estimate_alpha`] with an optional precomputed [`GroupPartition`].
+/// The log must be sorted and non-empty. The day windows used for the
+/// group-conditional unbiased draws are derived from the log's span.
 ///
 /// When `partition` is `Some`, the per-group rescan of the log is skipped
 /// and the supplied partials are used directly — this is how the streaming
@@ -565,7 +503,7 @@ pub fn estimate_alpha<R: Rng>(
 /// the records of `log` under the same `binner` and `grouping`; the RNG-
 /// bearing stages (group-conditional unbiased draws) always run over the
 /// full log, so the caller's RNG consumption is identical either way.
-pub fn estimate_alpha_with_partition<R: Rng>(
+pub fn estimate_alpha<R: Rng>(
     log: &LogView<'_>,
     binner: &Binner,
     grouping: Grouping,
@@ -574,7 +512,7 @@ pub fn estimate_alpha_with_partition<R: Rng>(
     partition: Option<GroupPartition>,
 ) -> Result<AlphaEstimate, AutoSensError> {
     let (part, mut inputs) = build_alpha_inputs(log, binner, grouping, cfg, rng, partition)?;
-    let biased = part.group_biased(grouping, None)?;
+    let biased = part.group_biased(grouping)?;
     let exec_reports = std::mem::take(&mut inputs.exec_reports);
     Ok(solve_alpha(
         grouping,
@@ -588,7 +526,7 @@ pub fn estimate_alpha_with_partition<R: Rng>(
 
 /// [`estimate_alpha`] solved twice from one set of inputs: once with the
 /// raw per-group counts (the naive estimate — bit-identical to
-/// [`estimate_alpha_with_partition`] on the same log and RNG state) and
+/// [`estimate_alpha`] on the same log and RNG state) and
 /// once with the loss `model`'s per-record weights (cell × day factor,
 /// [`LossModel::weight_for`]) baked into the biased histograms of *both*
 /// the group and the reference via a weighted rescan of the log
@@ -609,10 +547,10 @@ pub fn estimate_alpha_corrected<R: Rng>(
     model: &LossModel,
 ) -> Result<(AlphaEstimate, AlphaEstimate), AutoSensError> {
     let (part, mut inputs) = build_alpha_inputs(log, binner, grouping, cfg, rng, partition)?;
-    let naive_biased = part.group_biased(grouping, None)?;
+    let naive_biased = part.group_biased(grouping)?;
     let (weighted, weighted_report) = partition_by_group_weighted(log, binner, model, cfg.threads)?;
     inputs.exec_reports.push(weighted_report);
-    let corrected_biased = weighted.group_biased(grouping, None)?;
+    let corrected_biased = weighted.group_biased(grouping)?;
     let exec_reports = std::mem::take(&mut inputs.exec_reports);
     let naive = solve_alpha(grouping, &inputs, binner, cfg, naive_biased, exec_reports);
     let corrected = solve_alpha(grouping, &inputs, binner, cfg, corrected_biased, Vec::new());

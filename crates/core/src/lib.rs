@@ -52,8 +52,9 @@
 //! * [`unbiased`] — the `U` estimator (random instants, nearest sample).
 //! * [`alpha`] — time-confounder activity factors (§2.4.1, Table 1, Fig 8).
 //! * [`preference`] — ratio, smoothing, normalization (§2.3).
-//! * [`plan`] — the operator DAG and the single analysis entry point.
-//! * [`pipeline`] — the [`AutoSens`] façade and per-slice analyses.
+//! * [`plan`] — [`AnalysisPlan`], the analysis engine and its single entry
+//!   point, plus the stage names.
+//! * [`pipeline`] — the stage bodies, report types and per-slice analyses.
 //! * [`lossmodel`] — loss-aware inverse-observation-probability weights.
 //! * [`locality`] — the §2.1 diagnostics (Figures 1 and 2).
 //! * [`bottleneck`] — the §3.5 preference-vs-bottleneck analysis.
@@ -79,6 +80,6 @@ pub use alpha::{partition_by_group, GroupPartition, Grouping};
 pub use config::AutoSensConfig;
 pub use error::AutoSensError;
 pub use lossmodel::LossModel;
-pub use pipeline::{AutoSens, DecaySpec, LossReport, Prepared, WindowedCurve};
+pub use pipeline::{DecaySpec, LossReport, WindowedCurve};
 pub use plan::{AnalysisPlan, PlanInput, PlanPartials, PreparedMeta, RunOptions};
 pub use preference::NormalizedPreference;

@@ -1,11 +1,11 @@
-//! The [`AutoSens`] façade: end-to-end analysis of a telemetry log, plus the
+//! The stage bodies behind [`AnalysisPlan::run`], the report types, and the
 //! per-slice drivers behind each of the paper's evaluation sections.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use autosens_exec::ExecReport;
-use autosens_obs::{Recorder, Span, StageTiming};
+use autosens_obs::{Span, StageTiming};
 use autosens_stats::histogram::Histogram;
 use autosens_telemetry::log::{LogView, TelemetryLog};
 use autosens_telemetry::loss::{estimate_cell_loss_par, LossCounts};
@@ -15,32 +15,18 @@ use autosens_telemetry::time::{DayPeriod, Month};
 use autosens_telemetry::users::{latency_quartiles, LatencyQuartiles};
 
 use crate::alpha::{
-    estimate_alpha, estimate_alpha_corrected, estimate_alpha_with_partition,
-    partition_by_group_weighted, AlphaEstimate, GroupPartition, Grouping,
+    estimate_alpha, estimate_alpha_corrected, partition_by_group_weighted, AlphaEstimate, Grouping,
 };
 use crate::biased::biased_histogram;
-use crate::config::AutoSensConfig;
 use crate::error::AutoSensError;
 use crate::lossmodel::{CellCorrection, LossModel};
-use crate::plan::op;
-use crate::plan::PreparedMeta;
+use crate::plan::{op, AnalysisPlan, CiSpec, PreparedMeta};
 use crate::preference::NormalizedPreference;
 use crate::unbiased::{decay_weight, unbiased_histogram_decayed_par, unbiased_histogram_par};
 
-/// The per-quartile analyses of [`AutoSens::by_latency_quartile`]:
+/// The per-quartile analyses of [`AnalysisPlan::by_latency_quartile`]:
 /// quartile index (0 = Q1, fastest users) paired with that slice's result.
 pub type QuartileAnalyses = Vec<(usize, Result<AnalysisReport, AutoSensError>)>;
-
-/// The span names of the documented pipeline stages, in execution order —
-/// an alias of [`crate::plan::op::STAGE_NAMES`], which derives from the
-/// [operator table](crate::plan::op::OPERATORS). Every analysis run (with
-/// the α correction enabled) produces exactly one span per stage under
-/// its `"analyze"` root.
-pub const STAGES: &[&str] = crate::plan::op::STAGE_NAMES;
-
-/// The additional stage traced when a CI bootstrap is requested — an
-/// alias of [`crate::plan::op::CI_BOOTSTRAP`]'s name.
-pub const CI_STAGE: &str = crate::plan::op::CI_BOOTSTRAP.name;
 
 /// A recoverable data-quality problem the pipeline worked around instead of
 /// aborting. An [`AnalysisReport`] carrying degradations is still a valid
@@ -57,7 +43,7 @@ impl Degradation {
     /// Sanitize's report that the input arrived out of time order.
     pub fn resorted() -> Degradation {
         Degradation {
-            stage: op::SANITIZE.name.into(),
+            stage: op::SANITIZE.into(),
             detail: "records arrived out of time order; re-sorted".into(),
         }
     }
@@ -65,7 +51,7 @@ impl Degradation {
     /// Sanitize's report that it dropped `removed` exact duplicates.
     pub fn duplicates_removed(removed: u64) -> Degradation {
         Degradation {
-            stage: op::SANITIZE.name.into(),
+            stage: op::SANITIZE.into(),
             detail: format!("removed {removed} exact duplicate records"),
         }
     }
@@ -75,42 +61,6 @@ impl std::fmt::Display for Degradation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}] {}", self.stage, self.detail)
     }
-}
-
-/// A sanitized log ready for the post-sanitize pipeline stages, produced by
-/// a caller that has already done the filter / sort / dedup work itself.
-///
-/// The batch path ([`AutoSens::analyze_slice`]) sanitizes internally; an
-/// incremental caller (the streaming engine) maintains sanitized state
-/// continuously and enters the pipeline here via
-/// [`AutoSens::analyze_prepared`]. For the resulting report to be
-/// bit-identical to the batch path, `log` must equal what batch sanitize
-/// would produce for the same input: filtered to the slice's successes,
-/// stably sorted by time, exact duplicates removed keep-first.
-#[derive(Debug, Clone)]
-pub struct Prepared {
-    /// The sanitized (sorted, deduplicated) log of successful actions.
-    pub log: TelemetryLog,
-    /// Degradations observed while preparing (out-of-order arrival,
-    /// duplicates removed, …), in the order batch sanitize would report
-    /// them: re-sort first, then duplicate removal.
-    pub degradations: Vec<Degradation>,
-    /// Records that entered sanitize after filtering (pre-dedup count).
-    pub records_in: usize,
-    /// Records dropped by deduplication.
-    pub records_dropped: usize,
-    /// Optional precomputed per-group partition matching `log` exactly; when
-    /// present the α stage skips its rescan of the log.
-    pub partition: Option<GroupPartition>,
-    /// Optional precomputed per-day loss-cell observation counts matching
-    /// `log` exactly; when present the lossmodel stage skips its rescan.
-    pub loss_counts: Option<LossCounts>,
-    /// Optional windowed-decay request: when present, the report also
-    /// carries an exponentially-decayed windowed preference curve (see
-    /// [`WindowedCurve`]). The lifetime curve is unaffected either way —
-    /// the windowed stage runs on its own RNG stream after every lifetime
-    /// stage has consumed exactly what it always consumed.
-    pub decay: Option<DecaySpec>,
 }
 
 /// How to decay the windowed preference curve: each record (and each
@@ -190,53 +140,17 @@ pub struct AnalysisReport {
     /// bit-identical to a `loss_correct: false` run.
     pub loss: Option<LossReport>,
     /// The windowed decayed curve (present only when the caller asked for
-    /// one via [`Prepared::decay`]; never part of the batch output).
+    /// one via [`PreparedMeta::decay`]; never part of the batch output).
     pub windowed: Option<WindowedCurve>,
     /// Data-quality problems survived along the way (empty on clean input).
     pub degradations: Vec<Degradation>,
-    /// Wall-clock time per pipeline stage (see [`STAGES`]), in execution
+    /// Wall-clock time per pipeline stage (see [`op::STAGES`]), in execution
     /// order. `None` only for reports built before instrumentation ran
     /// (e.g. deserialized from older artifacts).
     pub stage_timings: Option<Vec<StageTiming>>,
 }
 
-/// The AutoSens analysis engine.
-#[derive(Debug, Clone)]
-pub struct AutoSens {
-    config: AutoSensConfig,
-    recorder: Recorder,
-}
-
-impl AutoSens {
-    /// Create an engine with a configuration (validated at analysis time).
-    ///
-    /// The engine times its stages (so reports carry `stage_timings`) but
-    /// does not buffer trace spans; use [`AutoSens::with_recorder`] to
-    /// collect a full span tree and per-analysis metrics.
-    pub fn new(config: AutoSensConfig) -> Self {
-        AutoSens {
-            config,
-            recorder: Recorder::disabled(),
-        }
-    }
-
-    /// Create an engine that records spans and metrics into `recorder`.
-    pub fn with_recorder(config: AutoSensConfig, recorder: Recorder) -> Self {
-        AutoSens { config, recorder }
-    }
-
-    /// The engine's recorder (drain it with [`Recorder::finish`] after a
-    /// run to obtain the span tree; its metrics registry holds the
-    /// pipeline counters).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &AutoSensConfig {
-        &self.config
-    }
-
+impl AnalysisPlan {
     /// Feed one data-parallel job's scheduling report into the obs layer:
     /// a chunk counter plus one child span per worker (timing carried in
     /// the `wall_ms` field — the work already happened).
@@ -256,41 +170,12 @@ impl AutoSens {
         }
     }
 
-    /// Analyze a full log (successful actions only, as in the paper).
-    #[deprecated(note = "use plan::AnalysisPlan::run with PlanInput::log — \
-                         the single analysis entry point")]
-    pub fn analyze(&self, log: &TelemetryLog) -> Result<AnalysisReport, AutoSensError> {
-        self.analyze_view_impl(&log.view(), &Slice::all())
-    }
-
-    /// Analyze one slice of a log.
-    #[deprecated(note = "use plan::AnalysisPlan::run with PlanInput::slice — \
-                         the single analysis entry point")]
-    pub fn analyze_slice(
-        &self,
-        log: &TelemetryLog,
-        slice: &Slice,
-    ) -> Result<AnalysisReport, AutoSensError> {
-        self.analyze_view_impl(&log.view(), slice)
-    }
-
-    /// Analyze one slice of a borrowed [`LogView`].
-    #[deprecated(note = "use plan::AnalysisPlan::run with PlanInput::view — \
-                         the single analysis entry point")]
-    pub fn analyze_view(
-        &self,
-        view: &LogView<'_>,
-        slice: &Slice,
-    ) -> Result<AnalysisReport, AutoSensError> {
-        self.analyze_view_impl(view, slice)
-    }
-
     /// The batch pipeline over a borrowed view — the zero-copy ingest
     /// path. A memory-mapped container's columns flow from disk to the
     /// analysis kernels through this without materializing a row; the
     /// log/slice input shapes are exactly this over `log.view()`, so all
     /// shapes produce bit-identical reports for the same rows.
-    pub(crate) fn analyze_view_impl(
+    pub(crate) fn run_view(
         &self,
         view: &LogView<'_>,
         slice: &Slice,
@@ -305,7 +190,7 @@ impl AutoSens {
         // skew) and duplicated (re-delivered upload batches). Repair what is
         // repairable and record the repair instead of failing. Slicing
         // re-sorts as a side effect, so the order check looks at the input.
-        let mut span = root.child(op::SANITIZE.name);
+        let mut span = root.child(op::SANITIZE);
         if !view.is_sorted() {
             degradations.push(Degradation::resorted());
         }
@@ -336,51 +221,21 @@ impl AutoSens {
         span.field("records_in", records_in);
         span.field("records_dropped", removed);
         timings.push(StageTiming {
-            stage: op::SANITIZE.name.into(),
+            stage: op::SANITIZE.into(),
             wall_ms: span.finish(),
         });
-        self.finish_analysis(
-            &sub,
+        let meta = PreparedMeta {
             degradations,
             records_in,
-            removed,
-            copied,
-            None,
-            None,
-            None,
-            root,
-            timings,
-        )
+            records_dropped: removed,
+            ..PreparedMeta::default()
+        };
+        self.finish_analysis(&sub, meta, copied, root, timings)
     }
 
-    /// Run the post-sanitize pipeline stages over an externally prepared
-    /// log (see [`Prepared`]).
-    #[deprecated(note = "use plan::AnalysisPlan::run with PlanInput::prepared — \
-                         the single analysis entry point")]
-    pub fn analyze_prepared(&self, prepared: Prepared) -> Result<AnalysisReport, AutoSensError> {
-        let Prepared {
-            log,
-            degradations,
-            records_in,
-            records_dropped,
-            partition,
-            loss_counts,
-            decay,
-        } = prepared;
-        self.analyze_prepared_raw(
-            &log,
-            degradations,
-            records_in,
-            records_dropped,
-            partition,
-            loss_counts,
-            decay,
-        )
-    }
-
-    /// The plan layer's prepared-input path (see
-    /// [`PlanInput::Prepared`](crate::plan::PlanInput::Prepared)):
-    /// unbundle the cached partials and run everything past sanitize.
+    /// The prepared-input path (see
+    /// [`PlanInput::Prepared`](crate::plan::PlanInput::Prepared)): a
+    /// bookkeeping sanitize span, then everything downstream.
     ///
     /// This is the incremental entry: the streaming engine merges its
     /// shard state into a [`PreparedMeta`] and obtains an
@@ -390,89 +245,46 @@ impl AutoSens {
     /// sanitized record sequence. The run still traces one span per
     /// documented stage (the `"sanitize"` span carries the caller's
     /// counts; its wall time reflects only bookkeeping).
-    pub(crate) fn analyze_prepared_impl(
+    pub(crate) fn run_prepared(
         &self,
         log: &TelemetryLog,
         meta: PreparedMeta,
     ) -> Result<AnalysisReport, AutoSensError> {
+        log.require_sorted()?;
+        let root = self.recorder.root("analyze");
+        let mut span = root.child(op::SANITIZE);
+        span.field("records_in", meta.records_in);
+        span.field("records_dropped", meta.records_dropped);
+        let timings = vec![StageTiming {
+            stage: op::SANITIZE.into(),
+            wall_ms: span.finish(),
+        }];
+        self.finish_analysis(&log.view(), meta, 0, root, timings)
+    }
+
+    /// Everything downstream of sanitize: grouping, α estimation, the
+    /// biased/unbiased PDFs, smoothing and normalization, metrics, and
+    /// report assembly. Shared verbatim by the batch and prepared paths —
+    /// this is what makes streaming snapshots bit-identical to batch
+    /// analyses. `meta` carries sanitize's bookkeeping (the batch path
+    /// fills it without partials or decay); `copied` counts rows sanitize
+    /// materialized to repair out-of-order input.
+    fn finish_analysis(
+        &self,
+        sub: &LogView<'_>,
+        meta: PreparedMeta,
+        copied: usize,
+        mut root: Span,
+        mut timings: Vec<StageTiming>,
+    ) -> Result<AnalysisReport, AutoSensError> {
         let PreparedMeta {
-            degradations,
+            mut degradations,
             records_in,
             records_dropped,
             partials,
             decay,
         } = meta;
-        let (partition, loss_counts) = match partials {
-            Some(p) => (Some(p.partition), Some(p.loss)),
-            None => (None, None),
-        };
-        self.analyze_prepared_raw(
-            log,
-            degradations,
-            records_in,
-            records_dropped,
-            partition,
-            loss_counts,
-            decay,
-        )
-    }
-
-    /// Shared body of the prepared paths: a bookkeeping sanitize span,
-    /// then everything downstream.
-    #[allow(clippy::too_many_arguments)]
-    fn analyze_prepared_raw(
-        &self,
-        log: &TelemetryLog,
-        degradations: Vec<Degradation>,
-        records_in: usize,
-        records_dropped: usize,
-        partition: Option<GroupPartition>,
-        loss_counts: Option<LossCounts>,
-        decay: Option<DecaySpec>,
-    ) -> Result<AnalysisReport, AutoSensError> {
-        log.require_sorted()?;
-        let root = self.recorder.root("analyze");
-        let mut timings: Vec<StageTiming> = Vec::new();
-        let mut span = root.child(op::SANITIZE.name);
-        span.field("records_in", records_in);
-        span.field("records_dropped", records_dropped);
-        timings.push(StageTiming {
-            stage: op::SANITIZE.name.into(),
-            wall_ms: span.finish(),
-        });
-        self.finish_analysis(
-            &log.view(),
-            degradations,
-            records_in,
-            records_dropped,
-            0,
-            partition,
-            loss_counts,
-            decay,
-            root,
-            timings,
-        )
-    }
-
-    /// Everything downstream of sanitize: grouping, α estimation, the
-    /// biased/unbiased PDFs, smoothing and normalization, metrics, and
-    /// report assembly. Shared verbatim by the batch and prepared entry
-    /// points — this is what makes streaming snapshots bit-identical to
-    /// batch analyses.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_analysis(
-        &self,
-        sub: &LogView<'_>,
-        mut degradations: Vec<Degradation>,
-        records_in: usize,
-        removed: usize,
-        copied: usize,
-        partition: Option<GroupPartition>,
-        loss_counts: Option<LossCounts>,
-        decay: Option<DecaySpec>,
-        mut root: Span,
-        mut timings: Vec<StageTiming>,
-    ) -> Result<AnalysisReport, AutoSensError> {
+        let (partition, loss_counts) = partials.map(|p| (p.partition, p.loss)).unzip();
         let binner = self.config.binner()?;
         if sub.is_empty() {
             return Err(AutoSensError::EmptySlice(
@@ -487,7 +299,7 @@ impl AutoSens {
         // gauges report even when the correction is disabled — but it
         // consumes no randomness, so an inactive correction leaves every
         // downstream bit unchanged.
-        let mut span = root.child(op::LOSSMODEL.name);
+        let mut span = root.child(op::LOSSMODEL);
         let counts =
             loss_counts.unwrap_or_else(|| LossCounts::from_view_par(sub, self.config.threads));
         let evidence = estimate_cell_loss_par(sub, &counts, self.config.threads);
@@ -505,7 +317,7 @@ impl AutoSens {
             }
         }
         timings.push(StageTiming {
-            stage: op::LOSSMODEL.name.into(),
+            stage: op::LOSSMODEL.into(),
             wall_ms: span.finish(),
         });
 
@@ -515,7 +327,7 @@ impl AutoSens {
             Grouping::HourSlots
         };
         let (biased, unbiased, alpha, naive) = if self.config.alpha_correction {
-            let mut span = root.child(op::ALPHA.name);
+            let mut span = root.child(op::ALPHA);
             span.field("groups", grouping.n_groups());
             // With an active correction the α system is solved twice from
             // one set of inputs (one RNG-bearing draw stage): once naive,
@@ -532,14 +344,8 @@ impl AutoSens {
                 )?;
                 (est, Some(naive_est))
             } else {
-                let est = estimate_alpha_with_partition(
-                    sub,
-                    &binner,
-                    grouping,
-                    &self.config,
-                    &mut rng,
-                    partition,
-                )?;
+                let est =
+                    estimate_alpha(sub, &binner, grouping, &self.config, &mut rng, partition)?;
                 (est, None)
             };
             for r in &naive_est.as_ref().unwrap_or(&est).exec_reports {
@@ -551,7 +357,7 @@ impl AutoSens {
             for g in &est.groups {
                 if g.n_actions > 0 && g.alpha.is_none() {
                     degradations.push(Degradation {
-                        stage: op::ALPHA.name.into(),
+                        stage: op::ALPHA.into(),
                         detail: format!(
                             "group {} ({} actions) excluded: no usable alpha",
                             g.label, g.n_actions
@@ -560,32 +366,32 @@ impl AutoSens {
                 }
             }
             timings.push(StageTiming {
-                stage: op::ALPHA.name.into(),
+                stage: op::ALPHA.into(),
                 wall_ms: span.finish(),
             });
-            let span = root.child(op::BIASED_PDF.name);
+            let span = root.child(op::BIASED_PDF);
             let b = est.normalized_biased(&binner)?;
             let naive_b = naive_est
                 .as_ref()
                 .map(|n| n.normalized_biased(&binner))
                 .transpose()?;
             timings.push(StageTiming {
-                stage: op::BIASED_PDF.name.into(),
+                stage: op::BIASED_PDF.into(),
                 wall_ms: span.finish(),
             });
-            let span = root.child(op::UNBIASED_PDF.name);
+            let span = root.child(op::UNBIASED_PDF);
             let u = est.pooled_unbiased(&binner)?;
             let naive_u = naive_est
                 .as_ref()
                 .map(|n| n.pooled_unbiased(&binner))
                 .transpose()?;
             timings.push(StageTiming {
-                stage: op::UNBIASED_PDF.name.into(),
+                stage: op::UNBIASED_PDF.into(),
                 wall_ms: span.finish(),
             });
             (b, u, Some(est), naive_b.zip(naive_u))
         } else {
-            let span = root.child(op::BIASED_PDF.name);
+            let span = root.child(op::BIASED_PDF);
             let naive_b = biased_histogram(sub, &binner);
             let b = if correct {
                 // Reweight without α: the pooled biased histogram is the
@@ -604,15 +410,15 @@ impl AutoSens {
                         sub.len()
                     )));
                 }
-                wpart.pooled_biased(None)?
+                wpart.pooled_biased()?
             } else {
                 naive_b.clone()
             };
             timings.push(StageTiming {
-                stage: op::BIASED_PDF.name.into(),
+                stage: op::BIASED_PDF.into(),
                 wall_ms: span.finish(),
             });
-            let mut span = root.child(op::UNBIASED_PDF.name);
+            let mut span = root.child(op::UNBIASED_PDF);
             span.field("draws", self.config.unbiased_draws);
             let (u, draw_report) = unbiased_histogram_par(
                 sub,
@@ -623,7 +429,7 @@ impl AutoSens {
             )?;
             self.record_exec(&span, &draw_report);
             timings.push(StageTiming {
-                stage: op::UNBIASED_PDF.name.into(),
+                stage: op::UNBIASED_PDF.into(),
                 wall_ms: span.finish(),
             });
             let naive = correct.then(|| (naive_b, u.clone()));
@@ -668,7 +474,7 @@ impl AutoSens {
             .add(records_in as u64);
         metrics
             .counter("autosens_core_records_dropped_total")
-            .add(removed as u64);
+            .add(records_dropped as u64);
         metrics
             .counter("autosens_core_degradations_total")
             .add(degradations.len() as u64);
@@ -721,7 +527,7 @@ impl AutoSens {
             ));
         }
         let binner = self.config.binner()?;
-        let mut span = root.child(op::WINDOWED_CURVE.name);
+        let mut span = root.child(op::WINDOWED_CURVE);
         span.field("half_life_ms", spec.half_life_ms as u64);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xDECA);
         let mut biased = Histogram::new(binner.clone());
@@ -746,7 +552,7 @@ impl AutoSens {
         span.field("effective_mass", effective_mass);
         span.field("fit", u64::from(preference.is_some()));
         timings.push(StageTiming {
-            stage: op::WINDOWED_CURVE.name.into(),
+            stage: op::WINDOWED_CURVE.into(),
             wall_ms: span.finish(),
         });
         Ok(WindowedCurve {
@@ -839,56 +645,25 @@ impl AutoSens {
         self.parallel_analyses(log, slices)
     }
 
-    /// Analyze a slice with a bootstrap confidence band.
-    #[deprecated(note = "use plan::AnalysisPlan::run with RunOptions::with_ci — \
-                         the single analysis entry point")]
-    pub fn analyze_slice_with_ci(
-        &self,
-        log: &TelemetryLog,
-        slice: &Slice,
-        replicates: usize,
-        level: f64,
-    ) -> Result<(AnalysisReport, crate::ci::PreferenceCi), AutoSensError> {
-        let mut report = self.analyze_view_impl(&log.view(), slice)?;
-        let ci = self.ci_impl(&mut report, replicates, level)?;
-        Ok((report, ci))
-    }
-
-    /// Analyze a borrowed view with a bootstrap confidence band.
-    #[deprecated(note = "use plan::AnalysisPlan::run with RunOptions::with_ci — \
-                         the single analysis entry point")]
-    pub fn analyze_view_with_ci(
-        &self,
-        view: &LogView<'_>,
-        slice: &Slice,
-        replicates: usize,
-        level: f64,
-    ) -> Result<(AnalysisReport, crate::ci::PreferenceCi), AutoSensError> {
-        let mut report = self.analyze_view_impl(view, slice)?;
-        let ci = self.ci_impl(&mut report, replicates, level)?;
-        Ok((report, ci))
-    }
-
-    /// The optional `ci_bootstrap` operator: fit a bootstrap confidence
-    /// band (see [`crate::ci`]) over a completed report's pooled
-    /// histograms and append its stage timing. Runs on its own RNG
-    /// stream (`seed ^ 0xC1`), so mapped and owned inputs produce
-    /// bit-identical bands.
-    pub(crate) fn ci_impl(
+    /// The optional `ci_bootstrap` stage: fit a bootstrap confidence band
+    /// (see [`crate::ci`]) over a completed report's pooled histograms and
+    /// append its stage timing. Runs on its own RNG stream
+    /// (`seed ^ 0xC1`), so mapped and owned inputs produce bit-identical
+    /// bands.
+    pub(crate) fn run_ci(
         &self,
         report: &mut AnalysisReport,
-        replicates: usize,
-        level: f64,
+        spec: CiSpec,
     ) -> Result<crate::ci::PreferenceCi, AutoSensError> {
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xC1);
-        let mut span = self.recorder.root(op::CI_BOOTSTRAP.name);
-        span.field("replicates_requested", replicates);
+        let mut span = self.recorder.root(op::CI_BOOTSTRAP);
+        span.field("replicates_requested", spec.replicates);
         let (ci, exec_report) = crate::ci::preference_ci_traced(
             &report.biased,
             &report.unbiased,
             &self.config,
-            replicates,
-            level,
+            spec.replicates,
+            spec.level,
             &mut rng,
         )?;
         self.record_exec(&span, &exec_report);
@@ -900,7 +675,7 @@ impl AutoSens {
         let wall_ms = span.finish();
         if let Some(timings) = report.stage_timings.as_mut() {
             timings.push(StageTiming {
-                stage: op::CI_BOOTSTRAP.name.into(),
+                stage: op::CI_BOOTSTRAP.into(),
                 wall_ms,
             });
         }
@@ -918,7 +693,7 @@ impl AutoSens {
     ) -> Result<crate::report::FullReport, AutoSensError> {
         use crate::report::{AlphaRow, FullReport, PreferenceSummary};
         let label = label.into();
-        let analysis = self.analyze_view_impl(&log.view(), slice)?;
+        let analysis = self.run_view(&log.view(), slice)?;
         let alpha_est = self.alpha_by_period(log, slice)?;
         let selected = slice.clone().successes().select(log);
         let owned;
@@ -979,7 +754,14 @@ impl AutoSens {
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xA1FA);
         // Force the morning period as primary reference by reordering:
         // estimate normally, then rescale every alpha by the morning value.
-        let mut est = estimate_alpha(&sub, &binner, Grouping::DayPeriods, &self.config, &mut rng)?;
+        let mut est = estimate_alpha(
+            &sub,
+            &binner,
+            Grouping::DayPeriods,
+            &self.config,
+            &mut rng,
+            None,
+        )?;
         let morning = 0usize; // group 0 = Morning8to14 by Grouping order
         if let Some(m_alpha) = est.groups[morning].alpha {
             for g in &mut est.groups {
@@ -1016,7 +798,7 @@ impl AutoSens {
             |chunk, _| {
                 let (key, slice) = &slices[chunk];
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.analyze_view_impl(&log.view(), slice)
+                    self.run_view(&log.view(), slice)
                 }))
                 .unwrap_or_else(|payload| {
                     let msg = payload
@@ -1045,6 +827,7 @@ impl AutoSens {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AutoSensConfig;
     use crate::plan::{PlanInput, RunOptions};
     use autosens_sim::{generate, Scenario, SimConfig};
 
@@ -1061,28 +844,24 @@ mod tests {
         }
     }
 
-    fn run(engine: &AutoSens, log: &TelemetryLog) -> Result<AnalysisReport, AutoSensError> {
-        engine
-            .plan()
-            .run(PlanInput::log(log), RunOptions::default())
+    fn run(plan: &AnalysisPlan, log: &TelemetryLog) -> Result<AnalysisReport, AutoSensError> {
+        plan.run(PlanInput::log(log), RunOptions::default())
             .map(|o| o.report)
     }
 
     fn run_prepared(
-        engine: &AutoSens,
+        plan: &AnalysisPlan,
         log: &TelemetryLog,
         meta: PreparedMeta,
     ) -> Result<AnalysisReport, AutoSensError> {
-        engine
-            .plan()
-            .run(PlanInput::prepared(log, meta), RunOptions::default())
+        plan.run(PlanInput::prepared(log, meta), RunOptions::default())
             .map(|o| o.report)
     }
 
     #[test]
     fn analyze_produces_a_normalized_curve() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let report = run(&engine, &log).unwrap();
         assert!(report.n_actions > 1000);
         let pref = &report.preference;
@@ -1098,7 +877,7 @@ mod tests {
     #[test]
     fn analyze_is_deterministic() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let a = run(&engine, &log).unwrap();
         let b = run(&engine, &log).unwrap();
         assert_eq!(a.preference.series(), b.preference.series());
@@ -1107,7 +886,7 @@ mod tests {
     #[test]
     fn empty_slice_is_an_error() {
         let log = TelemetryLog::new();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         assert!(matches!(
             run(&engine, &log),
             Err(AutoSensError::EmptySlice(_))
@@ -1119,7 +898,7 @@ mod tests {
         let log = smoke_log();
         let mut cfg = fast_config();
         cfg.alpha_correction = false;
-        let engine = AutoSens::new(cfg);
+        let engine = AnalysisPlan::new(cfg);
         let report = run(&engine, &log).unwrap();
         assert!(report.alpha.is_none());
         assert!(report.preference.at(300.0).is_some());
@@ -1128,7 +907,7 @@ mod tests {
     #[test]
     fn by_action_type_returns_all_four() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let results = engine.by_action_type(&log, &Slice::all());
         assert_eq!(results.len(), 4);
         let ok = results.iter().filter(|(_, r)| r.is_ok()).count();
@@ -1138,7 +917,7 @@ mod tests {
     #[test]
     fn by_user_class_returns_both() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let results = engine.by_user_class(&log, &Slice::all());
         assert_eq!(results.len(), 2);
         for (_, r) in &results {
@@ -1149,7 +928,7 @@ mod tests {
     #[test]
     fn by_quartile_partitions_users() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let (quartiles, results) = engine.by_latency_quartile(&log, &Slice::all(), 10).unwrap();
         assert_eq!(results.len(), 4);
         let total: usize = quartiles.groups.iter().map(|g| g.len()).sum();
@@ -1166,7 +945,7 @@ mod tests {
                 threads,
                 ..fast_config()
             };
-            let engine = AutoSens::new(cfg);
+            let engine = AnalysisPlan::new(cfg);
             let actions: Vec<ActionType> = engine
                 .by_action_type(&log, &Slice::all())
                 .into_iter()
@@ -1185,7 +964,7 @@ mod tests {
     #[test]
     fn clean_input_reports_no_degradations() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let report = run(&engine, &log).unwrap();
         assert!(
             report.degradations.is_empty(),
@@ -1214,7 +993,7 @@ mod tests {
         };
         let corrupted = plan.apply(&log).unwrap();
         assert!(!corrupted.is_sorted());
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let report = run(&engine, &corrupted).unwrap();
         // The analysis completes with a curve and structured warnings.
         assert!((report.preference.at(300.0).unwrap() - 1.0).abs() < 1e-9);
@@ -1241,11 +1020,11 @@ mod tests {
     fn analyze_produces_one_span_per_documented_stage() {
         let log = smoke_log();
         let recorder = autosens_obs::Recorder::new();
-        let engine = AutoSens::with_recorder(fast_config(), recorder.clone());
+        let engine = AnalysisPlan::with_recorder(fast_config(), recorder.clone());
         let report = run(&engine, &log).unwrap();
         let tree = recorder.finish();
         assert_eq!(tree.count_named("analyze"), 1, "{}", tree.render());
-        for stage in STAGES {
+        for stage in op::STAGES {
             assert_eq!(
                 tree.count_named(stage),
                 1,
@@ -1256,7 +1035,7 @@ mod tests {
         // Stage timings mirror the span tree (same stages, same order).
         let timings = report.stage_timings.as_ref().unwrap();
         let stages: Vec<&str> = timings.iter().map(|t| t.stage.as_str()).collect();
-        assert_eq!(stages, STAGES.to_vec());
+        assert_eq!(stages, op::STAGES.to_vec());
         assert!(timings.iter().all(|t| t.wall_ms >= 0.0));
         // Every stage span nests under the analyze root.
         let root_id = tree
@@ -1275,15 +1054,14 @@ mod tests {
     fn ci_analysis_adds_the_bootstrap_stage() {
         let log = smoke_log();
         let recorder = autosens_obs::Recorder::new();
-        let engine = AutoSens::with_recorder(fast_config(), recorder.clone());
+        let engine = AnalysisPlan::with_recorder(fast_config(), recorder.clone());
         let out = engine
-            .plan()
             .run(PlanInput::log(&log), RunOptions::with_ci(25, 0.95))
             .unwrap();
         let (report, ci) = (out.report, out.ci.unwrap());
         let timings = report.stage_timings.unwrap();
-        assert_eq!(timings.last().unwrap().stage, CI_STAGE);
-        assert_eq!(recorder.finish().count_named(CI_STAGE), 1);
+        assert_eq!(timings.last().unwrap().stage, op::CI_BOOTSTRAP);
+        assert_eq!(recorder.finish().count_named(op::CI_BOOTSTRAP), 1);
         assert_eq!(
             recorder
                 .metrics()
@@ -1309,7 +1087,7 @@ mod tests {
         };
         let corrupted = plan.apply(&log).unwrap();
         let recorder = autosens_obs::Recorder::new();
-        let engine = AutoSens::with_recorder(fast_config(), recorder.clone());
+        let engine = AnalysisPlan::with_recorder(fast_config(), recorder.clone());
         let report = run(&engine, &corrupted).unwrap();
         assert!(!report.degradations.is_empty());
         let snap = recorder.metrics().snapshot();
@@ -1343,7 +1121,7 @@ mod tests {
     #[test]
     fn loss_correction_is_a_noop_on_clean_input() {
         let log = smoke_log();
-        let on = run(&AutoSens::new(fast_config()), &log).unwrap();
+        let on = run(&AnalysisPlan::new(fast_config()), &log).unwrap();
         assert!(
             on.loss.is_none(),
             "clean input flagged cells: {:?}",
@@ -1351,7 +1129,7 @@ mod tests {
         );
         let mut cfg = fast_config();
         cfg.loss_correct = false;
-        let off = run(&AutoSens::new(cfg), &log).unwrap();
+        let off = run(&AnalysisPlan::new(cfg), &log).unwrap();
         // Bit-identical curves and histograms: the inactive correction
         // changes nothing downstream.
         assert_eq!(on.preference.series(), off.preference.series());
@@ -1371,7 +1149,7 @@ mod tests {
             }],
         };
         let corrupted = plan.apply(&log).unwrap();
-        let report = run(&AutoSens::new(fast_config()), &corrupted).unwrap();
+        let report = run(&AnalysisPlan::new(fast_config()), &corrupted).unwrap();
         let loss = report.loss.as_ref().expect("bursty loss goes undetected");
         assert!(loss.overall_rate > 0.0);
         assert!(!loss.cells.is_empty());
@@ -1384,7 +1162,7 @@ mod tests {
         // An explicit off-run reproduces the naive curve bit for bit.
         let mut cfg = fast_config();
         cfg.loss_correct = false;
-        let off = run(&AutoSens::new(cfg), &corrupted).unwrap();
+        let off = run(&AnalysisPlan::new(cfg), &corrupted).unwrap();
         assert!(off.loss.is_none());
         assert_eq!(off.biased.counts(), loss.naive_biased.counts());
         assert_eq!(
@@ -1406,7 +1184,7 @@ mod tests {
         };
         let corrupted = plan.apply(&log).unwrap();
         let baseline = run(
-            &AutoSens::new(AutoSensConfig {
+            &AnalysisPlan::new(AutoSensConfig {
                 threads: 1,
                 ..fast_config()
             }),
@@ -1416,7 +1194,7 @@ mod tests {
         assert!(baseline.loss.is_some());
         for threads in [2, 4, 8] {
             let report = run(
-                &AutoSens::new(AutoSensConfig {
+                &AnalysisPlan::new(AutoSensConfig {
                     threads,
                     ..fast_config()
                 }),
@@ -1467,7 +1245,7 @@ mod tests {
     #[test]
     fn prepared_decay_adds_windowed_curve_and_leaves_lifetime_untouched() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let (clean, meta) = prepared_from(&log, None);
         let base = run_prepared(&engine, &clean, meta).unwrap();
         assert!(base.windowed.is_none());
@@ -1509,7 +1287,7 @@ mod tests {
     #[test]
     fn windowed_mass_shrinks_with_shorter_half_life() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let (clean, _) = prepared_from(&log, None);
         let frontier = clean.view().time_at(clean.view().len() - 1);
         let mass = |hl: i64| {
@@ -1537,7 +1315,7 @@ mod tests {
     #[test]
     fn nonpositive_half_life_is_rejected() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let (clean, meta) = prepared_from(
             &log,
             Some(DecaySpec {
@@ -1552,54 +1330,9 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_plan_entry_point() {
-        let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
-        let base = run(&engine, &log).unwrap();
-        let view = log.view();
-        let all = Slice::all();
-        let a = engine.analyze(&log).unwrap();
-        let b = engine.analyze_slice(&log, &all).unwrap();
-        let c = engine.analyze_view(&view, &all).unwrap();
-        for (label, r) in [("analyze", &a), ("analyze_slice", &b), ("analyze_view", &c)] {
-            assert_eq!(base.preference.series(), r.preference.series(), "{label}");
-            assert_eq!(base.biased.counts(), r.biased.counts(), "{label}");
-            assert_eq!(base.n_actions, r.n_actions, "{label}");
-        }
-
-        let (clean, meta) = prepared_from(&log, None);
-        let p = engine
-            .analyze_prepared(Prepared {
-                log: clean,
-                degradations: meta.degradations,
-                records_in: meta.records_in,
-                records_dropped: meta.records_dropped,
-                partition: None,
-                loss_counts: None,
-                decay: meta.decay,
-            })
-            .unwrap();
-        assert_eq!(base.preference.series(), p.preference.series());
-
-        let ci_base = engine
-            .plan()
-            .run(PlanInput::log(&log), RunOptions::with_ci(25, 0.9))
-            .unwrap();
-        let (d, ci_d) = engine.analyze_slice_with_ci(&log, &all, 25, 0.9).unwrap();
-        let (e, ci_e) = engine.analyze_view_with_ci(&view, &all, 25, 0.9).unwrap();
-        let ci = ci_base.ci.unwrap();
-        assert_eq!(base.preference.series(), d.preference.series());
-        assert_eq!(base.preference.series(), e.preference.series());
-        assert_eq!(ci.replicates, ci_d.replicates);
-        assert_eq!(ci.band_at(500.0), ci_d.band_at(500.0));
-        assert_eq!(ci.band_at(500.0), ci_e.band_at(500.0));
-    }
-
-    #[test]
     fn alpha_by_period_has_morning_reference_one() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let est = engine.alpha_by_period(&log, &Slice::all()).unwrap();
         assert_eq!(est.groups.len(), 4);
         let morning = est.groups[0].alpha.unwrap();

@@ -1,21 +1,20 @@
-//! The analysis plan layer: the estimator's stage chain as an explicit
-//! operator DAG with one entry point.
+//! The analysis engine: the estimator's stage chain behind one entry
+//! point.
 //!
 //! The paper's pipeline is a fixed sequence — sanitize → lossmodel →
 //! α → biased/unbiased PDFs → smoothing → normalization, with optional
-//! CI-bootstrap and windowed-curve operators. This module declares that
-//! sequence as data (the [operator table](op::OPERATORS)) and runs it
-//! through a single entry point, [`AnalysisPlan::run`], which replaces
-//! the six historical `analyze*` variants on [`AutoSens`] (kept as
-//! `#[deprecated]` shims for one release). What varies between calls is
-//! no longer *which method* but *which input shape* ([`PlanInput`]) and
-//! *which optional operators* ([`RunOptions`]).
+//! CI-bootstrap and windowed-curve stages ([`op`] names them all).
+//! [`AnalysisPlan`] runs it through a single entry point,
+//! [`AnalysisPlan::run`]: what varies between calls is *which input
+//! shape* ([`PlanInput`]) and *which optional stages* ([`RunOptions`]).
+//! The same type carries the per-slice analyses of the paper's evaluation
+//! sections (`by_action_type`, `full_report`, …, in [`crate::pipeline`]).
 //!
-//! Incremental callers cache the pre-RNG per-shard states declared in
-//! the table ([`PlanPartials`]) and enter via [`PlanInput::prepared`];
-//! the output is bit-identical to a batch run over the same records at
-//! every thread count — see the [`op`] module docs for why the RNG
-//! frontier is exactly the cacheability frontier.
+//! Incremental callers cache the pre-RNG per-shard states
+//! ([`PlanPartials`]) and enter via [`PlanInput::prepared`]; the output is
+//! bit-identical to a batch run over the same records at every thread
+//! count — see the [`op`] module docs for why the RNG frontier is exactly
+//! the cacheability frontier.
 //!
 //! ```
 //! use autosens_core::plan::{AnalysisPlan, PlanInput, RunOptions};
@@ -32,7 +31,6 @@
 pub mod op;
 mod partials;
 
-pub use op::{OperatorSpec, CI_BOOTSTRAP, OPERATORS, STAGE_NAMES, WINDOWED_CURVE};
 pub use partials::PlanPartials;
 
 use autosens_obs::Recorder;
@@ -42,7 +40,7 @@ use autosens_telemetry::query::Slice;
 use crate::ci::PreferenceCi;
 use crate::config::AutoSensConfig;
 use crate::error::AutoSensError;
-use crate::pipeline::{AnalysisReport, AutoSens, DecaySpec, Degradation};
+use crate::pipeline::{AnalysisReport, DecaySpec, Degradation};
 
 /// What the plan runs over. All shapes converge on the same stage chain
 /// and the same RNG streams, so for the same underlying records every
@@ -133,12 +131,12 @@ pub struct CiSpec {
     pub level: f64,
 }
 
-/// Which optional operators a [`AnalysisPlan::run`] executes on top of
+/// Which optional stages a [`AnalysisPlan::run`] executes on top of
 /// the always-run chain.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunOptions {
-    /// Run the [`op::CI_BOOTSTRAP`] operator and return a confidence
-    /// band in [`RunOutput::ci`].
+    /// Run the [`op::CI_BOOTSTRAP`] stage and return a confidence band in
+    /// [`RunOutput::ci`].
     pub ci: Option<CiSpec>,
 }
 
@@ -162,89 +160,60 @@ pub struct RunOutput {
     pub ci: Option<PreferenceCi>,
 }
 
-/// The single analysis entry point: an executable instance of the
-/// [operator table](op::OPERATORS) over an [`AutoSens`] engine.
+/// The analysis engine: one configuration and recorder, the single
+/// entry point [`AnalysisPlan::run`], and the per-slice analyses of the
+/// paper's evaluation sections (see [`crate::pipeline`]).
 ///
-/// Construct one per configuration (or borrow one from an existing
-/// engine via [`AutoSens::plan`] — the recorder is shared, so spans and
-/// metrics land in the same place) and call [`AnalysisPlan::run`] with
-/// the input shape at hand.
+/// Construct one per configuration and call [`AnalysisPlan::run`] with the
+/// input shape at hand. Cloning shares the recorder (it is `Arc`-backed),
+/// so spans and metrics keep landing in the same place.
 #[derive(Debug, Clone)]
 pub struct AnalysisPlan {
-    engine: AutoSens,
+    pub(crate) config: AutoSensConfig,
+    pub(crate) recorder: Recorder,
 }
 
 impl AnalysisPlan {
     /// A plan with a configuration (validated at run time) and no span
-    /// buffering — reports still carry stage timings.
+    /// buffering — reports still carry stage timings. Use
+    /// [`AnalysisPlan::with_recorder`] to collect a full span tree and
+    /// per-analysis metrics.
     pub fn new(config: AutoSensConfig) -> AnalysisPlan {
-        AnalysisPlan {
-            engine: AutoSens::new(config),
-        }
+        AnalysisPlan::with_recorder(config, Recorder::disabled())
     }
 
     /// A plan that records spans and metrics into `recorder`.
     pub fn with_recorder(config: AutoSensConfig, recorder: Recorder) -> AnalysisPlan {
-        AnalysisPlan {
-            engine: AutoSens::with_recorder(config, recorder),
-        }
-    }
-
-    /// Wrap an existing engine (shares its recorder).
-    pub fn from_engine(engine: AutoSens) -> AnalysisPlan {
-        AnalysisPlan { engine }
-    }
-
-    /// The underlying engine (for the per-slice drivers that remain on
-    /// [`AutoSens`]: `by_action_type`, `full_report`, …).
-    pub fn engine(&self) -> &AutoSens {
-        &self.engine
+        AnalysisPlan { config, recorder }
     }
 
     /// The plan's configuration.
     pub fn config(&self) -> &AutoSensConfig {
-        self.engine.config()
+        &self.config
     }
 
-    /// The plan's recorder.
+    /// The plan's recorder (drain it with [`Recorder::finish`] after a run
+    /// to obtain the span tree; its metrics registry holds the pipeline
+    /// counters).
     pub fn recorder(&self) -> &Recorder {
-        self.engine.recorder()
+        &self.recorder
     }
 
-    /// The always-run operator table, in execution order.
-    pub fn operators() -> &'static [OperatorSpec] {
-        op::OPERATORS
-    }
-
-    /// Run the plan over an input. One span per always-run operator,
-    /// plus one per requested optional operator; stage timings in the
-    /// report follow the same order.
+    /// Run the plan over an input. One span per always-run stage
+    /// ([`op::STAGES`]), plus one per requested optional stage; stage
+    /// timings in the report follow the same order.
     pub fn run(&self, input: PlanInput<'_>, opts: RunOptions) -> Result<RunOutput, AutoSensError> {
         let mut report = match input {
-            PlanInput::Log(log) => self.engine.analyze_view_impl(&log.view(), &Slice::all())?,
-            PlanInput::Slice { log, slice } => self.engine.analyze_view_impl(&log.view(), slice)?,
-            PlanInput::View { view, slice } => self.engine.analyze_view_impl(view, slice)?,
-            PlanInput::Prepared { log, meta } => self.engine.analyze_prepared_impl(log, meta)?,
+            PlanInput::Log(log) => self.run_view(&log.view(), &Slice::all())?,
+            PlanInput::Slice { log, slice } => self.run_view(&log.view(), slice)?,
+            PlanInput::View { view, slice } => self.run_view(view, slice)?,
+            PlanInput::Prepared { log, meta } => self.run_prepared(log, meta)?,
         };
-        let ci = match opts.ci {
-            Some(spec) => Some(
-                self.engine
-                    .ci_impl(&mut report, spec.replicates, spec.level)?,
-            ),
-            None => None,
-        };
+        let ci = opts
+            .ci
+            .map(|spec| self.run_ci(&mut report, spec))
+            .transpose()?;
         Ok(RunOutput { report, ci })
-    }
-}
-
-impl AutoSens {
-    /// Borrow this engine as a plan (clones the engine; the recorder is
-    /// `Arc`-shared, so spans and metrics keep landing in this engine's
-    /// recorder).
-    pub fn plan(&self) -> AnalysisPlan {
-        AnalysisPlan {
-            engine: self.clone(),
-        }
     }
 }
 
@@ -301,7 +270,7 @@ mod tests {
         let timings = out.report.stage_timings.unwrap();
         assert_eq!(
             timings.last().unwrap().stage,
-            op::CI_BOOTSTRAP.name,
+            op::CI_BOOTSTRAP,
             "CI stage timing must come last"
         );
     }

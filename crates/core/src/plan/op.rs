@@ -1,15 +1,7 @@
-//! The operator table: the declared identity of every pipeline stage.
+//! Stage names: the span, stage-timing, metrics and `Degradation::stage`
+//! label of every pipeline stage, each declared once.
 //!
-//! Each stage of the estimator is described once, as data — its span
-//! name, its upstream inputs, whether it draws from the seeded RNG
-//! stream, and (when one exists) the mergeable per-shard partial state
-//! an incremental caller may cache for it. Everything that used to be a
-//! hand-placed string constant (the `"sanitize"` span, the
-//! `STAGES` list, the profile artifact's stage column) derives from
-//! this table, so adding or renaming an operator is a one-line change
-//! that the spans, metrics, stage timings, and docs all follow.
-//!
-//! ## Why `draws_rng` is the cacheability frontier
+//! ## Why the RNG frontier is the cacheability frontier
 //!
 //! The pipeline seeds one `StdRng` after sanitize and threads it through
 //! the stages in a fixed order. Any state accumulated *before* the first
@@ -22,121 +14,51 @@
 //! bit-equality invariant. The CI bootstrap is the extreme case: it
 //! resamples the final pooled histograms, so there is no per-shard
 //! decomposition of it at all.
+//!
+//! Concretely, an incremental caller may cache the sorted, deduplicated
+//! shard columns ([`SANITIZE`]), the `LossCounts` fold ([`LOSSMODEL`]) and
+//! the `GroupPartition` fold that [`ALPHA`] and [`BIASED_PDF`] read — the
+//! pre-draw part of α — bundled as
+//! [`PlanPartials`](crate::plan::PlanPartials). [`UNBIASED_PDF`],
+//! [`CI_BOOTSTRAP`] and [`WINDOWED_CURVE`] draw from an RNG stream and
+//! are recomputed in full on every run; [`SMOOTHING`] and
+//! [`NORMALIZATION`] are pure functions of the pooled histograms.
 
-/// One pipeline stage's declared identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OperatorSpec {
-    /// Span / stage-timing / metrics name (also the `Degradation::stage`
-    /// label for problems this operator survives).
-    pub name: &'static str,
-    /// Names of the upstream operators whose output this one consumes
-    /// (empty for the source operator).
-    pub inputs: &'static [&'static str],
-    /// Whether the operator consumes the seeded RNG stream. RNG-bearing
-    /// operators are recomputed in full on every run — see the module
-    /// docs for why they can never be cached per shard.
-    pub draws_rng: bool,
-    /// The `Mergeable` per-shard partial-aggregate state an incremental
-    /// caller may cache for this operator (`None` when the operator has
-    /// no pre-RNG per-shard decomposition). For `alpha` the *partition
-    /// fold* is cacheable even though the solve itself draws: the fold
-    /// happens entirely before the first draw.
-    pub partial: Option<&'static str>,
-}
-
-impl OperatorSpec {
-    /// Whether an incremental caller can cache per-shard state for this
-    /// operator (it declares a partial). The partial always covers only
-    /// the pre-RNG portion of the operator's work.
-    pub const fn cacheable(&self) -> bool {
-        self.partial.is_some()
-    }
-}
-
-/// Filter / stable sort / exact dedup. Its "partial" is the sorted,
-/// deduplicated shard column store the streaming engine maintains.
-pub const SANITIZE: OperatorSpec = OperatorSpec {
-    name: "sanitize",
-    inputs: &[],
-    draws_rng: false,
-    partial: Some("sorted shard ColumnStore"),
-};
+/// Filter / stable sort / exact dedup.
+pub const SANITIZE: &str = "sanitize";
 
 /// Per-cell telemetry-loss estimation from in-band evidence.
-pub const LOSSMODEL: OperatorSpec = OperatorSpec {
-    name: "lossmodel",
-    inputs: &["sanitize"],
-    draws_rng: false,
-    partial: Some("LossCounts"),
-};
+pub const LOSSMODEL: &str = "lossmodel";
 
-/// Per-group activity-factor (α) estimation. The record→cell fold is the
-/// cacheable partial; the per-group solve draws from the RNG stream.
-pub const ALPHA: OperatorSpec = OperatorSpec {
-    name: "alpha",
-    inputs: &["sanitize", "lossmodel"],
-    draws_rng: true,
-    partial: Some("GroupPartition"),
-};
+/// Per-group activity-factor (α) estimation: a record→cell fold, then a
+/// per-group solve that draws group-conditional unbiased samples.
+pub const ALPHA: &str = "alpha";
 
-/// The pooled (α-normalized, loss-weighted) biased latency PDF — a
-/// cell-order sum over the same `GroupPartition` the α stage folds.
-pub const BIASED_PDF: OperatorSpec = OperatorSpec {
-    name: "biased_pdf",
-    inputs: &["sanitize", "alpha"],
-    draws_rng: false,
-    partial: Some("GroupPartition"),
-};
+/// The pooled (α-normalized, loss-weighted) biased latency PDF.
+pub const BIASED_PDF: &str = "biased_pdf";
 
-/// The unbiased latency PDF from random draw instants. The draw count
-/// and layout depend on the global window span — never cacheable.
-pub const UNBIASED_PDF: OperatorSpec = OperatorSpec {
-    name: "unbiased_pdf",
-    inputs: &["sanitize", "alpha"],
-    draws_rng: true,
-    partial: None,
-};
+/// The unbiased latency PDF from random draw instants.
+pub const UNBIASED_PDF: &str = "unbiased_pdf";
 
 /// Savitzky–Golay smoothing of the B/U ratio.
-pub const SMOOTHING: OperatorSpec = OperatorSpec {
-    name: "smoothing",
-    inputs: &["biased_pdf", "unbiased_pdf"],
-    draws_rng: false,
-    partial: None,
-};
+pub const SMOOTHING: &str = "smoothing";
 
 /// Normalization of the smoothed ratio at the reference latency.
-pub const NORMALIZATION: OperatorSpec = OperatorSpec {
-    name: "normalization",
-    inputs: &["smoothing"],
-    draws_rng: false,
-    partial: None,
-};
+pub const NORMALIZATION: &str = "normalization";
 
 /// The bootstrap confidence band (optional, requested via
-/// [`RunOptions`](crate::plan::RunOptions)). It resamples the final
-/// pooled histograms on its own RNG stream, so it has no per-shard
-/// decomposition whatsoever and can never be cached.
-pub const CI_BOOTSTRAP: OperatorSpec = OperatorSpec {
-    name: "ci_bootstrap",
-    inputs: &["biased_pdf", "unbiased_pdf"],
-    draws_rng: true,
-    partial: None,
-};
+/// [`RunOptions`](crate::plan::RunOptions)), on its own RNG stream.
+pub const CI_BOOTSTRAP: &str = "ci_bootstrap";
 
-/// The exponentially-decayed windowed curve (optional, streaming-only).
-/// Every record's weight depends on the window frontier — never
-/// cacheable.
-pub const WINDOWED_CURVE: OperatorSpec = OperatorSpec {
-    name: "windowed_curve",
-    inputs: &["sanitize"],
-    draws_rng: true,
-    partial: None,
-};
+/// The exponentially-decayed windowed curve (optional, requested via
+/// [`PreparedMeta::decay`](crate::plan::PreparedMeta::decay)), on its own
+/// RNG stream.
+pub const WINDOWED_CURVE: &str = "windowed_curve";
 
-/// The always-run operators, in execution order. One span per entry per
-/// run. [`CI_BOOTSTRAP`] and [`WINDOWED_CURVE`] run only on request.
-pub const OPERATORS: &[OperatorSpec] = &[
+/// The always-run stages, in execution order. Every run (with the α
+/// correction enabled) traces one span per entry under its `"analyze"`
+/// root; [`CI_BOOTSTRAP`] and [`WINDOWED_CURVE`] run only on request.
+pub const STAGES: &[&str] = &[
     SANITIZE,
     LOSSMODEL,
     ALPHA,
@@ -145,85 +67,3 @@ pub const OPERATORS: &[OperatorSpec] = &[
     SMOOTHING,
     NORMALIZATION,
 ];
-
-/// The span names of the always-run operators, in execution order —
-/// derived from [`OPERATORS`], never hand-maintained.
-pub const STAGE_NAMES: &[&str] = &[
-    OPERATORS[0].name,
-    OPERATORS[1].name,
-    OPERATORS[2].name,
-    OPERATORS[3].name,
-    OPERATORS[4].name,
-    OPERATORS[5].name,
-    OPERATORS[6].name,
-];
-
-/// Look an operator up by name (always-run and optional alike).
-pub fn operator(name: &str) -> Option<&'static OperatorSpec> {
-    const ALL: &[&OperatorSpec] = &[
-        &SANITIZE,
-        &LOSSMODEL,
-        &ALPHA,
-        &BIASED_PDF,
-        &UNBIASED_PDF,
-        &SMOOTHING,
-        &NORMALIZATION,
-        &CI_BOOTSTRAP,
-        &WINDOWED_CURVE,
-    ];
-    ALL.iter().copied().find(|op| op.name == name)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stage_names_follow_the_operator_table() {
-        assert_eq!(STAGE_NAMES.len(), OPERATORS.len());
-        for (name, op) in STAGE_NAMES.iter().zip(OPERATORS) {
-            assert_eq!(*name, op.name);
-        }
-    }
-
-    #[test]
-    fn every_input_names_a_known_operator() {
-        for op in OPERATORS.iter().chain([&CI_BOOTSTRAP, &WINDOWED_CURVE]) {
-            for input in op.inputs {
-                assert!(
-                    operator(input).is_some(),
-                    "{}: unknown input {input}",
-                    op.name
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn inputs_only_reference_earlier_operators() {
-        // The always-run chain is a DAG in execution order: an operator
-        // may only consume outputs that already exist when it runs.
-        for (i, op) in OPERATORS.iter().enumerate() {
-            for input in op.inputs {
-                let pos = OPERATORS.iter().position(|o| o.name == *input);
-                assert!(
-                    pos.is_some_and(|p| p < i),
-                    "{} consumes {input}, which does not run before it",
-                    op.name
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rng_operators_never_cache_past_the_fold() {
-        // The only RNG-bearing operator with a partial is alpha, whose
-        // partial covers the pre-draw record→cell fold.
-        for op in [&UNBIASED_PDF, &CI_BOOTSTRAP, &WINDOWED_CURVE] {
-            assert!(op.draws_rng);
-            assert!(!op.cacheable(), "{} must not cache", op.name);
-        }
-        assert!(ALPHA.draws_rng && ALPHA.cacheable());
-        assert!(operator("nonexistent").is_none());
-    }
-}

@@ -1,8 +1,8 @@
 //! The bundled pre-RNG partial aggregates — one value per shard that an
 //! incremental caller folds records into and merges at snapshot time.
 //!
-//! [`PlanPartials`] packages every cacheable operator state from the
-//! [operator table](crate::plan::op): the `alpha`/`biased_pdf`
+//! [`PlanPartials`] packages every cacheable stage state (see the
+//! RNG-frontier notes in [`crate::plan::op`]): the `alpha`/`biased_pdf`
 //! [`GroupPartition`] fold and the `lossmodel` [`LossCounts`] fold. (The
 //! `sanitize` partial — the sorted, deduplicated shard columns — lives
 //! in the caller's storage layer, not here.) Both folds are

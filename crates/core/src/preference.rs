@@ -98,7 +98,7 @@ impl NormalizedPreference {
         // checked, so a last element exists.
         let last = *supported.last().expect("non-empty");
 
-        let mut span = parent.child(crate::plan::op::SMOOTHING.name);
+        let mut span = parent.child(crate::plan::op::SMOOTHING);
         span.field("supported_bins", supported.len());
         span.field("window", cfg.savgol_window);
         // Contiguous series over the span with interpolated holes.
@@ -117,11 +117,11 @@ impl NormalizedPreference {
             });
         }
         timings.push(autosens_obs::StageTiming {
-            stage: crate::plan::op::SMOOTHING.name.into(),
+            stage: crate::plan::op::SMOOTHING.into(),
             wall_ms: span.finish(),
         });
 
-        let span = parent.child(crate::plan::op::NORMALIZATION.name);
+        let span = parent.child(crate::plan::op::NORMALIZATION);
         let ref_bin = binner
             .index_of(cfg.reference_latency_ms)
             .filter(|&i| i >= first && i <= last)
@@ -142,7 +142,7 @@ impl NormalizedPreference {
             normalized[first + k] = Some((v / ref_value).max(0.0));
         }
         timings.push(autosens_obs::StageTiming {
-            stage: crate::plan::op::NORMALIZATION.name.into(),
+            stage: crate::plan::op::NORMALIZATION.into(),
             wall_ms: span.finish(),
         });
 

@@ -246,15 +246,12 @@ proptest! {
             ..AutoSensConfig::default()
         };
         let plan = AnalysisPlan::new(cfg);
-        match plan.run(PlanInput::log(&corrupted), RunOptions::default()).map(|o| o.report) {
-            Ok(report) => {
-                for (x, v) in report.preference.series() {
-                    prop_assert!(v.is_finite() && v >= 0.0, "pref({x}) = {v}");
-                }
+        // Typed failure (empty slice, support collapse, …) is the
+        // accepted graceful outcome for unanalyzable corruption.
+        if let Ok(out) = plan.run(PlanInput::log(&corrupted), RunOptions::default()) {
+            for (x, v) in out.report.preference.series() {
+                prop_assert!(v.is_finite() && v >= 0.0, "pref({x}) = {v}");
             }
-            // Typed failure (empty slice, support collapse, …) is the
-            // accepted graceful outcome for unanalyzable corruption.
-            Err(_) => {}
         }
     }
 

@@ -18,7 +18,6 @@ pub fn generate(data: &Dataset) -> Artifact {
         .class(UserClass::Business);
     let report = data
         .engine
-        .plan()
         .run(PlanInput::slice(&data.log, &slice), RunOptions::default())
         .expect("business SelectMail slice fits")
         .report;

@@ -20,7 +20,6 @@ pub fn generate(data: &Dataset) -> Artifact {
     let results = data.engine.by_day_period(&data.log, &base);
     let pooled = data
         .engine
-        .plan()
         .run(PlanInput::slice(&data.log, &base), RunOptions::default())
         .ok()
         .map(|out| out.report);

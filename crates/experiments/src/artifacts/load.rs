@@ -201,7 +201,7 @@ fn clean_prefix(pool: &[ActionRecord], floor: usize) -> Result<&[ActionRecord], 
         )
         .map_err(|e| e.to_string())?;
         for r in &pool[..n] {
-            probe.push(r.clone());
+            probe.push(*r);
         }
         if probe.snapshot().is_ok() {
             return Ok(&pool[..n]);
@@ -294,7 +294,7 @@ pub fn drive(config: &LoadConfig) -> Result<LoadStats, String> {
     let mut curves_identical = true;
     for key in &keys {
         let t = Instant::now();
-        let (report, _) = registry.snapshot(key).map_err(|e| e.to_string())?;
+        let report = registry.snapshot(key).map_err(|e| e.to_string())?;
         snapshot_ms.push(t.elapsed().as_secs_f64() * 1e3);
         let series = serde_json::to_string(&report.preference.series().to_vec())
             .map_err(|e| e.to_string())?;

@@ -59,10 +59,9 @@ pub fn generate(data: &crate::dataset::Dataset) -> Artifact {
         csv.push_str(&format!("{name},{calls},{ms:.4},{share:.4}\n"));
     }
 
-    // The expected stage column derives from the plan's operator table:
-    // every always-run operator plus the CI bootstrap requested above.
-    for spec in AnalysisPlan::operators().iter().chain([&op::CI_BOOTSTRAP]) {
-        let stage = spec.name;
+    // The expected stage column: every always-run stage plus the CI
+    // bootstrap requested above.
+    for &stage in op::STAGES.iter().chain([&op::CI_BOOTSTRAP]) {
         let n = tree.count_named(stage);
         checks.push(ShapeCheck::new(
             format!("stage {stage} profiled"),
@@ -117,8 +116,7 @@ mod tests {
             assert!(wall_ms.is_finite() && wall_ms >= 0.0, "row {line:?}");
             rows.insert(fields[0].to_string(), calls);
         }
-        for spec in AnalysisPlan::operators().iter().chain([&op::CI_BOOTSTRAP]) {
-            let stage = spec.name;
+        for &stage in op::STAGES.iter().chain([&op::CI_BOOTSTRAP]) {
             let calls = rows.get(stage);
             assert!(
                 calls.is_some_and(|&c| c >= 1),

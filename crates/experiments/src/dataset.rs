@@ -1,6 +1,6 @@
 //! Shared dataset setup for the experiment regenerators.
 
-use autosens_core::{AutoSens, AutoSensConfig};
+use autosens_core::{AnalysisPlan, AutoSensConfig};
 use autosens_sim::{generate, generate_with_threads, GroundTruth, Scenario, SimConfig};
 use autosens_telemetry::TelemetryLog;
 
@@ -19,8 +19,8 @@ pub struct Dataset {
     pub log: TelemetryLog,
     /// The simulator's ground truth for this log.
     pub truth: GroundTruth,
-    /// The AutoSens engine with the paper's configuration.
-    pub engine: AutoSens,
+    /// The analysis engine with the paper's configuration.
+    pub engine: AnalysisPlan,
 }
 
 impl Dataset {
@@ -42,7 +42,7 @@ impl Dataset {
         Dataset {
             log,
             truth,
-            engine: AutoSens::new(AutoSensConfig {
+            engine: AnalysisPlan::new(AutoSensConfig {
                 threads,
                 ..AutoSensConfig::default()
             }),
@@ -55,7 +55,7 @@ impl Dataset {
         Ok(Dataset {
             log,
             truth,
-            engine: AutoSens::new(analysis),
+            engine: AnalysisPlan::new(analysis),
         })
     }
 }

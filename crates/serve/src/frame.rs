@@ -329,7 +329,7 @@ mod tests {
         let r0 = rec(5, f64::from_bits(0x4028_B0A3_D70A_3D71));
         let f = Frame::Batch {
             tenant: TenantKey::new("s", "r").unwrap(),
-            records: vec![r0.clone()],
+            records: vec![r0],
         };
         match Frame::decode(&f.encode()).unwrap() {
             Frame::Batch { records, .. } => {

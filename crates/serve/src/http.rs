@@ -345,7 +345,7 @@ fn tenant_endpoint(gateway: &Gateway, key: &TenantKey, endpoint: &str) -> Respon
     }
     match endpoint {
         "curve" => match registry.snapshot(key) {
-            Ok((report, _)) => {
+            Ok(report) => {
                 // The exact expression batch `analyze --json` prints (the
                 // trailing newline is println!'s) — byte-identity is the
                 // contract, see the module docs.

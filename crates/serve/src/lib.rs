@@ -102,7 +102,7 @@ mod tests {
         })
         .unwrap();
         for r in &records {
-            agent.push(r.clone()).unwrap();
+            agent.push(*r).unwrap();
         }
         agent.flush().unwrap();
         assert_eq!(agent.acked(), records.len() as u64);
@@ -111,7 +111,7 @@ mod tests {
         // registry (same engine, same serialization).
         let (status, body) = http_get(&http_addr, "/tenant/mail/eu-west1/curve").unwrap();
         assert_eq!(status, 200);
-        let (report, _) = gw.registry().snapshot(&tenant).unwrap();
+        let report = gw.registry().snapshot(&tenant).unwrap();
         let summary = autosens_core::report::PreferenceSummary::from_report(
             "all",
             &report,

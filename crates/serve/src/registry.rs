@@ -74,6 +74,14 @@ pub struct Tenant {
     pub(crate) ckpt_cache: Option<(u64, String)>,
 }
 
+impl Tenant {
+    /// Drain the intake queue into the engine.
+    fn drain(&mut self) -> Result<(), ServeError> {
+        self.ingestor.drain_into(&mut self.engine)?;
+        Ok(())
+    }
+}
+
 /// Wall-clock and reuse accounting for the most recent fleet-wide
 /// snapshot pass ([`Registry::snapshot_all`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -228,16 +236,9 @@ impl Registry {
         let mut t = tenant.lock();
         for r in records {
             loop {
-                match t.ingestor.offer(r.clone()) {
+                match t.ingestor.offer(*r) {
                     Offer::Accepted | Offer::Shed => break,
-                    Offer::Full => {
-                        let Tenant {
-                            ref mut engine,
-                            ref ingestor,
-                            ..
-                        } = *t;
-                        ingestor.drain_into(engine)?;
-                    }
+                    Offer::Full => t.drain()?,
                 }
             }
             t.records += 1;
@@ -250,39 +251,27 @@ impl Registry {
     }
 
     /// Drain the tenant's queue and run a full deterministic snapshot.
-    /// Returns the report and the queue depth at snapshot time (always 0
-    /// after the drain — reported for the status document contract).
-    pub fn snapshot(&self, key: &TenantKey) -> Result<(AnalysisReport, u64), ServeError> {
-        let tenant = self
-            .get(key)
-            .ok_or_else(|| ServeError::BadTenant(format!("unknown tenant {}", key.label())))?;
-        let started = Instant::now();
-        let mut span = self.recorder.root("serve_snapshot");
-        span.field("tenant", key.label());
-        let mut t = tenant.lock();
-        {
-            let Tenant {
-                ref mut engine,
-                ref ingestor,
-                ..
-            } = *t;
-            ingestor.drain_into(engine)?;
-        }
-        let report = t.engine.snapshot()?;
-        let depth = t.ingestor.queue_depth() as u64;
-        drop(t);
-        span.finish();
-        self.recorder
-            .metrics()
-            .histogram("autosens_serve_snapshot_ms", &snapshot_binner())
-            .observe(started.elapsed().as_secs_f64() * 1e3);
-        Ok((report, depth))
+    pub fn snapshot(&self, key: &TenantKey) -> Result<AnalysisReport, ServeError> {
+        self.snapshot_with(key, |_, report| report)
     }
 
     /// Drain, snapshot, and assemble the tenant's [`StatusDocument`]
     /// under one tenant lock, so the report, queue depth, and engine
     /// counters in the document describe a single consistent instant.
     pub fn status_document(&self, key: &TenantKey) -> Result<StatusDocument, ServeError> {
+        self.snapshot_with(key, |t, report| {
+            StatusDocument::collect(&t.engine, &report, t.ingestor.queue_depth() as u64)
+        })
+    }
+
+    /// Drain and snapshot the tenant, then hand it and the report to `f`,
+    /// all under one tenant lock. One `serve_snapshot` span and one
+    /// `autosens_serve_snapshot_ms` sample per call.
+    fn snapshot_with<R>(
+        &self,
+        key: &TenantKey,
+        f: impl FnOnce(&Tenant, AnalysisReport) -> R,
+    ) -> Result<R, ServeError> {
         let tenant = self
             .get(key)
             .ok_or_else(|| ServeError::BadTenant(format!("unknown tenant {}", key.label())))?;
@@ -290,24 +279,16 @@ impl Registry {
         let mut span = self.recorder.root("serve_snapshot");
         span.field("tenant", key.label());
         let mut t = tenant.lock();
-        {
-            let Tenant {
-                ref mut engine,
-                ref ingestor,
-                ..
-            } = *t;
-            ingestor.drain_into(engine)?;
-        }
+        t.drain()?;
         let report = t.engine.snapshot()?;
-        let depth = t.ingestor.queue_depth() as u64;
-        let doc = StatusDocument::collect(&t.engine, &report, depth);
+        let out = f(&t, report);
         drop(t);
         span.finish();
         self.recorder
             .metrics()
             .histogram("autosens_serve_snapshot_ms", &snapshot_binner())
             .observe(started.elapsed().as_secs_f64() * 1e3);
-        Ok(doc)
+        Ok(out)
     }
 
     /// Run a closure against a locked tenant (drained first), e.g. for
@@ -321,14 +302,7 @@ impl Registry {
             .get(key)
             .ok_or_else(|| ServeError::BadTenant(format!("unknown tenant {}", key.label())))?;
         let mut t = tenant.lock();
-        {
-            let Tenant {
-                ref mut engine,
-                ref ingestor,
-                ..
-            } = *t;
-            ingestor.drain_into(engine)?;
-        }
+        t.drain()?;
         Ok(f(&mut t))
     }
 
@@ -336,8 +310,8 @@ impl Registry {
     /// fan-out; on a multi-core host shards snapshot concurrently).
     /// Returns `(key, report)` pairs in sorted key order. Tenants with no
     /// new events since their last snapshot are served from the engine's
-    /// snapshot cache; the split is recorded in
-    /// [`Registry::last_fleet_snapshot`].
+    /// snapshot cache; the split, read under the same tenant lock as the
+    /// snapshot, is recorded in [`Registry::last_fleet_snapshot`].
     pub fn snapshot_all(
         &self,
         threads: usize,
@@ -353,12 +327,8 @@ impl Registry {
             autosens_exec::run_chunks("serve_snapshot_all", n, chunk, threads, |_, range| {
                 range
                     .map(|i| {
-                        self.snapshot(&keys[i]).map(|(report, _)| {
-                            let reused = self
-                                .get(&keys[i])
-                                .map(|t| t.lock().engine.last_snapshot_reused())
-                                .unwrap_or(false);
-                            (keys[i].clone(), report, reused)
+                        self.snapshot_with(&keys[i], |t, report| {
+                            (keys[i].clone(), report, t.engine.last_snapshot_reused())
                         })
                     })
                     .collect::<Vec<_>>()
@@ -400,14 +370,7 @@ impl Registry {
                 None => continue,
             };
             let mut t = tenant.lock();
-            {
-                let Tenant {
-                    ref mut engine,
-                    ref ingestor,
-                    ..
-                } = *t;
-                ingestor.drain_into(engine)?;
-            }
+            t.drain()?;
             // Serialization is the expensive half of a checkpoint pass;
             // reuse the cached bytes while the tenant has seen no new
             // events (the same dirty key the snapshot cache uses).

@@ -3,9 +3,10 @@
 //!
 //! ## Equivalence with the batch pipeline
 //!
-//! Batch `AutoSens::analyze` sanitizes (filter → stable sort → exact
-//! dedup) and then runs every downstream stage as a pure function of the
-//! sanitized record sequence and the configuration, seeding one
+//! Batch `analyze` ([`AnalysisPlan::run`] over a log) sanitizes (filter →
+//! stable sort → exact dedup) and then runs every downstream stage as a
+//! pure function of the sanitized record sequence and the configuration,
+//! seeding one
 //! `StdRng::seed_from_u64(config.seed)` after sanitize. The engine
 //! reconstructs that exact sanitized sequence continuously:
 //!
@@ -51,10 +52,9 @@
 //! fit — are recomputed per snapshot over the merged window: their draw
 //! count and window layout depend on the window's global start/end, so
 //! caching them per shard would change the random sequence and break bit
-//! equality (see the `draws_rng` column of the
-//! [operator table](autosens_core::plan::op)). Records themselves are
-//! kept (they are the checkpoint's durable state and the unbiased
-//! estimator's input).
+//! equality (see the RNG-frontier notes in
+//! [`autosens_core::plan::op`]). Records themselves are kept (they are
+//! the checkpoint's durable state and the unbiased estimator's input).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,7 +64,7 @@ use serde::{Deserialize, Serialize};
 
 use autosens_core::pipeline::{AnalysisReport, DecaySpec, Degradation};
 use autosens_core::{
-    AutoSens, AutoSensConfig, AutoSensError, PlanInput, PlanPartials, PreparedMeta, RunOptions,
+    AnalysisPlan, AutoSensConfig, AutoSensError, PlanInput, PlanPartials, PreparedMeta, RunOptions,
 };
 use autosens_obs::{FlightKind, FlightRecorder, Recorder};
 use autosens_stats::binning::Binner;
@@ -218,7 +218,7 @@ struct SnapCache {
 /// docs for the equivalence argument.
 #[derive(Debug)]
 pub struct StreamEngine {
-    engine: AutoSens,
+    plan: AnalysisPlan,
     config: StreamConfig,
     slice: Slice,
     filter: Slice,
@@ -273,7 +273,7 @@ impl StreamEngine {
         let binner = config.analysis.binner()?;
         let filter = slice.clone().successes();
         Ok(StreamEngine {
-            engine: AutoSens::with_recorder(config.analysis.clone(), recorder),
+            plan: AnalysisPlan::with_recorder(config.analysis.clone(), recorder),
             config,
             slice,
             filter,
@@ -313,14 +313,14 @@ impl StreamEngine {
     /// The analysis recorder (its metrics registry carries the
     /// `autosens_stream_*` and `autosens_core_*` counters).
     pub fn recorder(&self) -> &Recorder {
-        self.engine.recorder()
+        self.plan.recorder()
     }
 
     /// Offer one arriving record. Returns what happened to it; the
     /// outcome is always counted in the `autosens_stream_*` metrics, so
     /// degraded intake is visible, never silent.
     pub fn push(&mut self, r: ActionRecord) -> Ingest {
-        let recorder = self.engine.recorder().clone();
+        let recorder = self.plan.recorder().clone();
         let metrics = recorder.metrics();
         self.events += 1;
         metrics.counter("autosens_stream_events_total").inc();
@@ -386,7 +386,7 @@ impl StreamEngine {
 
     /// Evict shards whose bucket ends at or before `cutoff_ms`.
     fn evict_older_than(&mut self, cutoff_ms: i64) {
-        let metrics = self.engine.recorder().metrics();
+        let metrics = self.plan.recorder().metrics();
         // BTreeMap iterates in bucket order; stop at the first live shard.
         while let Some((&bucket, shard)) = self.shards.iter().next() {
             let bucket_end = (bucket + 1) * self.config.shard_ms;
@@ -480,7 +480,7 @@ impl StreamEngine {
         }
         let shifts = detect_regimes(&times, &latencies, &actions, &det)?;
 
-        let recorder = self.engine.recorder();
+        let recorder = self.plan.recorder();
         let metrics = recorder.metrics();
         let mut per_stream: BTreeMap<&str, u64> = BTreeMap::new();
         for s in &shifts {
@@ -564,14 +564,14 @@ impl StreamEngine {
     /// Analyze the live window by merging shard partials into the shared
     /// post-sanitize pipeline. After draining a finite log (no lateness
     /// drops, no eviction), the result is bit-identical to batch
-    /// `AutoSens::analyze` over the same log.
+    /// `analyze` over the same log.
     ///
     /// Snapshots are dirty-tracked (see the module docs): with no events
     /// since the last snapshot the cached report is returned verbatim,
     /// and a dirty snapshot re-copies only the shards past the longest
     /// unchanged `(bucket, len)` prefix of the cached store.
     pub fn snapshot(&self) -> Result<AnalysisReport, AutoSensError> {
-        let recorder = self.engine.recorder();
+        let recorder = self.plan.recorder();
         let mut cache = self.snap.lock().expect("snapshot cache lock poisoned");
         if cache.valid && cache.events == self.events {
             if let Some(report) = &cache.report {
@@ -675,8 +675,7 @@ impl StreamEngine {
             decay,
         };
         let report = self
-            .engine
-            .plan()
+            .plan
             .run(PlanInput::prepared(&log, meta), RunOptions::default())
             .map(|out| out.report)?;
         match &report.loss {

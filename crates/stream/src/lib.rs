@@ -25,7 +25,7 @@
 //!
 //! The load-bearing property, enforced by tests here and by the CI
 //! equivalence gate: **after draining a finite log, a snapshot is
-//! bit-identical to batch `AutoSens::analyze` over the same log** —
+//! bit-identical to batch `analyze` over the same log** —
 //! curves, α estimates, degradation bookkeeping, and `autosens_core_*`
 //! metrics all match. See the [`engine`] module docs for why.
 

@@ -100,10 +100,7 @@ fn summary_json(report: &autosens_core::pipeline::AnalysisReport) -> String {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn incremental_equals_full_recompute_equals_batch(

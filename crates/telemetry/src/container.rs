@@ -2,7 +2,8 @@
 //! serialized verbatim, memory-mapped straight back into a [`LogView`].
 //!
 //! Text codecs dominate end-to-end cost at paper scale (parsing, not
-//! analysis, is the bottleneck — see BENCH_pipeline.json), so this module
+//! analysis, is the bottleneck — compare the benchmark's
+//! `telemetry.csv_read_ms` with its `core.*` stage times), so this module
 //! provides a zero-parse on-disk format: the column vectors are written as
 //! little-endian byte sections, and the reader maps the file and hands the
 //! analysis stack borrowed column slices without materializing a single

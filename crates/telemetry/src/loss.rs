@@ -842,7 +842,7 @@ mod tests {
                     u = (u + 0.618_033_988_749_895) % 1.0;
                     t += 10_000 + (u * 100_000.0) as i64;
                     if t < end {
-                        let class = if k % 2 == 0 {
+                        let class = if k.is_multiple_of(2) {
                             UserClass::Business
                         } else {
                             UserClass::Consumer
@@ -914,7 +914,7 @@ mod tests {
             .filter(|r| {
                 if hit(r) {
                     parity += 1;
-                    parity % 2 == 0
+                    parity.is_multiple_of(2)
                 } else {
                     true
                 }

@@ -8,14 +8,14 @@
 //! ```
 
 use autosens_core::report::{f3, text_table};
-use autosens_core::{AutoSens, AutoSensConfig};
+use autosens_core::{AnalysisPlan, AutoSensConfig};
 use autosens_sim::{generate, Scenario, SimConfig};
 use autosens_telemetry::query::Slice;
 use autosens_telemetry::record::UserClass;
 
 fn main() {
     let (log, _) = generate(&SimConfig::scenario(Scenario::Default)).expect("valid scenario");
-    let engine = AutoSens::new(AutoSensConfig::default());
+    let engine = AnalysisPlan::new(AutoSensConfig::default());
 
     // Business users, as in Figure 4.
     let base = Slice::all().class(UserClass::Business);

@@ -9,7 +9,7 @@
 //! ```
 
 use autosens_core::report::{f3, text_table};
-use autosens_core::{AutoSens, AutoSensConfig};
+use autosens_core::{AnalysisPlan, AutoSensConfig};
 use autosens_sim::{generate, Scenario, SimConfig};
 use autosens_telemetry::query::Slice;
 use autosens_telemetry::record::{ActionType, UserClass};
@@ -17,7 +17,7 @@ use autosens_telemetry::users::LatencyQuartiles;
 
 fn main() {
     let (log, _) = generate(&SimConfig::scenario(Scenario::Default)).expect("valid scenario");
-    let engine = AutoSens::new(AutoSensConfig::default());
+    let engine = AnalysisPlan::new(AutoSensConfig::default());
 
     // Consumer SelectMail, as in Figure 6.
     let base = Slice::all()

@@ -7,7 +7,7 @@ use std::sync::OnceLock;
 
 use autosens_core::ci::PreferenceCi;
 use autosens_core::pipeline::AnalysisReport;
-use autosens_core::{AnalysisPlan, AutoSens, AutoSensConfig, AutoSensError, PlanInput, RunOptions};
+use autosens_core::{AnalysisPlan, AutoSensConfig, AutoSensError, PlanInput, RunOptions};
 use autosens_sim::{generate, GroundTruth, Scenario, SimConfig};
 use autosens_telemetry::query::Slice;
 use autosens_telemetry::TelemetryLog;
@@ -29,15 +29,15 @@ pub fn data() -> &'static (TelemetryLog, GroundTruth) {
 
 /// An engine with the paper's default configuration.
 #[allow(dead_code)]
-pub fn engine() -> AutoSens {
-    AutoSens::new(AutoSensConfig::default())
+pub fn engine() -> AnalysisPlan {
+    AnalysisPlan::new(AutoSensConfig::default())
 }
 
 /// Run the single plan entry point over one slice under the paper's
 /// default configuration.
 #[allow(dead_code)]
 pub fn run_slice(log: &TelemetryLog, slice: &Slice) -> Result<AnalysisReport, AutoSensError> {
-    AnalysisPlan::new(AutoSensConfig::default())
+    engine()
         .run(PlanInput::slice(log, slice), RunOptions::default())
         .map(|out| out.report)
 }
@@ -50,7 +50,7 @@ pub fn run_slice_with_ci(
     replicates: usize,
     level: f64,
 ) -> Result<(AnalysisReport, PreferenceCi), AutoSensError> {
-    AnalysisPlan::new(AutoSensConfig::default())
+    engine()
         .run(
             PlanInput::slice(log, slice),
             RunOptions::with_ci(replicates, level),
