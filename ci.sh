@@ -135,7 +135,7 @@ if ! diff -u "$SMOKE_DIR/golden_report.json" "$SMOKE_DIR/golden_report_asc.json"
     exit 1
 fi
 
-echo "==> serve gate (gateway-served curve byte-identical to batch analyze, restart included)"
+echo "==> serve gate (gateway-served curve byte-identical to batch analyze, restarts included)"
 # The multi-tenant gateway promises each tenant's served curve is the
 # batch `analyze --json` output for the same records, byte for byte —
 # and that a killed gateway restarted from its checkpoint directory
@@ -195,14 +195,39 @@ rm -f "$SMOKE_DIR/ready.txt"
     --ready-file "$SMOKE_DIR/ready.txt" --quiet & SERVE_PID=$!
 for _ in $(seq 1 100); do test -s "$SMOKE_DIR/ready.txt" && break; sleep 0.1; done
 test -s "$SMOKE_DIR/ready.txt" || { echo "ci.sh: restarted gateway never became ready" >&2; exit 1; }
+INGEST_ADDR=$(awk '/^INGEST/{print $2}' "$SMOKE_DIR/ready.txt")
 HTTP_ADDR=$(awk '/^HTTP/{print $2}' "$SMOKE_DIR/ready.txt")
 ./target/release/autosens query --addr "$HTTP_ADDR" --path /tenant/mail/eu/curve \
     > "$SMOKE_DIR/served_curve_restarted.json"
+# A second tenant's COMMIT writes a generation in which mail/eu is
+# unchanged since the restore, so its checkpoint file is hard-linked from
+# the restored generation instead of rewritten. A gateway restarted from
+# that generation must serve both tenants the batch bytes.
+./target/release/autosens agent --to "$INGEST_ADDR" --in "$SMOKE_DIR/golden.csv" \
+    --service mail --region us --quiet
 kill "$SERVE_PID"; wait "$SERVE_PID" 2>/dev/null || true
 if ! diff -u "$SMOKE_DIR/golden_report.json" "$SMOKE_DIR/served_curve_restarted.json"; then
     echo "ci.sh: restarted gateway served a different curve than before the kill" >&2
     exit 1
 fi
+rm -f "$SMOKE_DIR/ready.txt"
+./target/release/autosens serve --listen 127.0.0.1:0 --http 127.0.0.1:0 \
+    --loss-correct=off --checkpoint-dir "$SMOKE_DIR/ckpt" --resume \
+    --ready-file "$SMOKE_DIR/ready.txt" --quiet & SERVE_PID=$!
+for _ in $(seq 1 100); do test -s "$SMOKE_DIR/ready.txt" && break; sleep 0.1; done
+test -s "$SMOKE_DIR/ready.txt" || { echo "ci.sh: gateway restarted from a linked generation never became ready" >&2; exit 1; }
+HTTP_ADDR=$(awk '/^HTTP/{print $2}' "$SMOKE_DIR/ready.txt")
+for region in eu us; do
+    ./target/release/autosens query --addr "$HTTP_ADDR" --path "/tenant/mail/$region/curve" \
+        > "$SMOKE_DIR/served_curve_linked_$region.json"
+done
+kill "$SERVE_PID"; wait "$SERVE_PID" 2>/dev/null || true
+for region in eu us; do
+    if ! diff -u "$SMOKE_DIR/golden_report.json" "$SMOKE_DIR/served_curve_linked_$region.json"; then
+        echo "ci.sh: gateway restarted from a linked generation served a different mail/$region curve" >&2
+        exit 1
+    fi
+done
 
 echo "==> robustness frontier gate (corrected beats naive under planted loss)"
 # Fixed-seed bias-vs-loss-rate frontier: the artifact plants uniform and

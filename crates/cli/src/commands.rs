@@ -880,7 +880,7 @@ fn emit_snapshot(
     json: bool,
     reference_ms: f64,
     final_emit: bool,
-) -> Result<Option<autosens_core::pipeline::AnalysisReport>, String> {
+) -> Result<Option<std::sync::Arc<autosens_core::pipeline::AnalysisReport>>, String> {
     let report = match engine.snapshot() {
         Ok(report) => report,
         // An empty window is not fatal mid-stream (records may simply not

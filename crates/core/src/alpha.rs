@@ -21,9 +21,10 @@
 
 use rand::Rng;
 
-use autosens_exec::ExecReport;
+use autosens_exec::{ExecReport, Mergeable};
 use autosens_stats::binning::Binner;
 use autosens_stats::histogram::Histogram;
+use autosens_stats::StatsError;
 use autosens_telemetry::log::LogView;
 use autosens_telemetry::loss::{loss_cell_index, N_LOSS_CELLS, N_LOSS_CLASSES};
 use autosens_telemetry::record::ActionRecord;
@@ -304,6 +305,13 @@ pub fn alpha_vs_reference_weighted(
 /// correction weights the fixed cell order makes the weighted sum
 /// deterministic for every thread count.
 ///
+/// Storage is sparse: a cell's histogram is allocated when the cell
+/// receives its first record, so a partition over one hour of one class
+/// holds one histogram, not [`N_LOSS_CELLS`]. An absent cell is an
+/// all-zero histogram, and every operation skips it; since the dense
+/// representation only ever added such zeros (`x + 0.0 == x` for the
+/// non-negative counts held here), sparse results are bit-identical.
+///
 /// [`estimate_alpha`] builds this with a chunked map-reduce over the log;
 /// an incremental caller (the streaming engine) maintains the same partials
 /// per shard and merges them instead. Histogram counts are unit-weight
@@ -311,27 +319,80 @@ pub fn alpha_vs_reference_weighted(
 /// partition is bit-identical to a batch rescan of the same records.
 #[derive(Debug, Clone)]
 pub struct GroupPartition {
-    /// Per-cell biased histograms, indexed by loss-cell id.
-    pub cells: Vec<Histogram>,
+    /// The latency grid every cell histogram uses.
+    binner: Binner,
+    /// Per-cell biased histograms, indexed by loss-cell id; `None` until
+    /// the cell's first record.
+    cells: Vec<Option<Box<Histogram>>>,
     /// Per-cell action counts, indexed by loss-cell id.
-    pub cell_actions: Vec<u64>,
+    cell_actions: Vec<u64>,
 }
 
 impl GroupPartition {
-    /// An all-empty partition for a binner.
+    /// An all-empty partition for a binner (no histogram allocated).
     pub fn empty(binner: &Binner) -> GroupPartition {
         GroupPartition {
-            cells: (0..N_LOSS_CELLS)
-                .map(|_| Histogram::new(binner.clone()))
-                .collect(),
+            binner: binner.clone(),
+            cells: vec![None; N_LOSS_CELLS],
             cell_actions: vec![0u64; N_LOSS_CELLS],
         }
+    }
+
+    /// The latency grid of the cell histograms.
+    pub fn binner(&self) -> &Binner {
+        &self.binner
+    }
+
+    /// Number of cells (always [`N_LOSS_CELLS`]).
+    pub fn n_cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Cell `i`'s histogram, or `None` while the cell holds no record.
+    pub fn cell(&self, i: usize) -> Option<&Histogram> {
+        self.cells[i].as_deref()
+    }
+
+    /// Per-cell action counts, indexed by loss-cell id.
+    pub fn cell_actions(&self) -> &[u64] {
+        &self.cell_actions
+    }
+
+    /// Install cell `i`'s histogram and action count (checkpoint restore).
+    /// Errors when `i` is out of range or the histogram's grid is not the
+    /// partition's.
+    pub fn set_cell(
+        &mut self,
+        i: usize,
+        histogram: Histogram,
+        actions: u64,
+    ) -> Result<(), AutoSensError> {
+        if i >= self.cells.len() {
+            return Err(AutoSensError::Internal(format!(
+                "cell index {i} out of range ({} cells)",
+                self.cells.len()
+            )));
+        }
+        if histogram.binner() != &self.binner {
+            return Err(AutoSensError::Internal(format!(
+                "cell {i} histogram binner does not match the partition's"
+            )));
+        }
+        self.cells[i] = Some(Box::new(histogram));
+        self.cell_actions[i] = actions;
+        Ok(())
     }
 
     /// Loss-cell index of a record.
     pub fn cell_of(r: &ActionRecord) -> usize {
         let weekend = r.time.is_weekend_local(r.tz_offset_ms);
         loss_cell_index(r.hour_slot().0, weekend, r.class.code())
+    }
+
+    /// Cell `c`'s histogram, allocated empty on first use.
+    fn cell_mut(&mut self, c: usize) -> &mut Histogram {
+        let binner = &self.binner;
+        self.cells[c].get_or_insert_with(|| Box::new(Histogram::new(binner.clone())))
     }
 
     /// Fold one record into the partition (the incremental counterpart of
@@ -344,21 +405,22 @@ impl GroupPartition {
     /// contribution (the action counter stays a raw unit count).
     pub fn record_weighted(&mut self, r: &ActionRecord, weight: f64) {
         let c = GroupPartition::cell_of(r);
-        self.cells[c].record_weighted(r.latency_ms, weight);
+        self.cell_mut(c).record_weighted(r.latency_ms, weight);
         self.cell_actions[c] += 1;
     }
 
-    /// Fold another partition of the same shape into this one.
+    /// Fold another partition into this one, cell by cell in cell order.
+    /// Errors when the latency grids differ.
     pub fn merge(&mut self, other: &GroupPartition) -> Result<(), AutoSensError> {
-        if other.cells.len() != self.cells.len() {
-            return Err(AutoSensError::Internal(format!(
-                "cannot merge group partitions of {} and {} cells",
-                self.cells.len(),
-                other.cells.len()
-            )));
+        if !self.binner.same_grid(&other.binner) {
+            return Err(AutoSensError::from(StatsError::BinnerMismatch));
         }
-        for (a, b) in self.cells.iter_mut().zip(&other.cells) {
-            a.merge(b).map_err(AutoSensError::from)?;
+        for (c, theirs) in other.cells.iter().enumerate() {
+            if let Some(theirs) = theirs {
+                self.cell_mut(c)
+                    .merge(theirs)
+                    .map_err(AutoSensError::from)?;
+            }
         }
         for (a, b) in self.cell_actions.iter_mut().zip(&other.cell_actions) {
             *a += b;
@@ -371,28 +433,29 @@ impl GroupPartition {
         self.cell_actions.iter().sum()
     }
 
-    /// Whether cell `cell` belongs to group `group` under `grouping`.
-    fn cell_in_group(grouping: Grouping, cell: usize, group: usize) -> bool {
+    /// The group cell `cell` belongs to under `grouping`.
+    fn group_of_cell(grouping: Grouping, cell: usize) -> usize {
         let slot = cell / N_LOSS_CLASSES;
-        let hour = (slot / 2) as u8;
-        let weekend = slot % 2 == 1;
-        grouping.group_of(hour, weekend) == group
+        grouping.group_of((slot / 2) as u8, slot % 2 == 1)
+    }
+
+    /// The present cells, in cell order.
+    fn present(&self) -> impl Iterator<Item = (usize, &Histogram)> {
+        self.cells
+            .iter()
+            .enumerate()
+            .filter_map(|(c, h)| h.as_deref().map(|h| (c, h)))
     }
 
     /// Per-group biased histograms under a grouping: each group is the sum
     /// of its cells, in cell order (bit-identical to direct per-group
     /// accumulation for a unit-weight partition — see the type docs).
     pub fn group_biased(&self, grouping: Grouping) -> Result<Vec<Histogram>, AutoSensError> {
-        let binner = self.cells[0].binner();
-        let mut out = Vec::with_capacity(grouping.n_groups());
-        for g in 0..grouping.n_groups() {
-            let mut h = Histogram::new(binner.clone());
-            for (cell, ch) in self.cells.iter().enumerate() {
-                if GroupPartition::cell_in_group(grouping, cell, g) {
-                    h.merge(ch).map_err(AutoSensError::from)?;
-                }
-            }
-            out.push(h);
+        let mut out = vec![Histogram::new(self.binner.clone()); grouping.n_groups()];
+        for (cell, ch) in self.present() {
+            out[GroupPartition::group_of_cell(grouping, cell)]
+                .merge(ch)
+                .map_err(AutoSensError::from)?;
         }
         Ok(out)
     }
@@ -402,8 +465,8 @@ impl GroupPartition {
     /// for a unit-weight partition it is bit-identical to recording every
     /// row directly.
     pub fn pooled_biased(&self) -> Result<Histogram, AutoSensError> {
-        let mut h = Histogram::new(self.cells[0].binner().clone());
-        for ch in &self.cells {
+        let mut h = Histogram::new(self.binner.clone());
+        for (_, ch) in self.present() {
             h.merge(ch).map_err(AutoSensError::from)?;
         }
         Ok(h)
@@ -413,14 +476,20 @@ impl GroupPartition {
     /// counts — reference selection and draw skipping key off these).
     pub fn group_actions(&self, grouping: Grouping) -> Vec<u64> {
         let mut out = vec![0u64; grouping.n_groups()];
-        for (g, total) in out.iter_mut().enumerate() {
-            for (cell, &n) in self.cell_actions.iter().enumerate() {
-                if GroupPartition::cell_in_group(grouping, cell, g) {
-                    *total += n;
-                }
-            }
+        for (cell, &n) in self.cell_actions.iter().enumerate() {
+            out[GroupPartition::group_of_cell(grouping, cell)] += n;
         }
         out
+    }
+}
+
+/// Chunk partials of the batch partition merge in chunk order. Partials of
+/// one job share one binner by construction, so a grid mismatch is a
+/// programming error and panics (the scheduler turns it into a typed
+/// error), as for [`Histogram`]'s impl.
+impl Mergeable for GroupPartition {
+    fn merge(&mut self, other: Self) {
+        GroupPartition::merge(self, &other).expect("chunk partials share one binner grid");
     }
 }
 
@@ -474,18 +543,11 @@ fn partition_fold(
                 let r = log.get(i);
                 part.record_weighted(&r, weight(&r));
             }
-            (part.cells, part.cell_actions)
+            part
         },
     )?;
-    let (cells, cell_actions) = partial.unwrap_or_else(|| {
-        let empty = GroupPartition::empty(binner);
-        (empty.cells, empty.cell_actions)
-    });
     Ok((
-        GroupPartition {
-            cells,
-            cell_actions,
-        },
+        partial.unwrap_or_else(|| GroupPartition::empty(binner)),
         report,
     ))
 }
@@ -590,13 +652,13 @@ fn build_alpha_inputs<R: Rng>(
     // as a chunked map-reduce.
     let part = match partition {
         Some(part) => {
-            if part.cells.len() != N_LOSS_CELLS || part.cell_actions.len() != N_LOSS_CELLS {
+            if part.n_cells() != N_LOSS_CELLS {
                 return Err(AutoSensError::Internal(format!(
                     "group partition has {} cells, expected {N_LOSS_CELLS}",
-                    part.cells.len()
+                    part.n_cells()
                 )));
             }
-            if part.cells.iter().any(|h| h.binner() != binner) {
+            if part.binner() != binner {
                 return Err(AutoSensError::Internal(
                     "group partition binner does not match the analysis binner".into(),
                 ));
@@ -824,6 +886,9 @@ fn solve_alpha(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autosens_telemetry::log::TelemetryLog;
+    use autosens_telemetry::record::{ActionType, Outcome, UserClass, UserId};
+    use autosens_telemetry::time::SimTime;
 
     #[test]
     fn grouping_maps_hours() {
@@ -981,5 +1046,108 @@ mod tests {
     #[should_panic(expected = "bin count mismatch")]
     fn mismatched_lengths_panic() {
         alpha_vs_reference(&[1.0], &[1.0, 2.0], &[1.0], &[1.0], 0.0, 0.0);
+    }
+
+    fn rec(time_ms: i64, latency_ms: f64, class: UserClass) -> ActionRecord {
+        ActionRecord {
+            time: SimTime(time_ms),
+            action: ActionType::SelectMail,
+            latency_ms,
+            user: UserId(time_ms as u64 % 13),
+            class,
+            tz_offset_ms: 0,
+            outcome: Outcome::Success,
+        }
+    }
+
+    /// Every present cell's action count and histogram state, as bits.
+    #[allow(clippy::type_complexity)]
+    fn cell_bits(part: &GroupPartition) -> Vec<(usize, u64, Vec<u64>, u64, u64, u64)> {
+        (0..part.n_cells())
+            .filter_map(|c| {
+                let h = part.cell(c)?;
+                Some((
+                    c,
+                    part.cell_actions()[c],
+                    h.counts().iter().map(|x| x.to_bits()).collect(),
+                    h.total().to_bits(),
+                    h.n_recorded(),
+                    h.n_discarded(),
+                ))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_hour_one_class_batch_allocates_only_its_cell() {
+        let binner = AutoSensConfig::default().binner().unwrap();
+        let empty = GroupPartition::empty(&binner);
+        assert!((0..empty.n_cells()).all(|c| empty.cell(c).is_none()));
+
+        let nine_am = 9 * MS_PER_HOUR;
+        let records: Vec<ActionRecord> = (0..600)
+            .map(|i| rec(nine_am + i * 5_000, 40.0 + i as f64, UserClass::Business))
+            .collect();
+        let log = TelemetryLog::from_records(records.clone()).unwrap();
+        let (part, _) = partition_by_group(&log.view(), &binner, 1).unwrap();
+        let present: Vec<usize> = (0..part.n_cells())
+            .filter(|&c| part.cell(c).is_some())
+            .collect();
+        assert_eq!(present, vec![GroupPartition::cell_of(&records[0])]);
+        assert_eq!(part.n_records(), 600);
+    }
+
+    #[test]
+    fn chunked_builds_are_bit_identical_to_a_serial_fold() {
+        // Enough rows for several scan chunks, spread over many hours,
+        // days and both classes, with some latencies past the grid.
+        let binner = AutoSensConfig::default().binner().unwrap();
+        let records: Vec<ActionRecord> = (0..150_000i64)
+            .map(|i| {
+                let latency = if i % 97 == 0 {
+                    1.0e6
+                } else {
+                    5.0 + (i * 7_919 % 1_900) as f64
+                };
+                let class = if i % 3 == 0 {
+                    UserClass::Consumer
+                } else {
+                    UserClass::Business
+                };
+                rec(i * 37_000, latency, class)
+            })
+            .collect();
+        let log = TelemetryLog::from_records(records.clone()).unwrap();
+        let view = log.view();
+        // Dyadic weights keep every partial sum exact, so the chunk-order
+        // merge must reproduce the serial fold bit for bit.
+        let mut model = LossModel::identity();
+        for (c, w) in model.weights.iter_mut().enumerate() {
+            *w = [1.0, 1.25, 2.0][c % 3];
+        }
+        let weight = |r: &ActionRecord| {
+            let day = r.time.day_local(r.tz_offset_ms);
+            let weekend = r.time.is_weekend_local(r.tz_offset_ms);
+            model.weight_for(day, r.hour_slot().0, weekend, r.class.code())
+        };
+        let mut serial = GroupPartition::empty(&binner);
+        let mut serial_weighted = GroupPartition::empty(&binner);
+        for r in &records {
+            serial.record(r);
+            serial_weighted.record_weighted(r, weight(r));
+        }
+        assert!(cell_bits(&serial).iter().any(|cell| cell.5 > 0));
+        for threads in [1usize, 2, 4] {
+            let (plain, report) = partition_by_group(&view, &binner, threads).unwrap();
+            assert!(report.n_chunks > 1, "one chunk cannot test the merge");
+            assert_eq!(cell_bits(&plain), cell_bits(&serial), "threads={threads}");
+            let (weighted, _) =
+                partition_by_group_weighted(&view, &binner, &model, threads).unwrap();
+            assert_eq!(
+                cell_bits(&weighted),
+                cell_bits(&serial_weighted),
+                "weighted, threads={threads}"
+            );
+        }
     }
 }

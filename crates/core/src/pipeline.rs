@@ -247,10 +247,10 @@ impl AnalysisPlan {
     /// counts; its wall time reflects only bookkeeping).
     pub(crate) fn run_prepared(
         &self,
-        log: &TelemetryLog,
+        view: &LogView<'_>,
         meta: PreparedMeta,
     ) -> Result<AnalysisReport, AutoSensError> {
-        log.require_sorted()?;
+        view.require_sorted()?;
         let root = self.recorder.root("analyze");
         let mut span = root.child(op::SANITIZE);
         span.field("records_in", meta.records_in);
@@ -259,7 +259,7 @@ impl AnalysisPlan {
             stage: op::SANITIZE.into(),
             wall_ms: span.finish(),
         }];
-        self.finish_analysis(&log.view(), meta, 0, root, timings)
+        self.finish_analysis(view, meta, 0, root, timings)
     }
 
     /// Everything downstream of sanitize: grouping, α estimation, the
@@ -854,8 +854,11 @@ mod tests {
         log: &TelemetryLog,
         meta: PreparedMeta,
     ) -> Result<AnalysisReport, AutoSensError> {
-        plan.run(PlanInput::prepared(log, meta), RunOptions::default())
-            .map(|o| o.report)
+        plan.run(
+            PlanInput::prepared(&log.view(), meta),
+            RunOptions::default(),
+        )
+        .map(|o| o.report)
     }
 
     #[test]

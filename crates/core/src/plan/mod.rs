@@ -65,14 +65,14 @@ pub enum PlanInput<'a> {
         /// The slice filter to apply during sanitize.
         slice: &'a Slice,
     },
-    /// An externally sanitized log plus cached pre-RNG operator state —
-    /// the incremental shape the streaming engine uses. `log` must equal
-    /// what batch sanitize would produce for the same input: filtered to
-    /// the slice's successes, stably time-sorted, exact duplicates
-    /// removed keep-first.
+    /// An externally sanitized view plus cached pre-RNG operator state —
+    /// the incremental shape the streaming engine uses, over a view it
+    /// borrows from its own row store. `view` must equal what batch
+    /// sanitize would produce for the same input: filtered to the slice's
+    /// successes, stably time-sorted, exact duplicates removed keep-first.
     Prepared {
-        /// The sanitized (sorted, deduplicated) log of successes.
-        log: &'a TelemetryLog,
+        /// The sanitized (sorted, deduplicated) rows of successes.
+        view: &'a LogView<'a>,
         /// The caller's sanitize bookkeeping and cached partials.
         meta: PreparedMeta,
     },
@@ -94,9 +94,9 @@ impl<'a> PlanInput<'a> {
         PlanInput::View { view, slice }
     }
 
-    /// Analyze an externally sanitized log (see [`PlanInput::Prepared`]).
-    pub fn prepared(log: &'a TelemetryLog, meta: PreparedMeta) -> PlanInput<'a> {
-        PlanInput::Prepared { log, meta }
+    /// Analyze an externally sanitized view (see [`PlanInput::Prepared`]).
+    pub fn prepared(view: &'a LogView<'a>, meta: PreparedMeta) -> PlanInput<'a> {
+        PlanInput::Prepared { view, meta }
     }
 }
 
@@ -207,7 +207,7 @@ impl AnalysisPlan {
             PlanInput::Log(log) => self.run_view(&log.view(), &Slice::all())?,
             PlanInput::Slice { log, slice } => self.run_view(&log.view(), slice)?,
             PlanInput::View { view, slice } => self.run_view(view, slice)?,
-            PlanInput::Prepared { log, meta } => self.run_prepared(log, meta)?,
+            PlanInput::Prepared { view, meta } => self.run_prepared(view, meta)?,
         };
         let ci = opts
             .ci
@@ -300,7 +300,10 @@ mod tests {
             ..PreparedMeta::default()
         };
         let prepared = plan
-            .run(PlanInput::prepared(&sanitized, meta), RunOptions::default())
+            .run(
+                PlanInput::prepared(&sanitized.view(), meta),
+                RunOptions::default(),
+            )
             .unwrap()
             .report;
         assert_eq!(batch.preference.series(), prepared.preference.series());

@@ -4,8 +4,9 @@
 //! [`PlanPartials`] packages every cacheable stage state (see the
 //! RNG-frontier notes in [`crate::plan::op`]): the `alpha`/`biased_pdf`
 //! [`GroupPartition`] fold and the `lossmodel` [`LossCounts`] fold. (The
-//! `sanitize` partial — the sorted, deduplicated shard columns — lives
-//! in the caller's storage layer, not here.) Both folds are
+//! `sanitize` partial — the sorted, deduplicated rows — lives in the
+//! caller's storage layer, not here.) The partition is sparse, so empty
+//! partials hold no histogram at all. Both folds are
 //! order-insensitive sums of unit-weight integer counts, so merging
 //! per-shard values in any order is bit-identical to a single batch
 //! rescan; that is the invariant that lets a merged snapshot reproduce
@@ -90,11 +91,15 @@ mod tests {
             merged.merge(shard);
         }
         assert_eq!(merged.n_records(), batch.n_records());
-        assert_eq!(merged.partition.cell_actions, batch.partition.cell_actions);
+        assert_eq!(
+            merged.partition.cell_actions(),
+            batch.partition.cell_actions()
+        );
         assert_eq!(merged.loss.total(), batch.loss.total());
         assert_eq!(merged.loss.observed_cells(), batch.loss.observed_cells());
-        for (a, b) in merged.partition.cells.iter().zip(&batch.partition.cells) {
-            assert_eq!(a.counts(), b.counts());
+        for c in 0..batch.partition.n_cells() {
+            let counts = |p: &PlanPartials| p.partition.cell(c).map(|h| h.counts().to_vec());
+            assert_eq!(counts(&merged), counts(&batch));
         }
     }
 }

@@ -55,8 +55,9 @@ pub fn chunk_size_for(n: usize) -> usize {
 /// per-chunk RNG stream (slice filtering, deduplication, the α loss-cell
 /// partition, loss counting).
 ///
-/// Scan partials are often heavyweight (the α partition allocates 96
-/// histograms per chunk), so fine chunking taxes the job twice: once in
+/// Scan partials are often heavyweight (the α partition allocates one
+/// histogram per loss cell a chunk touches, up to 96), so fine chunking
+/// taxes the job twice: once in
 /// per-chunk allocation and once in the ordered merge. This policy aims
 /// for ~16 large chunks instead of [`chunk_size_for`]'s ~64, and its floor
 /// means small inputs run as a single chunk (one worker, no spawn

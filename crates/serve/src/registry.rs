@@ -17,15 +17,18 @@
 //! <dir>/gen-<N>/<service>__<region>.ckpt.json
 //! ```
 //!
-//! Checkpoint passes are serialized on a dedicated lock. A pass writes
-//! `gen-<N+1>.tmp/` (each tenant file fsynced before its rename), renames
-//! it to `gen-<N+1>/`, then fsyncs and tmp+renames the manifest to point
-//! at it, and only then deletes the previous generation. A crash at any
-//! point leaves either the old generation (manifest untouched) or the new
-//! one (manifest renamed) fully intact — never a mix. Directory-entry
-//! fsyncs are best-effort, so on filesystems that refuse them durability
-//! of the *rename itself* is process-kill-safe rather than
-//! power-loss-safe; file contents are always fsynced.
+//! Checkpoint passes are serialized on a dedicated lock. A pass fills
+//! `gen-<N+1>.tmp/` — a tenant unchanged since it wrote its file into the
+//! live `gen-<N>/` gets a hard link to that file, every other tenant is
+//! serialized and fsynced — fsyncs the directory once, renames it to
+//! `gen-<N+1>/`, then fsyncs and tmp+renames the manifest to point at it,
+//! and only then deletes the previous generation (a linked file lives on
+//! through its new name). A crash at any point leaves either the old
+//! generation (manifest untouched) or the new one (manifest renamed)
+//! fully intact — never a mix. Directory-entry fsyncs are best-effort, so
+//! on filesystems that refuse them durability of the *rename itself* is
+//! process-kill-safe rather than power-loss-safe; file contents are
+//! always fsynced.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -41,8 +44,7 @@ use autosens_obs::Recorder;
 use autosens_stats::binning::OutOfRange;
 use autosens_stats::Binner;
 use autosens_stream::{
-    save_json, Checkpoint, Ingestor, Offer, OverflowPolicy, StatusDocument, StreamConfig,
-    StreamEngine,
+    Checkpoint, Ingestor, Offer, OverflowPolicy, StatusDocument, StreamConfig, StreamEngine,
 };
 use autosens_telemetry::query::Slice;
 use autosens_telemetry::record::ActionRecord;
@@ -57,7 +59,9 @@ pub const REGISTRY_SHARDS: usize = 16;
 /// Manifest schema version.
 pub const MANIFEST_VERSION: u32 = 1;
 
-/// One tenant's streaming state.
+/// One tenant's streaming state. The engine holds the tenant's only copy
+/// of its rows and of its latest report; the checkpoint it last wrote
+/// stays on disk, remembered here by event count and generation.
 pub struct Tenant {
     /// The tenant's key (also recorded in the manifest).
     pub key: TenantKey,
@@ -68,10 +72,12 @@ pub struct Tenant {
     pub ingestor: Ingestor,
     /// Records routed to this tenant since creation or restore.
     pub records: u64,
-    /// The last serialized checkpoint, keyed by the engine's intake event
-    /// counter: a checkpoint pass reuses these bytes verbatim while the
-    /// tenant has seen no new events (the engine's snapshot dirty key).
-    pub(crate) ckpt_cache: Option<(u64, String)>,
+    /// `(events, generation)` of the checkpoint file this tenant last
+    /// wrote (or was restored from): while the engine's intake event
+    /// counter — the snapshot cache's dirty key — still equals `events`
+    /// and `generation` is live, the next pass hard-links that file
+    /// instead of serializing the engine again.
+    pub(crate) ckpt_file: Option<(u64, u64)>,
 }
 
 impl Tenant {
@@ -217,7 +223,7 @@ impl Registry {
                 self.recorder.clone(),
             ),
             records: 0,
-            ckpt_cache: None,
+            ckpt_file: None,
         }));
         shard.insert(key.clone(), tenant.clone());
         drop(shard);
@@ -251,7 +257,8 @@ impl Registry {
     }
 
     /// Drain the tenant's queue and run a full deterministic snapshot.
-    pub fn snapshot(&self, key: &TenantKey) -> Result<AnalysisReport, ServeError> {
+    /// The report is shared with the engine's snapshot cache.
+    pub fn snapshot(&self, key: &TenantKey) -> Result<Arc<AnalysisReport>, ServeError> {
         self.snapshot_with(key, |_, report| report)
     }
 
@@ -270,7 +277,7 @@ impl Registry {
     fn snapshot_with<R>(
         &self,
         key: &TenantKey,
-        f: impl FnOnce(&Tenant, AnalysisReport) -> R,
+        f: impl FnOnce(&Tenant, Arc<AnalysisReport>) -> R,
     ) -> Result<R, ServeError> {
         let tenant = self
             .get(key)
@@ -315,7 +322,7 @@ impl Registry {
     pub fn snapshot_all(
         &self,
         threads: usize,
-    ) -> Result<Vec<(TenantKey, AnalysisReport)>, ServeError> {
+    ) -> Result<Vec<(TenantKey, Arc<AnalysisReport>)>, ServeError> {
         let keys = self.keys();
         let n = keys.len();
         if n == 0 {
@@ -334,7 +341,7 @@ impl Registry {
                     .collect::<Vec<_>>()
             })
             .map_err(|e| ServeError::Checkpoint(format!("snapshot fan-out failed: {e}")))?;
-        let flat: Vec<(TenantKey, AnalysisReport, bool)> =
+        let flat: Vec<(TenantKey, Arc<AnalysisReport>, bool)> =
             results.into_iter().flatten().collect::<Result<_, _>>()?;
         let reused = flat.iter().filter(|(_, _, r)| *r).count();
         *self.fleet_stats.lock() = Some(FleetSnapshotStats {
@@ -349,6 +356,10 @@ impl Registry {
     /// Checkpoint every tenant atomically into `dir` (see the module
     /// docs for the layout). Returns the new generation number.
     ///
+    /// Only tenants with new events since their last file are serialized;
+    /// the rest are hard-linked from the live generation, falling back to
+    /// serializing on any link error.
+    ///
     /// Passes are fully serialized: a second caller (e.g. a COMMIT on
     /// another agent connection) blocks until the first pass has renamed
     /// its generation live, then writes the generation after it.
@@ -356,7 +367,9 @@ impl Registry {
         let _pass = self.checkpoint_lock.lock();
         let mut span = self.recorder.root("serve_checkpoint");
         std::fs::create_dir_all(dir)?;
-        let next = self.generation() + 1;
+        let live_gen = self.generation();
+        let next = live_gen + 1;
+        let live_dir = dir.join(format!("gen-{live_gen}"));
         let tmp = dir.join(format!("gen-{next}.tmp"));
         if tmp.exists() {
             std::fs::remove_dir_all(&tmp)?;
@@ -369,34 +382,36 @@ impl Registry {
                 Some(t) => t,
                 None => continue,
             };
+            let file = format!("{}.ckpt.json", key.file_stem());
+            let path = tmp.join(&file);
             let mut t = tenant.lock();
             t.drain()?;
             // Serialization is the expensive half of a checkpoint pass;
-            // reuse the cached bytes while the tenant has seen no new
-            // events (the same dirty key the snapshot cache uses).
+            // an unchanged tenant (the same dirty key the snapshot cache
+            // uses) links the file it already wrote into the live
+            // generation instead.
             let events = t.engine.events();
-            let json = match &t.ckpt_cache {
-                Some((cached_events, json)) if *cached_events == events => json.clone(),
-                _ => {
-                    let json = t
-                        .engine
-                        .checkpoint(0)
-                        .to_json()
-                        .map_err(|e| ServeError::Checkpoint(format!("{}: {e}", key.label())))?;
-                    t.ckpt_cache = Some((events, json.clone()));
-                    json
-                }
+            let linked = t.ckpt_file == Some((events, live_gen))
+                && std::fs::hard_link(live_dir.join(&file), &path).is_ok();
+            let fail =
+                |e: &dyn std::fmt::Display| ServeError::Checkpoint(format!("{}: {e}", key.label()));
+            let json = if linked {
+                None
+            } else {
+                Some(t.engine.checkpoint(0).to_json().map_err(|e| fail(&e))?)
             };
+            t.ckpt_file = Some((events, next));
             drop(t);
-            let file = format!("{}.ckpt.json", key.file_stem());
-            save_json(&json, &tmp.join(&file))
-                .map_err(|e| ServeError::Checkpoint(format!("{}: {e}", key.label())))?;
+            if let Some(json) = json {
+                write_synced(&path, json.as_bytes()).map_err(|e| fail(&e))?;
+            }
             entries.push(ManifestEntry {
                 service: key.service.clone(),
                 region: key.region.clone(),
                 file,
             });
         }
+        fsync_dir(&tmp);
         let live = dir.join(format!("gen-{next}"));
         if live.exists() {
             std::fs::remove_dir_all(&live)?;
@@ -411,19 +426,12 @@ impl Registry {
         let json = serde_json::to_string_pretty(&manifest)
             .map_err(|e| ServeError::Checkpoint(format!("manifest serialization failed: {e}")))?;
         let manifest_tmp = dir.join("MANIFEST.json.tmp");
-        {
-            let mut f = std::fs::File::create(&manifest_tmp)?;
-            std::io::Write::write_all(&mut f, json.as_bytes())?;
-            f.sync_all()?;
-        }
+        write_synced(&manifest_tmp, json.as_bytes())?;
         std::fs::rename(&manifest_tmp, dir.join("MANIFEST.json"))?;
         fsync_dir(dir);
-        let prev = self.generation.swap(next, Ordering::AcqRel);
-        if prev > 0 {
-            let old = dir.join(format!("gen-{prev}"));
-            if old.exists() {
-                let _ = std::fs::remove_dir_all(&old);
-            }
+        self.generation.store(next, Ordering::Release);
+        if live_gen > 0 && live_dir.exists() {
+            let _ = std::fs::remove_dir_all(&live_dir);
         }
         span.field("generation", format!("{next}"));
         span.field("tenants", format!("{}", keys.len()));
@@ -437,7 +445,8 @@ impl Registry {
 
     /// Rebuild a registry from the live generation under `dir`. Every
     /// restored engine is byte-equivalent to the one checkpointed: the
-    /// shard records are the state of record and aggregates are rebuilt.
+    /// rows are the state of record and the aggregates are validated
+    /// against them.
     pub fn restore(
         dir: &Path,
         config: StreamConfig,
@@ -461,6 +470,9 @@ impl Registry {
             let ck = Checkpoint::load(&gen_dir.join(&entry.file))
                 .map_err(|e| ServeError::Checkpoint(format!("{}: {e}", key.label())))?;
             let engine = StreamEngine::restore(ck, Slice::all(), recorder.clone())?;
+            // The file just loaded is this engine's checkpoint at its
+            // restored event count, so the first pass can link it.
+            let ckpt_file = Some((engine.events(), manifest.generation));
             let tenant = Arc::new(Mutex::new(Tenant {
                 key: key.clone(),
                 engine,
@@ -470,7 +482,7 @@ impl Registry {
                     recorder.clone(),
                 ),
                 records: 0,
-                ckpt_cache: None,
+                ckpt_file,
             }));
             registry.shards[key.shard(REGISTRY_SHARDS)]
                 .lock()
@@ -490,6 +502,19 @@ impl Registry {
     pub fn can_restore(dir: &Path) -> bool {
         dir.join("MANIFEST.json").is_file()
     }
+}
+
+/// Write `bytes` to a fresh file at `path` and fsync it. An existing
+/// name is unlinked first, so the write can never land in a file that is
+/// hard-linked into the live generation.
+fn write_synced(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
+    let mut f = std::fs::File::create(path)?;
+    std::io::Write::write_all(&mut f, bytes)?;
+    f.sync_all()
 }
 
 /// Flush a directory's entry table so a just-completed rename survives
@@ -709,43 +734,59 @@ mod tests {
         assert_eq!(stats.reused, 2);
         assert_eq!(stats.computed, 1);
 
-        // Checkpoint serialization is cached the same way: a second pass
-        // with no new events reuses every tenant's bytes and the written
-        // files are identical across generations.
+        // Checkpoints are dirty-tracked the same way: a pass links the
+        // file of every tenant with no new events since it last wrote one,
+        // so the generations share identical bytes (and, on unix, one
+        // inode), while a tenant written in between gets a new file.
         let dir =
             std::env::temp_dir().join(format!("autosens-serve-ckpt-reuse-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        reg.checkpoint_all(&dir).unwrap();
-        for key in &keys {
-            let t = reg.get(key).unwrap();
-            let t = t.lock();
-            let (cached_events, _) = t.ckpt_cache.as_ref().expect("checkpoint cache populated");
-            assert_eq!(*cached_events, t.engine.events());
+        let file = |gen: u64, k: &TenantKey| {
+            dir.join(format!("gen-{gen}"))
+                .join(format!("{}.ckpt.json", k.file_stem()))
+        };
+        let read = |gen: u64| -> Vec<String> {
+            keys.iter()
+                .map(|k| std::fs::read_to_string(file(gen, k)).unwrap())
+                .collect()
+        };
+        #[cfg(unix)]
+        let inodes = |gen: u64| -> Vec<u64> {
+            use std::os::unix::fs::MetadataExt;
+            keys.iter()
+                .map(|k| std::fs::metadata(file(gen, k)).unwrap().ino())
+                .collect()
+        };
+        let written = 2;
+        assert_eq!(reg.checkpoint_all(&dir).unwrap(), 1);
+        let gen1 = read(1);
+        #[cfg(unix)]
+        let ino1 = inodes(1);
+        reg.ingest(&keys[written], &[rec(0, 4, 456.0)]).unwrap();
+        assert_eq!(reg.checkpoint_all(&dir).unwrap(), 2);
+        let gen2 = read(2);
+        #[cfg(unix)]
+        let ino2 = inodes(2);
+        for (i, key) in keys.iter().enumerate() {
+            let label = key.label();
+            if i == written {
+                assert_ne!(gen2[i], gen1[i], "{label} was written");
+                #[cfg(unix)]
+                assert_ne!(ino2[i], ino1[i], "{label} was written");
+            } else {
+                assert_eq!(gen2[i], gen1[i], "{label} should be linked");
+                #[cfg(unix)]
+                assert_eq!(ino2[i], ino1[i], "{label} should be linked");
+            }
         }
-        let first: Vec<String> = keys
-            .iter()
-            .map(|k| {
-                std::fs::read_to_string(
-                    dir.join("gen-1")
-                        .join(format!("{}.ckpt.json", k.file_stem())),
-                )
-                .unwrap()
-            })
-            .collect();
-        reg.checkpoint_all(&dir).unwrap();
-        for (k, before) in keys.iter().zip(&first) {
-            let after = std::fs::read_to_string(
-                dir.join("gen-2")
-                    .join(format!("{}.ckpt.json", k.file_stem())),
-            )
-            .unwrap();
-            assert_eq!(
-                &after,
-                before,
-                "cached checkpoint differs for {}",
-                k.label()
-            );
-        }
+
+        // A registry restored from the live generation links every tenant
+        // on its first pass.
+        let restored = Registry::restore(&dir, small_config(), 1024, Recorder::disabled()).unwrap();
+        assert_eq!(restored.checkpoint_all(&dir).unwrap(), 3);
+        assert_eq!(read(3), gen2);
+        #[cfg(unix)]
+        assert_eq!(inodes(3), ino2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

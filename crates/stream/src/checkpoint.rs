@@ -1,15 +1,18 @@
 //! Durable engine state: serialize shard records + intake counters to
 //! disk, resume a stream mid-flight.
 //!
-//! The shard **records** are the state of record. Each shard also carries
-//! its cached plan-layer partials ([`ShardPartials`]: the sparse per-cell
-//! biased histograms, action counts, loss-cell observation counts, and
-//! hour counters) so a restore can skip the per-record refold — but the
-//! partials are *trusted only after validation*: restore cross-checks
-//! their totals against the record count and reports any mismatch as
-//! corruption rather than silently recomputing, so a checkpoint can
-//! never smuggle in partials that disagree with the records they
-//! summarize. Checkpoints written before
+//! The shard **records** — each shard's run of the engine's row store —
+//! are the state of record; restore appends them back in bucket order.
+//! Each shard also carries its cached plan-layer partials
+//! ([`ShardPartials`]: the sparse per-cell biased histograms, action
+//! counts, loss-cell observation counts, and hour counters) so a restore
+//! can skip the per-record refold — but the partials are *trusted only
+//! after validation*: restore requires one entry per cell in increasing
+//! cell order, checks each cell's action count against its recorded and
+//! discarded latencies, cross-checks the totals against the record count,
+//! and reports any mismatch as corruption rather than silently
+//! recomputing, so a checkpoint can never smuggle in partials that
+//! disagree with the records they summarize. Checkpoints written before
 //! partials existed (`partials: null` or absent) rebuild the aggregates
 //! from records exactly as before. The analysis
 //! [`Slice`](autosens_telemetry::query::Slice)
@@ -73,13 +76,10 @@ impl ShardPartials {
     /// Capture a live shard's partials in the sparse durable layout.
     pub(crate) fn capture(shard: &Shard) -> ShardPartials {
         let partition = &shard.partials.partition;
-        let cells = partition
-            .cells
-            .iter()
-            .zip(&partition.cell_actions)
-            .enumerate()
-            .filter(|(_, (h, &actions))| actions > 0 || h.n_recorded() > 0 || h.n_discarded() > 0)
-            .map(|(i, (h, &actions))| CellPartial {
+        let cells = (0..partition.n_cells())
+            .filter_map(|i| Some((i, partition.cell(i)?, partition.cell_actions()[i])))
+            .filter(|(_, h, actions)| *actions > 0 || h.n_recorded() > 0 || h.n_discarded() > 0)
+            .map(|(i, h, actions)| CellPartial {
                 cell: i as u32,
                 actions,
                 recorded: h.n_recorded(),
@@ -101,14 +101,17 @@ impl ShardPartials {
         }
     }
 
-    /// Reconstruct a shard from checkpointed records plus these partials,
-    /// validating every cached total against the record count so corrupt
-    /// or hand-edited partials are rejected instead of silently skewing
-    /// every later snapshot.
+    /// Reconstruct a shard of `len` checkpointed records from these
+    /// partials, validating every cached total against the record count
+    /// so corrupt or hand-edited partials are rejected instead of
+    /// silently skewing every later snapshot. Cells must be listed in
+    /// strictly increasing index order, and each cell's action count must
+    /// equal its recorded plus discarded latencies (every action lands in
+    /// exactly one of the two under the unit-weight fold).
     pub(crate) fn restore(
         &self,
         bucket: i64,
-        records: &[ActionRecord],
+        len: usize,
         binner: &Binner,
     ) -> Result<Shard, StreamError> {
         let corrupt = |detail: String| StreamError::Corrupt(format!("shard {bucket}: {detail}"));
@@ -118,16 +121,30 @@ impl ShardPartials {
                 self.hour_counts.len()
             )));
         }
+        for w in self.cells.windows(2) {
+            if w[1].cell <= w[0].cell {
+                return Err(corrupt(format!(
+                    "cell indices are not strictly increasing ({} then {})",
+                    w[0].cell, w[1].cell
+                )));
+            }
+        }
         let mut partition = GroupPartition::empty(binner);
         let n_bins = binner.n_bins();
         let mut recorded = 0u64;
         let mut discarded = 0u64;
         for cp in &self.cells {
             let cell = cp.cell as usize;
-            if cell >= partition.cells.len() {
+            if cell >= partition.n_cells() {
                 return Err(corrupt(format!(
                     "cell index {cell} out of range ({} cells)",
-                    partition.cells.len()
+                    partition.n_cells()
+                )));
+            }
+            if cp.recorded.checked_add(cp.discarded) != Some(cp.actions) {
+                return Err(corrupt(format!(
+                    "cell {cell} counts {} actions but {} recorded + {} discarded latencies",
+                    cp.actions, cp.recorded, cp.discarded
                 )));
             }
             let mut counts = vec![0.0f64; n_bins];
@@ -139,14 +156,16 @@ impl ShardPartials {
                 }
                 counts[bin as usize] = count;
             }
-            partition.cells[cell] =
+            let histogram =
                 Histogram::from_parts(binner.clone(), counts, cp.total, cp.recorded, cp.discarded)
                     .map_err(|e| corrupt(format!("cell {cell}: {e}")))?;
-            partition.cell_actions[cell] = cp.actions;
+            partition
+                .set_cell(cell, histogram, cp.actions)
+                .map_err(|e| corrupt(e.to_string()))?;
             recorded += cp.recorded;
             discarded += cp.discarded;
         }
-        let len = records.len() as u64;
+        let len = len as u64;
         if partition.n_records() != len {
             return Err(corrupt(format!(
                 "partials cover {} actions but the shard holds {len} records",
@@ -174,7 +193,7 @@ impl ShardPartials {
         let mut hour_counts = [0u64; 24];
         hour_counts.copy_from_slice(&self.hour_counts);
         Ok(Shard::from_parts(
-            records,
+            len as usize,
             PlanPartials {
                 partition,
                 loss: self.loss.clone(),
@@ -291,7 +310,19 @@ impl Checkpoint {
     /// directory is fsynced best-effort after the rename so the new
     /// entry also survives power loss where the platform supports it.
     pub fn save(&self, path: &Path) -> Result<(), StreamError> {
-        save_json(&self.to_json()?, path)
+        let tmp = path.with_extension("tmp");
+        {
+            let mut f = std::fs::File::create(&tmp)?;
+            std::io::Write::write_all(&mut f, self.to_json()?.as_bytes())?;
+            f.sync_all()?;
+        }
+        std::fs::rename(&tmp, path)?;
+        if let Some(parent) = path.parent() {
+            if let Ok(d) = std::fs::File::open(parent) {
+                let _ = d.sync_all();
+            }
+        }
+        Ok(())
     }
 
     /// Read and validate a checkpoint file.
@@ -299,25 +330,4 @@ impl Checkpoint {
         let json = std::fs::read_to_string(path)?;
         Checkpoint::from_json(&json)
     }
-}
-
-/// Write pre-serialized checkpoint JSON with the same atomic, durable
-/// protocol as [`Checkpoint::save`]: `.tmp` sibling, fsync, rename, then
-/// a best-effort parent-directory fsync. Lets callers that cache a
-/// tenant's serialized checkpoint (see the serve registry) persist it
-/// without re-serializing an unchanged engine.
-pub fn save_json(json: &str, path: &Path) -> Result<(), StreamError> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        std::io::Write::write_all(&mut f, json.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(d) = std::fs::File::open(parent) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
 }

@@ -8,22 +8,24 @@
 //! pure function of the sanitized record sequence and the configuration,
 //! seeding one
 //! `StdRng::seed_from_u64(config.seed)` after sanitize. The engine
-//! reconstructs that exact sanitized sequence continuously:
+//! reconstructs that exact sanitized sequence continuously, in one
+//! time-sorted row store:
 //!
 //! * the slice filter (plus the paper's successes-only restriction) is
 //!   applied per record at ingest;
-//! * each admitted record is placed in its time bucket at the upper bound
-//!   of its equal-timestamp run — arrival order among ties, i.e. the
-//!   stable-sort order of the arrival sequence;
-//! * exact duplicates (which necessarily share a timestamp, hence a
-//!   bucket) are counted and dropped at insert, keeping the first arrival
-//!   exactly as batch dedup keeps the first post-sort occurrence.
+//! * each admitted record is placed at the upper bound of its
+//!   equal-timestamp run — arrival order among ties, i.e. the stable-sort
+//!   order of the arrival sequence;
+//! * exact duplicates (which necessarily share a timestamp) are counted
+//!   and dropped at insert, keeping the first arrival exactly as batch
+//!   dedup keeps the first post-sort occurrence.
 //!
-//! [`StreamEngine::snapshot`] concatenates shards in bucket order (already
-//! globally sorted — no re-sort), merges the per-shard cached
-//! [`PlanPartials`](autosens_core::PlanPartials) (the plan layer's
-//! pre-RNG operator state), and enters the shared pipeline through the
-//! single plan entry point
+//! Each time bucket's shard keeps only aggregates: its row count, the
+//! cached [`PlanPartials`] (the plan layer's pre-RNG operator state) and
+//! hour counters. Equal timestamps never span a bucket, so a shard's rows
+//! are one contiguous run of the store, in bucket order. [`StreamEngine::snapshot`] borrows the store as a sorted
+//! [`LogView`] (no copy, no re-sort), merges the shard partials, and
+//! enters the shared pipeline through the single plan entry point
 //! ([`AnalysisPlan::run`](autosens_core::AnalysisPlan::run) with a
 //! prepared input), so after draining a finite log the report is
 //! **bit-identical** to batch `analyze` on the same log — including
@@ -31,35 +33,34 @@
 //!
 //! ## What is incremental and what is not
 //!
-//! Snapshots are dirty-tracked end-to-end. The engine keeps a snapshot
-//! cache (the merged [`ColumnStore`], the shard layout it was built
-//! from, and the finished report) keyed by the intake event counter:
+//! Snapshots are dirty-tracked. The engine caches the last finished
+//! report, shared as an [`Arc`], keyed by the intake event counter:
 //!
 //! * **No events since the last snapshot** → the cached report is
-//!   returned verbatim (a clone of the same bytes), skipping the
+//!   returned (another reference to the same allocation), skipping the
 //!   pipeline entirely; `autosens_stream_snapshot_reuse_total` counts
 //!   these and [`StreamEngine::last_snapshot_reused`] exposes the flag.
-//! * **Dirty** → only shards touched since the last snapshot are
-//!   re-copied: the cached store is truncated to the longest unchanged
-//!   `(bucket, len)` prefix of the shard layout (shards are insert-only
-//!   and dup-rejecting, so an unchanged bucket+length pair means
-//!   unchanged contents) and the changed suffix is re-appended.
+//! * **Dirty** → the pipeline runs over the borrowed store, and the new
+//!   report replaces the cached one in a single assignment after the run
+//!   succeeds. A failed or panicking run leaves the previous entry, which
+//!   is still exact for its own event count.
 //!
 //! The per-cell biased histograms, action counts, and per-day loss-cell
 //! observation counts are maintained incrementally per shard and merged
-//! in O(shards · cells · bins). The RNG-bearing
+//! in O(shards · touched cells · bins). The RNG-bearing
 //! operators — the group-conditional unbiased draws and the smoothing
 //! fit — are recomputed per snapshot over the merged window: their draw
 //! count and window layout depend on the window's global start/end, so
 //! caching them per shard would change the random sequence and break bit
 //! equality (see the RNG-frontier notes in
-//! [`autosens_core::plan::op`]). Records themselves are kept (they are
+//! [`autosens_core::plan::op`]). Rows themselves are kept once (they are
 //! the checkpoint's durable state and the unbiased estimator's input).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use autosens_core::pipeline::{AnalysisReport, DecaySpec, Degradation};
@@ -68,7 +69,7 @@ use autosens_core::{
 };
 use autosens_obs::{FlightKind, FlightRecorder, Recorder};
 use autosens_stats::binning::Binner;
-use autosens_telemetry::log::{ColumnStore, TelemetryLog};
+use autosens_telemetry::log::{ColumnStore, LogView};
 use autosens_telemetry::query::Slice;
 use autosens_telemetry::record::ActionRecord;
 
@@ -197,21 +198,13 @@ pub struct StreamStatus {
     pub watermark_ms: Option<i64>,
 }
 
-/// The snapshot cache: everything the previous snapshot built that the
-/// next one can reuse. `events` is the dirty key — any offered event
-/// (admitted or not) conservatively invalidates the report.
-#[derive(Debug, Default)]
+/// The snapshot cache: the last finished report and the intake event
+/// counter it was computed at. `events` is the dirty key — any offered
+/// event (admitted or not) conservatively invalidates the report.
+#[derive(Debug)]
 struct SnapCache {
-    valid: bool,
-    /// Intake event counter at the time the cache was built.
     events: u64,
-    /// The merged, time-sorted store the last snapshot analyzed.
-    store: ColumnStore,
-    /// `(bucket, len)` per shard when `store` was built; the longest
-    /// unchanged prefix of this layout is reused byte-for-byte.
-    layout: Vec<(i64, usize)>,
-    /// The finished report, returned verbatim while clean.
-    report: Option<AnalysisReport>,
+    report: Arc<AnalysisReport>,
 }
 
 /// The streaming ingestion + incremental analysis engine. See the module
@@ -223,6 +216,10 @@ pub struct StreamEngine {
     slice: Slice,
     filter: Slice,
     binner: Binner,
+    /// Every live admitted row, time-sorted and arrival-stable among equal
+    /// timestamps. Each shard's rows are one contiguous run, in bucket
+    /// order.
+    store: ColumnStore,
     shards: BTreeMap<i64, Shard>,
     max_event_time: Option<i64>,
     last_arrival: Option<i64>,
@@ -233,15 +230,14 @@ pub struct StreamEngine {
     duplicates: u64,
     evicted: u64,
     records_in: u64,
-    /// Records currently held across live shards, maintained on
-    /// admit/evict so [`StreamEngine::status`] is O(1).
-    live_records: u64,
     /// Fleet-wide actions per local hour slot, maintained on admit/evict
     /// so [`StreamEngine::status`] is O(1).
     hour_counts: [u64; 24],
     /// The dirty-tracked snapshot cache (interior mutability: snapshots
-    /// take `&self`).
-    snap: Mutex<SnapCache>,
+    /// take `&self`). A `parking_lot` lock does not poison, and the entry
+    /// is only ever replaced whole, so a panic mid-snapshot cannot break
+    /// the tenant.
+    snap: Mutex<Option<SnapCache>>,
     /// Whether the latest snapshot was served from the cache.
     last_snapshot_reused: AtomicBool,
     flight: FlightRecorder,
@@ -278,6 +274,7 @@ impl StreamEngine {
             slice,
             filter,
             binner,
+            store: ColumnStore::new(),
             shards: BTreeMap::new(),
             max_event_time: None,
             last_arrival: None,
@@ -288,9 +285,8 @@ impl StreamEngine {
             duplicates: 0,
             evicted: 0,
             records_in: 0,
-            live_records: 0,
             hour_counts: [0u64; 24],
-            snap: Mutex::new(SnapCache::default()),
+            snap: Mutex::new(None),
             last_snapshot_reused: AtomicBool::new(false),
             flight: FlightRecorder::new(FLIGHT_CAPACITY),
             open_late_burst: 0,
@@ -360,23 +356,19 @@ impl StreamEngine {
         }
         self.max_event_time = Some(self.max_event_time.unwrap_or(t).max(t));
 
-        let bucket = t.div_euclid(self.config.shard_ms);
-        let hour_slot = r.hour_slot().0 as usize % 24;
-        let shard = self
-            .shards
-            .entry(bucket)
-            .or_insert_with(|| Shard::new(&self.binner));
-        if !shard.insert(r) {
+        self.records_in += 1;
+        if !self.insert_row(&r) {
             self.duplicates += 1;
-            self.records_in += 1;
             metrics
                 .counter("autosens_stream_duplicate_events_total")
                 .inc();
             return Ingest::Duplicate;
         }
-        self.records_in += 1;
-        self.live_records += 1;
-        self.hour_counts[hour_slot] += 1;
+        self.shards
+            .entry(t.div_euclid(self.config.shard_ms))
+            .or_insert_with(|| Shard::new(&self.binner))
+            .record(&r);
+        self.hour_counts[r.hour_slot().0 as usize % 24] += 1;
 
         if let Some(retain) = self.config.retain_ms {
             self.evict_older_than(self.max_event_time.unwrap_or(t) - retain);
@@ -384,18 +376,39 @@ impl StreamEngine {
         Ingest::Admitted
     }
 
-    /// Evict shards whose bucket ends at or before `cutoff_ms`.
+    /// Insert a row at the upper bound of its equal-timestamp run
+    /// (preserving arrival order among ties, like a stable sort of the
+    /// arrival sequence), unless an exact duplicate already sits in that
+    /// run. Returns `false` for the dropped duplicate.
+    fn insert_row(&mut self, r: &ActionRecord) -> bool {
+        let times = self.store.times();
+        let t = r.time.millis();
+        let idx = times.partition_point(|&x| x <= t);
+        let mut j = idx;
+        while j > 0 && times[j - 1] == t {
+            if self.store.row_equals_record(j - 1, r) {
+                return false;
+            }
+            j -= 1;
+        }
+        self.store.insert(idx, r);
+        true
+    }
+
+    /// Evict shards whose bucket ends at or before `cutoff_ms`, dropping
+    /// their rows (a prefix of the store) with them.
     fn evict_older_than(&mut self, cutoff_ms: i64) {
         let metrics = self.plan.recorder().metrics();
+        let mut rows = 0usize;
         // BTreeMap iterates in bucket order; stop at the first live shard.
-        while let Some((&bucket, shard)) = self.shards.iter().next() {
+        while let Some((&bucket, shard)) = self.shards.first_key_value() {
             let bucket_end = (bucket + 1) * self.config.shard_ms;
             if bucket_end > cutoff_ms {
                 break;
             }
             let dropped = shard.len() as u64;
+            rows += shard.len();
             self.evicted += dropped;
-            self.live_records -= dropped;
             for (acc, &n) in self.hour_counts.iter_mut().zip(&shard.hour_counts) {
                 *acc -= n;
             }
@@ -403,6 +416,9 @@ impl StreamEngine {
                 .counter("autosens_stream_evicted_records_total")
                 .add(dropped);
             self.shards.remove(&bucket);
+        }
+        if rows > 0 {
+            self.store.drain_front(rows);
         }
     }
 
@@ -438,10 +454,17 @@ impl StreamEngine {
     /// `lag_ms` is how far the shard's newest record trails the frontier.
     pub fn shard_lags(&self) -> Vec<(i64, u64, i64)> {
         let frontier = self.max_event_time.unwrap_or(0);
+        let times = self.store.times();
+        let mut end = 0usize;
         self.shards
             .iter()
             .map(|(&bucket, shard)| {
-                let newest = shard.cols.times().last().copied().unwrap_or(frontier);
+                end += shard.len();
+                let newest = if shard.len() == 0 {
+                    frontier
+                } else {
+                    times[end - 1]
+                };
                 (
                     bucket * self.config.shard_ms,
                     shard.len() as u64,
@@ -467,18 +490,12 @@ impl StreamEngine {
             self.last_shifts.clear();
             return Ok(Vec::new());
         };
-        // Merge the shard columns the detector needs (shards concatenate
-        // in bucket order into already time-sorted columns).
-        let total: usize = self.shards.values().map(|s| s.len()).sum();
-        let mut times = Vec::with_capacity(total);
-        let mut latencies = Vec::with_capacity(total);
-        let mut actions = Vec::with_capacity(total);
-        for shard in self.shards.values() {
-            times.extend_from_slice(shard.cols.times());
-            latencies.extend_from_slice(shard.cols.latencies());
-            actions.extend_from_slice(shard.cols.actions());
-        }
-        let shifts = detect_regimes(&times, &latencies, &actions, &det)?;
+        let shifts = detect_regimes(
+            self.store.times(),
+            self.store.latencies(),
+            self.store.actions(),
+            &det,
+        )?;
 
         let recorder = self.plan.recorder();
         let metrics = recorder.metrics();
@@ -529,9 +546,10 @@ impl StreamEngine {
         Ok(shifts)
     }
 
-    /// The current intake counters and store shape. O(1): the live-record
-    /// and hour counters are maintained incrementally on admit/evict, not
-    /// recomputed by walking the shards.
+    /// The current intake counters and store shape. O(1): the hour
+    /// counters are maintained incrementally on admit/evict and the live
+    /// record count is the store's length, not recomputed by walking the
+    /// shards.
     pub fn status(&self) -> StreamStatus {
         StreamStatus {
             events: self.events,
@@ -539,7 +557,7 @@ impl StreamEngine {
             late: self.late,
             duplicates: self.duplicates,
             evicted: self.evicted,
-            live_records: self.live_records,
+            live_records: self.store.len() as u64,
             shards: self.shards.len(),
             hour_counts: self.hour_counts,
             max_event_time_ms: self.max_event_time,
@@ -567,59 +585,29 @@ impl StreamEngine {
     /// `analyze` over the same log.
     ///
     /// Snapshots are dirty-tracked (see the module docs): with no events
-    /// since the last snapshot the cached report is returned verbatim,
-    /// and a dirty snapshot re-copies only the shards past the longest
-    /// unchanged `(bucket, len)` prefix of the cached store.
-    pub fn snapshot(&self) -> Result<AnalysisReport, AutoSensError> {
+    /// since the last snapshot the cached report is shared again, and a
+    /// dirty snapshot runs the plan over a borrowed view of the row store.
+    pub fn snapshot(&self) -> Result<Arc<AnalysisReport>, AutoSensError> {
         let recorder = self.plan.recorder();
-        let mut cache = self.snap.lock().expect("snapshot cache lock poisoned");
-        if cache.valid && cache.events == self.events {
-            if let Some(report) = &cache.report {
-                recorder
-                    .metrics()
-                    .counter("autosens_stream_snapshot_reuse_total")
-                    .inc();
-                self.last_snapshot_reused.store(true, Ordering::Relaxed);
-                return Ok(report.clone());
-            }
+        let mut cache = self.snap.lock();
+        if let Some(hit) = cache.as_ref().filter(|c| c.events == self.events) {
+            recorder
+                .metrics()
+                .counter("autosens_stream_snapshot_reuse_total")
+                .inc();
+            self.last_snapshot_reused.store(true, Ordering::Relaxed);
+            return Ok(Arc::clone(&hit.report));
         }
         self.last_snapshot_reused.store(false, Ordering::Relaxed);
 
         let mut span = recorder.root("stream_flush");
         span.field("events", self.events);
         span.field("shards", self.shards.len());
-
-        // Prefix sums over shard lengths size the merged columns exactly;
-        // shards concatenate in bucket order into an already-sorted store,
-        // column by column — no per-record copies. The cached store's
-        // longest unchanged (bucket, len) shard prefix is kept in place:
-        // shards are insert-only and dup-rejecting, so an unchanged
-        // bucket+length pair means unchanged contents.
-        let layout: Vec<(i64, usize)> = self.shards.iter().map(|(&b, s)| (b, s.len())).collect();
-        let total: usize = layout.iter().map(|&(_, n)| n).sum();
-        span.field("records", total);
-        let mut prefix_shards = 0usize;
-        let mut prefix_rows = 0usize;
-        if cache.valid {
-            for (old, new) in cache.layout.iter().zip(&layout) {
-                if old != new {
-                    break;
-                }
-                prefix_shards += 1;
-                prefix_rows += new.1;
-            }
-        }
-        span.field("reused_rows", prefix_rows);
-        let mut cols = std::mem::take(&mut cache.store);
-        cols.truncate(prefix_rows);
+        span.field("records", self.store.len());
         let mut partials = PlanPartials::empty(&self.binner);
-        for (i, shard) in self.shards.values().enumerate() {
-            if i >= prefix_shards {
-                cols.extend_from(&shard.cols);
-            }
+        for shard in self.shards.values() {
             partials.try_merge(&shard.partials)?;
         }
-        let log = TelemetryLog::from_columns(cols);
 
         // Degradations in the order batch sanitize reports them, plus the
         // streaming-only lateness drop (absent in the equivalence regime).
@@ -674,10 +662,21 @@ impl StreamEngine {
             partials: Some(partials),
             decay,
         };
+        let s = &self.store;
+        let view = LogView::from_columns(
+            s.times(),
+            s.latencies(),
+            s.actions(),
+            s.users(),
+            s.classes(),
+            s.tz_offsets(),
+            s.outcomes(),
+            true,
+        )?;
         let report = self
             .plan
-            .run(PlanInput::prepared(&log, meta), RunOptions::default())
-            .map(|out| out.report)?;
+            .run(PlanInput::prepared(&view, meta), RunOptions::default())?
+            .report;
         match &report.loss {
             Some(loss) => {
                 if !self.loss_gate_open.swap(true, Ordering::Relaxed) {
@@ -694,19 +693,20 @@ impl StreamEngine {
             }
             None => self.loss_gate_open.store(false, Ordering::Relaxed),
         }
-        cache.store = log.into_columns();
-        cache.layout = layout;
-        cache.events = self.events;
-        cache.report = Some(report.clone());
-        cache.valid = true;
+        let report = Arc::new(report);
+        *cache = Some(SnapCache {
+            events: self.events,
+            report: Arc::clone(&report),
+        });
         Ok(report)
     }
 
-    /// Serialize the engine's durable state. The shard records are the
-    /// state of record; the cached plan-layer partials ride along and are
-    /// cross-validated against the records on restore (see
-    /// [`crate::checkpoint`]). `source_offset` is the tailed file's
-    /// checkpointed byte offset (pass 0 when not tailing a file).
+    /// Serialize the engine's durable state. The rows are the state of
+    /// record, sliced out of the store shard by shard; the cached
+    /// plan-layer partials ride along and are cross-validated against the
+    /// rows on restore (see [`crate::checkpoint`]). `source_offset` is the
+    /// tailed file's checkpointed byte offset (pass 0 when not tailing a
+    /// file).
     pub fn checkpoint(&self, source_offset: u64) -> crate::checkpoint::Checkpoint {
         self.flight.record(
             FlightKind::CheckpointSaved,
@@ -729,10 +729,14 @@ impl StreamEngine {
             shards: self
                 .shards
                 .iter()
-                .map(|(&bucket, shard)| crate::checkpoint::ShardCheckpoint {
-                    bucket,
-                    records: shard.cols.to_records(),
-                    partials: Some(crate::checkpoint::ShardPartials::capture(shard)),
+                .scan(0usize, |start, (&bucket, shard)| {
+                    let rows = *start..*start + shard.len();
+                    *start = rows.end;
+                    Some(crate::checkpoint::ShardCheckpoint {
+                        bucket,
+                        records: rows.map(|i| self.store.get(i)).collect(),
+                        partials: Some(crate::checkpoint::ShardPartials::capture(shard)),
+                    })
                 })
                 .collect(),
         }
@@ -748,6 +752,11 @@ impl StreamEngine {
     ) -> Result<StreamEngine, StreamError> {
         checkpoint.validate()?;
         let mut engine = StreamEngine::with_recorder(checkpoint.config, slice, recorder)?;
+        let rows = checkpoint.shards.iter().map(|sc| sc.records.len()).sum();
+        engine.store = ColumnStore::with_capacity(rows);
+        // Buckets are strictly increasing (validated above) and every
+        // shard's rows are sorted and inside their bucket (checked
+        // below), so appending shard by shard keeps the store sorted.
         for sc in checkpoint.shards {
             for w in sc.records.windows(2) {
                 if w[1].time < w[0].time {
@@ -771,14 +780,14 @@ impl StreamEngine {
             // after validating their totals against the records; absent
             // partials (pre-partials checkpoints) rebuild from records.
             let shard = match &sc.partials {
-                Some(p) => p.restore(sc.bucket, &sc.records, &engine.binner)?,
-                None => Shard::rebuild(sc.records, &engine.binner),
+                Some(p) => p.restore(sc.bucket, sc.records.len(), &engine.binner)?,
+                None => Shard::rebuild(&sc.records, &engine.binner),
             };
-            engine.shards.insert(sc.bucket, shard);
-        }
-        for shard in engine.shards.values() {
-            engine.live_records += shard.len() as u64;
+            for r in &sc.records {
+                engine.store.push(r);
+            }
             shard.merge_hours_into(&mut engine.hour_counts);
+            engine.shards.insert(sc.bucket, shard);
         }
         engine.max_event_time = checkpoint.max_event_time_ms;
         engine.last_arrival = checkpoint.last_arrival_ms;
@@ -809,6 +818,118 @@ impl StreamEngine {
 mod tests {
     use super::*;
     use autosens_sim::{generate, Scenario, SimConfig};
+    use autosens_telemetry::record::{ActionType, Outcome, UserClass, UserId};
+    use autosens_telemetry::time::SimTime;
+
+    fn rec(t: i64, latency: f64, user: u64) -> ActionRecord {
+        ActionRecord {
+            time: SimTime(t),
+            action: ActionType::SelectMail,
+            latency_ms: latency,
+            user: UserId(user),
+            class: UserClass::Business,
+            tz_offset_ms: 0,
+            outcome: Outcome::Success,
+        }
+    }
+
+    fn engine() -> StreamEngine {
+        StreamEngine::new(StreamConfig::default(), Slice::all()).unwrap()
+    }
+
+    #[test]
+    fn inserts_sort_by_time_and_keep_arrival_order_on_ties() {
+        let mut engine = engine();
+        for r in [
+            rec(2000, 10.0, 1),
+            rec(1000, 20.0, 2),
+            rec(2000, 30.0, 3),
+            rec(2000, 40.0, 4),
+        ] {
+            assert_eq!(engine.push(r), Ingest::Admitted);
+        }
+        // Time order first; the three t=2000 arrivals keep arrival order.
+        assert_eq!(engine.store.users(), &[2, 1, 3, 4]);
+    }
+
+    #[test]
+    fn exact_duplicates_are_rejected_keep_first() {
+        let mut engine = engine();
+        let r = rec(1000, 10.0, 1);
+        assert_eq!(engine.push(r), Ingest::Admitted);
+        assert_eq!(engine.push(r), Ingest::Duplicate);
+        // Same time, different latency: not a duplicate.
+        assert_eq!(engine.push(rec(1000, 11.0, 1)), Ingest::Admitted);
+        assert_eq!(engine.store.len(), 2);
+        let shard = &engine.shards[&0];
+        assert_eq!(shard.len(), 2);
+        assert_eq!(shard.hour_counts.iter().sum::<u64>(), 2);
+        // Duplicates are not double-counted as loss-cell observations.
+        assert_eq!(shard.partials.loss.total(), 2);
+    }
+
+    #[test]
+    fn rebuild_matches_incremental_state() {
+        let mut engine = engine();
+        for i in 0..50 {
+            engine.push(rec(i * 60_000, 50.0 + i as f64, i as u64 % 5));
+        }
+        let shard = &engine.shards[&0];
+        let rebuilt = Shard::rebuild(&engine.store.to_records(), &engine.binner);
+        assert_eq!(rebuilt.len(), shard.len());
+        assert_eq!(rebuilt.hour_counts, shard.hour_counts);
+        let (a, b) = (&rebuilt.partials.partition, &shard.partials.partition);
+        assert_eq!(a.cell_actions(), b.cell_actions());
+        for c in 0..a.n_cells() {
+            assert_eq!(a.cell(c).map(|h| h.counts()), b.cell(c).map(|h| h.counts()));
+        }
+        assert_eq!(rebuilt.partials.loss, shard.partials.loss);
+    }
+
+    /// A panic while the snapshot lock is held must not break the engine:
+    /// the next snapshot still answers, and answers exactly.
+    #[test]
+    fn a_panic_under_the_snapshot_lock_leaves_snapshots_exact() {
+        let (log, _) = generate(&SimConfig::scenario(Scenario::Smoke)).unwrap();
+        let cfg = StreamConfig {
+            shard_ms: 6 * 3_600_000,
+            ..StreamConfig::default()
+        };
+        let feed = |engine: &mut StreamEngine| {
+            for r in log.iter() {
+                engine.push(r);
+            }
+        };
+        let mut engine = StreamEngine::new(cfg.clone(), Slice::all()).unwrap();
+        feed(&mut engine);
+        engine.snapshot().unwrap();
+        let snap = &engine.snap;
+        let joined = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = snap.lock();
+                panic!("injected panic under the snapshot lock");
+            })
+            .join()
+        });
+        assert!(joined.is_err(), "the injected panic did not happen");
+
+        let after = engine.snapshot().unwrap();
+        let mut fresh = StreamEngine::new(cfg, Slice::all()).unwrap();
+        feed(&mut fresh);
+        let expected = fresh.snapshot().unwrap();
+        let bits = |r: &AnalysisReport| {
+            let series: Vec<(u64, u64)> = r
+                .preference
+                .series()
+                .iter()
+                .map(|(x, y)| (x.to_bits(), y.to_bits()))
+                .collect();
+            let biased: Vec<u64> = r.biased.counts().iter().map(|c| c.to_bits()).collect();
+            let unbiased: Vec<u64> = r.unbiased.counts().iter().map(|c| c.to_bits()).collect();
+            (r.n_actions, series, biased, unbiased)
+        };
+        assert_eq!(bits(&after), bits(&expected));
+    }
 
     /// The O(1) status counters (maintained on admit/evict) must equal a
     /// full shard walk at every point of an insert/evict interleaving.

@@ -136,11 +136,11 @@ impl Ingestor {
 
     /// Drain every queued record into the engine, in arrival order.
     /// Returns how many were pushed and how many of those were admitted.
+    ///
+    /// The queue's buffer leaves with the records, so a drained queue
+    /// holds no memory until its next offer.
     pub fn drain_into(&self, engine: &mut StreamEngine) -> Result<DrainSummary, StreamError> {
-        let drained: Vec<ActionRecord> = {
-            let mut state = self.state.lock();
-            state.queue.drain(..).collect()
-        };
+        let drained = Vec::from(std::mem::take(&mut self.state.lock().queue));
         self.recorder
             .metrics()
             .gauge("autosens_stream_queue_depth")

@@ -37,9 +37,7 @@ pub mod ingest;
 mod shard;
 pub mod status;
 
-pub use checkpoint::{
-    save_json, CellPartial, Checkpoint, ShardCheckpoint, ShardPartials, CHECKPOINT_VERSION,
-};
+pub use checkpoint::{CellPartial, Checkpoint, ShardCheckpoint, ShardPartials, CHECKPOINT_VERSION};
 pub use detector::{DetectorConfig, RegimeShift};
 pub use engine::{Ingest, StreamConfig, StreamEngine, StreamStatus};
 pub use error::StreamError;
@@ -331,6 +329,29 @@ mod tests {
             .first_mut()
             .expect("non-empty cell partials")
             .actions += 1;
+        let err = StreamEngine::restore(ck, Slice::all(), Recorder::disabled());
+        assert!(matches!(err, Err(StreamError::Corrupt(_))));
+
+        // A second entry for a cell must not overwrite the first: here an
+        // emptied copy of cell 0 whose totals still add up shard-wide.
+        let mut ck = engine.checkpoint(0);
+        let cells = &mut ck.shards[0].partials.as_mut().unwrap().cells;
+        let mut emptied = cells[0].clone();
+        emptied.recorded = 0;
+        emptied.discarded = 0;
+        emptied.total = 0.0;
+        emptied.bins.clear();
+        cells.push(emptied);
+        let err = StreamEngine::restore(ck, Slice::all(), Recorder::disabled());
+        assert!(matches!(err, Err(StreamError::Corrupt(_))));
+
+        // Actions moved between two cells keep every shard-wide total
+        // but break each cell's actions == recorded + discarded.
+        let mut ck = engine.checkpoint(0);
+        let cells = &mut ck.shards[0].partials.as_mut().unwrap().cells;
+        assert!(cells.len() >= 2 && cells[1].actions > 0);
+        cells[0].actions += 1;
+        cells[1].actions -= 1;
         let err = StreamEngine::restore(ck, Slice::all(), Recorder::disabled());
         assert!(matches!(err, Err(StreamError::Corrupt(_))));
 

@@ -1,39 +1,30 @@
-//! Time-bucketed shards with incremental per-shard analysis state.
+//! Time-bucketed shards: per-bucket aggregates over the engine's rows.
 //!
 //! Every shard covers one `[bucket * shard_ms, (bucket + 1) * shard_ms)`
-//! interval of event time and holds its records **sorted by time, stable
-//! in arrival order among equal timestamps** — exactly the order batch
-//! sanitize's stable sort produces. Because exact duplicates share a
-//! timestamp, and equal timestamps never span a bucket boundary, keeping
-//! duplicates out at insert time is equivalent to batch
-//! `dedup_exact` / `dedup_exact_par` over the drained log.
+//! interval of event time. It keeps no rows of its own: the engine holds
+//! one time-sorted [`ColumnStore`](autosens_telemetry::log::ColumnStore)
+//! in which each shard's rows form one contiguous run, in bucket order,
+//! so a shard only records how many rows it owns.
 //!
-//! Shards store their rows columnar (a [`ColumnStore`]) so a snapshot
-//! concatenates seven column vectors instead of cloning records, and the
-//! merged log hands the analysis stack a zero-copy view.
-//!
-//! Alongside the rows each shard maintains the plan layer's cacheable
-//! operator state ([`PlanPartials`]: the per-cell biased histograms and
-//! action counts of [`GroupPartition`](autosens_core::GroupPartition),
-//! the per-day loss-cell observation counts of
+//! What a shard does keep is the plan layer's cacheable operator state
+//! ([`PlanPartials`]: the sparse per-cell biased histograms and action
+//! counts of [`GroupPartition`](autosens_core::GroupPartition), the
+//! per-day loss-cell observation counts of
 //! [`LossCounts`](autosens_telemetry::loss::LossCounts)) plus
 //! per-local-hour counters — so a snapshot merges shard partials instead
-//! of rescanning history. Histogram counts are unit-weight
-//! (integer-valued) additions and loss counts are `u64`s, so shard-merge
-//! order cannot perturb the result: the merged partials are bit-identical
-//! to a batch rescan.
+//! of rescanning history, and eviction subtracts a whole shard at once.
+//! Histogram counts are unit-weight (integer-valued) additions and loss
+//! counts are `u64`s, so shard-merge order cannot perturb the result: the
+//! merged partials are bit-identical to a batch rescan.
 
 use autosens_core::PlanPartials;
 use autosens_exec::Mergeable;
 use autosens_stats::binning::Binner;
-use autosens_telemetry::log::ColumnStore;
 use autosens_telemetry::record::ActionRecord;
 
-/// One time bucket's rows (columnar) and partial aggregates.
+/// One time bucket's row count and partial aggregates.
 #[derive(Debug, Clone)]
 pub(crate) struct Shard {
-    /// Rows sorted by time, arrival-stable among equal timestamps.
-    pub cols: ColumnStore,
     /// The plan layer's cacheable per-shard operator state: the
     /// `alpha`/`biased_pdf` [`GroupPartition`](autosens_core::GroupPartition)
     /// fold and the `lossmodel`
@@ -42,159 +33,52 @@ pub(crate) struct Shard {
     /// Actions per local hour slot (merged across shards via the
     /// fixed-size-array [`Mergeable`] impl).
     pub hour_counts: [u64; 24],
+    /// Rows the shard owns in the engine's store.
+    len: usize,
 }
 
 impl Shard {
     pub fn new(binner: &Binner) -> Shard {
-        Shard {
-            cols: ColumnStore::new(),
-            partials: PlanPartials::empty(binner),
-            hour_counts: [0u64; 24],
-        }
+        Shard::from_parts(0, PlanPartials::empty(binner), [0u64; 24])
     }
 
     /// Number of rows held.
     pub fn len(&self) -> usize {
-        self.cols.len()
+        self.len
     }
 
-    /// Fold one record into the derived aggregates (partition, loss
+    /// Fold one admitted record into the aggregates (partition, loss
     /// counts, hour counters) — shared by insert and rebuild.
-    fn aggregate(&mut self, r: &ActionRecord) {
+    pub fn record(&mut self, r: &ActionRecord) {
         self.partials.record(r);
         self.hour_counts[r.hour_slot().0 as usize % 24] += 1;
+        self.len += 1;
     }
 
-    /// Insert a record at the upper bound of its equal-timestamp run
-    /// (preserving arrival order among ties, like a stable sort of the
-    /// arrival sequence), unless an exact duplicate already sits in that
-    /// run. Returns `false` for the dropped duplicate.
-    pub fn insert(&mut self, r: ActionRecord) -> bool {
-        let idx = {
-            let times = self.cols.times();
-            let t = r.time.millis();
-            let idx = times.partition_point(|&x| x <= t);
-            let mut j = idx;
-            while j > 0 && times[j - 1] == t {
-                if self.cols.row_equals_record(j - 1, &r) {
-                    return false;
-                }
-                j -= 1;
-            }
-            idx
-        };
-        self.cols.insert(idx, &r);
-        self.aggregate(&r);
-        true
-    }
-
-    /// Rebuild a shard's partial aggregates from checkpointed records
-    /// (the records are the durable state; the partials are derived).
-    pub fn rebuild(records: Vec<ActionRecord>, binner: &Binner) -> Shard {
+    /// Rebuild a shard's aggregates from checkpointed records (the
+    /// records are the durable state; the partials are derived).
+    pub fn rebuild(records: &[ActionRecord], binner: &Binner) -> Shard {
         let mut shard = Shard::new(binner);
-        for r in &records {
-            shard.cols.push(r);
-            shard.aggregate(r);
+        for r in records {
+            shard.record(r);
         }
         shard
     }
 
-    /// Assemble a shard from checkpointed records **and** checkpointed
-    /// partial aggregates, skipping the per-record refold. The caller
-    /// (checkpoint restore) is responsible for validating that the
-    /// partials actually summarize the records before trusting them.
-    pub fn from_parts(
-        records: &[ActionRecord],
-        partials: PlanPartials,
-        hour_counts: [u64; 24],
-    ) -> Shard {
-        let mut cols = ColumnStore::with_capacity(records.len());
-        for r in records {
-            cols.push(r);
-        }
+    /// Assemble a shard from checkpointed partial aggregates, skipping the
+    /// per-record refold. The caller (checkpoint restore) is responsible
+    /// for validating that the partials actually summarize `len` records
+    /// before trusting them.
+    pub fn from_parts(len: usize, partials: PlanPartials, hour_counts: [u64; 24]) -> Shard {
         Shard {
-            cols,
             partials,
             hour_counts,
+            len,
         }
     }
 
     /// Fold this shard's hour counters into an accumulator.
     pub fn merge_hours_into(&self, acc: &mut [u64; 24]) {
         acc.merge(self.hour_counts);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use autosens_telemetry::record::{ActionType, Outcome, UserClass, UserId};
-    use autosens_telemetry::time::SimTime;
-
-    fn rec(t: i64, latency: f64, user: u64) -> ActionRecord {
-        ActionRecord {
-            time: SimTime(t),
-            action: ActionType::SelectMail,
-            latency_ms: latency,
-            user: UserId(user),
-            class: UserClass::Business,
-            tz_offset_ms: 0,
-            outcome: Outcome::Success,
-        }
-    }
-
-    fn binner() -> Binner {
-        autosens_core::AutoSensConfig::default().binner().unwrap()
-    }
-
-    #[test]
-    fn inserts_sort_by_time_and_keep_arrival_order_on_ties() {
-        let mut shard = Shard::new(&binner());
-        assert!(shard.insert(rec(2000, 10.0, 1)));
-        assert!(shard.insert(rec(1000, 20.0, 2)));
-        assert!(shard.insert(rec(2000, 30.0, 3)));
-        assert!(shard.insert(rec(2000, 40.0, 4)));
-        let users: Vec<u64> = shard.cols.users().to_vec();
-        // Time order first; the three t=2000 arrivals keep arrival order.
-        assert_eq!(users, vec![2, 1, 3, 4]);
-    }
-
-    #[test]
-    fn exact_duplicates_are_rejected_keep_first() {
-        let mut shard = Shard::new(&binner());
-        let r = rec(1000, 10.0, 1);
-        assert!(shard.insert(r));
-        assert!(!shard.insert(r));
-        // Same time, different latency: not a duplicate.
-        assert!(shard.insert(rec(1000, 11.0, 1)));
-        assert_eq!(shard.len(), 2);
-        assert_eq!(shard.hour_counts.iter().sum::<u64>(), 2);
-        // Duplicates are not double-counted as loss-cell observations.
-        assert_eq!(shard.partials.loss.total(), 2);
-    }
-
-    #[test]
-    fn rebuild_matches_incremental_state() {
-        let mut shard = Shard::new(&binner());
-        for i in 0..50 {
-            shard.insert(rec(i * 60_000, 50.0 + i as f64, i as u64 % 5));
-        }
-        let rebuilt = Shard::rebuild(shard.cols.to_records(), &binner());
-        assert_eq!(rebuilt.cols.to_records(), shard.cols.to_records());
-        assert_eq!(rebuilt.hour_counts, shard.hour_counts);
-        assert_eq!(
-            rebuilt.partials.partition.cell_actions,
-            shard.partials.partition.cell_actions
-        );
-        for (a, b) in rebuilt
-            .partials
-            .partition
-            .cells
-            .iter()
-            .zip(&shard.partials.partition.cells)
-        {
-            assert_eq!(a.counts(), b.counts());
-        }
-        assert_eq!(rebuilt.partials.loss, shard.partials.loss);
     }
 }

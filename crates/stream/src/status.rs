@@ -156,7 +156,7 @@ mod tests {
     use autosens_sim::{generate, Scenario, SimConfig};
     use autosens_telemetry::query::Slice;
 
-    fn engine_with_data() -> (StreamEngine, AnalysisReport) {
+    fn engine_with_data() -> (StreamEngine, std::sync::Arc<AnalysisReport>) {
         let cfg = StreamConfig {
             shard_ms: 6 * 3_600_000,
             decay_half_life_ms: Some(2 * 86_400_000),

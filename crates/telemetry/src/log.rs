@@ -109,18 +109,18 @@ impl ColumnStore {
         }
     }
 
-    /// Drop every row past the first `len`, keeping column capacity (a
-    /// no-op when `len >= self.len()`). The incremental-snapshot path
-    /// reuses a store by truncating to the unchanged prefix and
-    /// re-appending only the shards that changed.
-    pub fn truncate(&mut self, len: usize) {
-        self.time_ms.truncate(len);
-        self.latency_ms.truncate(len);
-        self.action.truncate(len);
-        self.user.truncate(len);
-        self.class.truncate(len);
-        self.tz_offset_ms.truncate(len);
-        self.outcome.truncate(len);
+    /// Drop the first `n` rows (every row when `n >= self.len()`),
+    /// shifting the rest to the front. A time-sorted store evicts its
+    /// oldest rows this way.
+    pub fn drain_front(&mut self, n: usize) {
+        let n = n.min(self.len());
+        self.time_ms.drain(..n);
+        self.latency_ms.drain(..n);
+        self.action.drain(..n);
+        self.user.drain(..n);
+        self.class.drain(..n);
+        self.tz_offset_ms.drain(..n);
+        self.outcome.drain(..n);
     }
 
     /// Append every row of `other`, preserving its storage order.
