@@ -15,8 +15,8 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo doc -q --workspace --no-deps"
-cargo doc -q --workspace --no-deps
+echo "==> cargo doc -q --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "==> profiled smoke run (stage spans + finite metrics)"
 # End-to-end observability gate: generate a smoke log, analyze it with

@@ -11,8 +11,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod load;
-pub mod profile;
 pub mod regime;
 pub mod robustness;
 pub mod streaming;
@@ -118,9 +116,6 @@ pub fn by_id(data: &Dataset, id: &str) -> Option<Artifact> {
         "robustness" => Some(robustness::generate_robustness()),
         "streaming" => Some(streaming::generate_streaming()),
         "regime" => Some(regime::generate_regime()),
-        "load" => Some(load::generate_load()),
-        // Profiles the *loaded* dataset, so `--bench` profiles smoke scale.
-        "profile" => Some(profile::generate(data)),
         _ => None,
     }
 }

@@ -9,7 +9,7 @@ use autosens_telemetry::TelemetryLog;
 pub enum Scale {
     /// The full two-month scenario used for the reported reproduction.
     Full,
-    /// The two-week smoke scenario, for benches and quick runs.
+    /// The two-week smoke scenario, for quick runs and CI gates.
     Bench,
 }
 
@@ -24,14 +24,9 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Generate a dataset at the given scale.
-    pub fn load(scale: Scale) -> Dataset {
-        Dataset::load_with_threads(scale, 0)
-    }
-
     /// Generate a dataset at the given scale with an explicit worker count
     /// (0 = auto). Generation and every pipeline stage use the same count.
-    pub fn load_with_threads(scale: Scale, threads: usize) -> Dataset {
+    pub fn load(scale: Scale, threads: usize) -> Dataset {
         let scenario = match scale {
             Scale::Full => Scenario::Default,
             Scale::Bench => Scenario::Smoke,
@@ -66,7 +61,7 @@ mod tests {
 
     #[test]
     fn bench_scale_loads() {
-        let d = Dataset::load(Scale::Bench);
+        let d = Dataset::load(Scale::Bench, 0);
         assert!(d.log.len() > 10_000);
         assert!(!d.truth.population().is_empty());
     }

@@ -68,7 +68,7 @@ fn main() {
     let scale = if bench { Scale::Bench } else { Scale::Full };
     eprintln!("loading dataset ({scale:?})...");
     let t0 = std::time::Instant::now();
-    let data = Dataset::load_with_threads(scale, threads);
+    let data = Dataset::load(scale, threads);
     eprintln!(
         "generated {} records in {:.1?}\n",
         data.log.len(),

@@ -340,15 +340,6 @@ impl SpanTree {
         self.spans.iter().filter(|s| s.name == name).count()
     }
 
-    /// Total wall-clock milliseconds across spans with this name.
-    pub fn total_ms_named(&self, name: &str) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.name == name)
-            .map(SpanRecord::wall_ms)
-            .sum()
-    }
-
     /// Render the indented text profile: one line per span, children
     /// indented under parents, with duration and share of the enclosing
     /// root, fields appended as `key=value`.
@@ -403,30 +394,6 @@ impl SpanTree {
             spans.push(span);
         }
         Ok(SpanTree { spans })
-    }
-
-    /// Aggregate per-name wall-clock totals, in first-seen order:
-    /// `(name, total ms, call count)`.
-    pub fn totals_by_name(&self) -> Vec<(String, f64, usize)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut totals: Vec<(f64, usize)> = Vec::new();
-        for s in &self.spans {
-            match order.iter().position(|n| *n == s.name) {
-                Some(i) => {
-                    totals[i].0 += s.wall_ms();
-                    totals[i].1 += 1;
-                }
-                None => {
-                    order.push(s.name.clone());
-                    totals.push((s.wall_ms(), 1));
-                }
-            }
-        }
-        order
-            .into_iter()
-            .zip(totals)
-            .map(|(n, (ms, c))| (n, ms, c))
-            .collect()
     }
 }
 

@@ -12,7 +12,7 @@
 //! | `/healthz` | liveness + tenant count + checkpoint generation |
 //! | `/tenants` | every tenant key, sorted |
 //! | `/tenant/<service>/<region>/curve` | [`PreferenceSummary`] pretty JSON, byte-identical to `analyze --json` over the same records |
-//! | `/tenant/<service>/<region>/status` | the tenant's [`StatusDocument`] |
+//! | `/tenant/<service>/<region>/status` | the tenant's [`StatusDocument`](autosens_stream::StatusDocument) |
 //! | `/tenant/<service>/<region>/shifts` | regime shifts from the latest detection pass |
 //! | `/fleet` | cheap per-tenant intake counters (no snapshots) plus the last fleet-snapshot pass's stats |
 //! | `/snapshot` | run a fleet-wide snapshot pass; body is its [`FleetSnapshotStats`] |

@@ -47,13 +47,15 @@ pub use tenant::{valid_label, TenantKey, MAX_LABEL_LEN};
 
 #[cfg(test)]
 mod tests {
-    use std::net::TcpListener;
+    use std::io::{BufReader, BufWriter, Write};
+    use std::net::{TcpListener, TcpStream};
 
     use autosens_obs::Recorder;
     use autosens_sim::config::{Scenario, SimConfig};
     use autosens_sim::generate;
     use autosens_telemetry::record::ActionRecord;
 
+    use super::frame::{read_frame, write_frame};
     use super::*;
 
     fn sim_records(seed: u64) -> Vec<ActionRecord> {
@@ -64,7 +66,7 @@ mod tests {
     }
 
     fn spawn_gateway(config: GatewayConfig) -> (Gateway, String, String) {
-        let gw = Gateway::new(config, Recorder::disabled()).unwrap();
+        let gw = Gateway::new(config, Recorder::new()).unwrap();
         let ingest = TcpListener::bind("127.0.0.1:0").unwrap();
         let ingest_addr = ingest.local_addr().unwrap().to_string();
         let http = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -229,6 +231,71 @@ mod tests {
             .with_tenant(&tenant, |t| t.engine.status().events)
             .unwrap();
         assert_eq!(events, total);
+        stop_gateway(&gw, &ingest_addr, &http_addr);
+    }
+
+    #[test]
+    fn concurrent_connections_feed_many_tenants_exactly() {
+        // Three connections push the same records to four tenants each,
+        // over raw frames: every ACK is the connection's running total,
+        // the gateway counts every record once, and twelve engines fed
+        // identical input serve identical curves.
+        let (gw, ingest_addr, http_addr) = spawn_gateway(GatewayConfig::default());
+        // The first 1,200 records of this seed already snapshot cleanly.
+        let records = &sim_records(42)[..1200];
+        let n = records.len() as u64;
+        let keys: Vec<TenantKey> = (0..12)
+            .map(|i| TenantKey::new(format!("svc{}", i / 4), format!("r{}", i % 4)).unwrap())
+            .collect();
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for part in keys.chunks(4) {
+                let (addr, start) = (&ingest_addr, &start);
+                s.spawn(move || {
+                    let stream = TcpStream::connect(addr).unwrap();
+                    let mut reader = BufReader::new(stream.try_clone().unwrap());
+                    let mut writer = BufWriter::new(stream);
+                    let mut send = |frame: Frame| {
+                        write_frame(&mut writer, &frame).unwrap();
+                        writer.flush().unwrap();
+                        read_frame(&mut reader).unwrap().unwrap()
+                    };
+                    let hello = Frame::Hello {
+                        version: PROTOCOL_VERSION,
+                    };
+                    assert_eq!(send(hello), Frame::Ack { records: 0 });
+                    // All three connections are open before any pushes.
+                    start.wait();
+                    for (i, key) in (1..).zip(part) {
+                        let batch = Frame::Batch {
+                            tenant: key.clone(),
+                            records: records.to_vec(),
+                        };
+                        assert_eq!(send(batch), Frame::Ack { records: i * n });
+                    }
+                });
+            }
+        });
+
+        let registry = gw.registry();
+        assert_eq!(registry.len(), keys.len());
+        let curve = |key: &TenantKey| {
+            let report = registry.snapshot(key).unwrap();
+            serde_json::to_string(&report.preference.series()).unwrap()
+        };
+        let first = curve(&keys[0]);
+        assert_ne!(first, "[]");
+        for key in &keys[1..] {
+            assert_eq!(curve(key), first, "curve differs for {}", key.label());
+        }
+        let metrics = gw.recorder().metrics().snapshot();
+        metrics.validate_finite().unwrap();
+        let counted = metrics
+            .counters
+            .iter()
+            .find(|c| c.name == "autosens_serve_records_total")
+            .map(|c| c.value);
+        assert_eq!(counted, Some(12 * n));
         stop_gateway(&gw, &ingest_addr, &http_addr);
     }
 }

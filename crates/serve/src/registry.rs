@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! <dir>/MANIFEST.json          { version, generation, tenants: [...] }
-//! <dir>/gen-<N>/<service>__<region>.ckpt.json
+//! <dir>/gen-<N>/<service>+<region>.ckpt.json
 //! ```
 //!
 //! Checkpoint passes are serialized on a dedicated lock. A pass fills
@@ -598,14 +598,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn checkpoint_restore_round_trips_every_tenant() {
-        let dir = std::env::temp_dir().join(format!("autosens-serve-reg-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// A registry holding 200 records for each key, different per key.
+    fn distinct_tenants(keys: &[TenantKey]) -> Registry {
         let reg = Registry::new(small_config(), 1024, Recorder::disabled());
-        let keys: Vec<TenantKey> = (0..5)
-            .map(|i| TenantKey::new("svc", format!("r{i}")).unwrap())
-            .collect();
         for (ti, key) in keys.iter().enumerate() {
             let records: Vec<ActionRecord> = (0..200)
                 .map(|i| {
@@ -618,6 +613,31 @@ mod tests {
                 .collect();
             reg.ingest(key, &records).unwrap();
         }
+        reg
+    }
+
+    /// Every tenant's re-serialized checkpoint, in `keys` order.
+    fn checkpoints(reg: &Registry, keys: &[TenantKey]) -> Vec<String> {
+        keys.iter()
+            .map(|k| {
+                reg.with_tenant(k, |t| t.engine.checkpoint(0).to_json().unwrap())
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checkpoint_restore_round_trips_every_tenant() {
+        let dir = std::env::temp_dir().join(format!("autosens-serve-reg-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut keys: Vec<TenantKey> = (0..5)
+            .map(|i| TenantKey::new("svc", format!("r{i}")).unwrap())
+            .collect();
+        // Joined with `__`, these two would share one file.
+        keys.push(TenantKey::new("a", "b__c").unwrap());
+        keys.push(TenantKey::new("a__b", "c").unwrap());
+        keys.sort();
+        let reg = distinct_tenants(&keys);
         let gen = reg.checkpoint_all(&dir).unwrap();
         assert_eq!(gen, 1);
         assert!(Registry::can_restore(&dir));
@@ -631,15 +651,10 @@ mod tests {
         let restored = Registry::restore(&dir, small_config(), 1024, Recorder::disabled()).unwrap();
         assert_eq!(restored.generation(), 2);
         assert_eq!(restored.keys(), keys);
-        for key in &keys {
-            // A re-serialized checkpoint is byte-identical: the shard
-            // records are the state of record and survive the round trip.
-            let orig = reg
-                .with_tenant(key, |t| t.engine.checkpoint(0).to_json().unwrap())
-                .unwrap();
-            let back = restored
-                .with_tenant(key, |t| t.engine.checkpoint(0).to_json().unwrap())
-                .unwrap();
+        // A re-serialized checkpoint is byte-identical: the shard records
+        // are the state of record and survive the round trip.
+        let back = checkpoints(&restored, &keys);
+        for ((key, orig), back) in keys.iter().zip(checkpoints(&reg, &keys)).zip(back) {
             assert_eq!(
                 orig,
                 back,
@@ -647,6 +662,44 @@ mod tests {
                 key.label()
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn generation_with_underscore_file_names_still_restores() {
+        // Generations written before `service+region` file names used
+        // `service__region`. Restore opens the file the manifest names,
+        // so they restore; the first pass finds no file of the new name
+        // to link and serializes every tenant instead.
+        let dir =
+            std::env::temp_dir().join(format!("autosens-serve-legacy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let keys: Vec<TenantKey> = (0..3)
+            .map(|i| TenantKey::new("svc", format!("r{i}")).unwrap())
+            .collect();
+        let reg = distinct_tenants(&keys);
+        let expected = checkpoints(&reg, &keys);
+        assert_eq!(reg.checkpoint_all(&dir).unwrap(), 1);
+        let gen1 = dir.join("gen-1");
+        let text = std::fs::read_to_string(manifest_path(&dir)).unwrap();
+        let mut manifest: Manifest = serde_json::from_str(&text).unwrap();
+        for entry in &mut manifest.tenants {
+            let legacy = format!("{}__{}.ckpt.json", entry.service, entry.region);
+            std::fs::rename(gen1.join(&entry.file), gen1.join(&legacy)).unwrap();
+            entry.file = legacy;
+        }
+        let text = serde_json::to_string_pretty(&manifest).unwrap();
+        std::fs::write(manifest_path(&dir), text).unwrap();
+
+        let legacy = Registry::restore(&dir, small_config(), 1024, Recorder::disabled()).unwrap();
+        assert_eq!(checkpoints(&legacy, &keys), expected);
+        assert_eq!(legacy.checkpoint_all(&dir).unwrap(), 2);
+        for key in &keys {
+            let file = format!("{}.ckpt.json", key.file_stem());
+            assert!(dir.join("gen-2").join(file).is_file(), "{}", key.label());
+        }
+        let restored = Registry::restore(&dir, small_config(), 1024, Recorder::disabled()).unwrap();
+        assert_eq!(checkpoints(&restored, &keys), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -57,11 +57,10 @@ impl TenantKey {
         format!("{}/{}", self.service, self.region)
     }
 
-    /// The checkpoint file stem (`service__region`; labels cannot contain
-    /// `_` doubled ambiguity because the pair is re-read from the
-    /// manifest, never parsed back out of the file name).
+    /// The checkpoint file stem, `service+region`. `+` is outside the
+    /// label alphabet, so distinct keys never share a file.
     pub fn file_stem(&self) -> String {
-        format!("{}__{}", self.service, self.region)
+        format!("{}+{}", self.service, self.region)
     }
 
     /// Which of `n` registry shards owns this key (FNV-1a over both
@@ -109,6 +108,6 @@ mod tests {
     fn label_forms() {
         let k = TenantKey::new("mail", "eu").unwrap();
         assert_eq!(k.label(), "mail/eu");
-        assert_eq!(k.file_stem(), "mail__eu");
+        assert_eq!(k.file_stem(), "mail+eu");
     }
 }

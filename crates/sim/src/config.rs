@@ -17,7 +17,8 @@ pub enum Scenario {
     /// two simulated months (Jan 1 – Feb 28), a population large enough for
     /// smooth preference curves out to ~2 s latency.
     Default,
-    /// A larger population for the benches that sweep generator throughput.
+    /// A larger population, for large-log runs (`generate --scenario
+    /// paper-scale`).
     PaperScale,
 }
 

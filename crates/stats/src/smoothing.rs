@@ -1,4 +1,4 @@
-//! Simple smoothing baselines used in the ablation benches against the
+//! Simple smoothing baselines the ablation tests compare against the
 //! Savitzky–Golay filter: a centered moving average and a median filter.
 
 use crate::error::{invalid, StatsError};

@@ -1,5 +1,4 @@
-//! Quality ablations for the design choices in DESIGN.md §6 (the runtime
-//! counterparts live in `crates/bench/benches/ablations.rs`):
+//! Quality ablations for the design choices in DESIGN.md §6:
 //!
 //! * the user *sensing model* — recovery must survive the behaviourally
 //!   realistic EMA model, not just the oracle;
