@@ -18,8 +18,11 @@ usage:
                     [--profile] [--trace-out PATH] [--metrics-out PATH]
   autosens diagnose --in <path> [--format csv|jsonl]
   autosens alpha    --in <path> [--format csv|jsonl] [--action A] [--class C]
-  autosens abandonment --in <path> [--format csv|jsonl] [--class C] [--gap MS]
+                    [--period P] [--month M] [--tz HOURS]
+  autosens abandonment --in <path> [--format csv|jsonl] [--action A] [--class C]
+                    [--period P] [--month M] [--tz HOURS] [--gap MS]
   autosens report   --in <path> [--format csv|jsonl] [--action A] [--class C]
+                    [--period P] [--month M] [--tz HOURS]
   autosens audit    --in <path> [--format csv|jsonl] [--json] [--metrics-out PATH]
   autosens inject   --in <path> --plan <plan.json> --out <path> [--format csv|jsonl]
   autosens watch    --in <path> [--format csv|jsonl] [--action A] [--class C]
@@ -40,6 +43,9 @@ usage:
   autosens query    --addr ADDR --path /tenant/<service>/<region>/curve
 
   global:  [--quiet|-q] [--verbose|-v]
+
+  Each subcommand accepts only the flags listed for it (plus the global
+  ones); any other flag is an error.
 
   serve listens for agent pushes on --listen (TCP `host:port`, or a unix
   socket when the address contains `/`) and answers HTTP GETs on --http
@@ -319,54 +325,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             .map(|s| s.as_str())
     };
     let has = |name: &str| rest.iter().any(|a| a.as_str() == name);
-    let known_flags: &[&str] = &[
-        "--scenario",
-        "--out",
-        "--format",
-        "--seed",
-        "--in",
-        "--action",
-        "--class",
-        "--period",
-        "--month",
-        "--tz",
-        "--no-alpha",
-        "--reference",
-        "--ci",
-        "--gap",
-        "--json",
-        "--plan",
-        "--profile",
-        "--trace-out",
-        "--metrics-out",
-        "--threads",
-        "--every-events",
-        "--every-ms",
-        "--until-eof",
-        "--shard-ms",
-        "--lateness-ms",
-        "--checkpoint",
-        "--resume",
-        "--detect",
-        "--half-life",
-        "--status-out",
-        "--listen",
-        "--http",
-        "--checkpoint-dir",
-        "--ready-file",
-        "--capacity",
-        "--to",
-        "--service",
-        "--region",
-        "--batch",
-        "--retries",
-        "--backoff-ms",
-        "--no-commit",
-        "--addr",
-        "--path",
-        "--quiet",
-        "--verbose",
-    ];
     // Boolean flags take no value token.
     let is_boolean = |a: &str| {
         matches!(
@@ -378,43 +336,39 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 | "--resume"
                 | "--detect"
                 | "--no-commit"
-                | "--quiet"
-                | "--verbose"
+                | "--loss-correct"
         )
     };
-    // Reject unknown flags early (typos must not be silently ignored).
+    // Reject every flag the subcommand does not read, so a typo or another
+    // subcommand's flag is never silently ignored.
+    let accepted = flags_of(sub).ok_or_else(|| format!("unknown subcommand {sub:?}"))?;
     let mut skip_next = false;
     for a in &rest {
         if skip_next {
             skip_next = false;
             continue;
         }
-        if matches!(a.as_str(), "-q" | "-v") {
-            // Short verbosity aliases, valid anywhere.
-            continue;
-        }
-        if a.starts_with("--loss-correct") {
-            // Boolean flag with an optional inline value.
-            match a.as_str() {
-                "--loss-correct" | "--loss-correct=on" | "--loss-correct=off" => continue,
-                other => {
-                    return Err(format!(
-                        "bad value for --loss-correct: {other:?} (use --loss-correct[=on|off])"
-                    ))
-                }
+        let a = a.as_str();
+        let name = match a {
+            // Verbosity is valid anywhere.
+            "--quiet" | "-q" | "--verbose" | "-v" => continue,
+            // `--loss-correct` is boolean with an optional inline value.
+            "--loss-correct=on" | "--loss-correct=off" => "--loss-correct",
+            _ if a.starts_with("--loss-correct=") => {
+                return Err(format!(
+                    "bad value for --loss-correct: {a:?} (use --loss-correct[=on|off])"
+                ))
             }
-        }
-        if a.starts_with("--") {
-            if !known_flags.contains(&a.as_str()) {
-                return Err(format!("unknown flag {a}"));
-            }
-            // Flags with values consume the next token.
-            if !is_boolean(a.as_str()) {
-                skip_next = true;
-            }
-        } else {
+            _ => a,
+        };
+        if !name.starts_with("--") {
             return Err(format!("unexpected argument {a:?}"));
         }
+        if !accepted.contains(&name) {
+            return Err(format!("flag {name} is not valid for {sub}"));
+        }
+        // Flags with values consume the next token.
+        skip_next = !is_boolean(name);
     }
 
     let format = match flag("--format") {
@@ -694,6 +648,47 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }),
         other => Err(format!("unknown subcommand {other:?}")),
     }
+}
+
+/// The flags subcommand `sub` reads, besides the global verbosity flags;
+/// `None` for an unknown subcommand.
+fn flags_of(sub: &str) -> Option<Vec<&'static str>> {
+    const INPUT: &[&str] = &["--in", "--format"];
+    const SLICE: &[&str] = &["--action", "--class", "--period", "--month", "--tz"];
+    const ANALYSIS: &[&str] = &["--no-alpha", "--loss-correct", "--reference", "--threads"];
+    const PROFILE: &[&str] = &["--profile", "--trace-out", "--metrics-out"];
+    let groups: &[&[&str]] = match sub {
+        "generate" => &[&["--scenario", "--out", "--format", "--seed", "--threads"]],
+        "convert" => &[INPUT, &["--out", "--shard-ms"]],
+        "analyze" => &[INPUT, SLICE, ANALYSIS, PROFILE, &["--ci", "--json"]],
+        "diagnose" => &[INPUT],
+        "alpha" | "report" => &[INPUT, SLICE],
+        "abandonment" => &[INPUT, SLICE, &["--gap"]],
+        "audit" => &[INPUT, &["--json", "--metrics-out"]],
+        "inject" => &[INPUT, &["--plan", "--out"]],
+        "watch" => &[
+            INPUT,
+            SLICE,
+            ANALYSIS,
+            PROFILE,
+            &["--json", "--every-events", "--every-ms", "--until-eof"],
+            &["--shard-ms", "--lateness-ms", "--checkpoint", "--resume"],
+            &["--detect", "--half-life", "--status-out"],
+        ],
+        "serve" => &[
+            ANALYSIS,
+            &["--listen", "--http", "--checkpoint-dir", "--resume"],
+            &["--ready-file", "--shard-ms", "--lateness-ms", "--capacity"],
+        ],
+        "agent" => &[
+            INPUT,
+            &["--to", "--service", "--region", "--batch", "--retries"],
+            &["--backoff-ms", "--no-commit"],
+        ],
+        "query" => &[&["--addr", "--path"]],
+        _ => return None,
+    };
+    Some(groups.concat())
 }
 
 /// Extract the output verbosity from an argument vector. Independent of
@@ -1254,6 +1249,37 @@ mod tests {
         assert!(parse(&sv(&["analyze", "--in", "x", "stray"])).is_err());
         assert!(parse(&sv(&["generate", "--out", "x", "--scenario", "huge"])).is_err());
         assert!(parse(&sv(&["analyze", "--in", "x", "--threads", "many"])).is_err());
+        // Another subcommand's flag is refused, not ignored.
+        assert!(parse(&sv(&["serve", "--checkpoint", "ck.json"])).is_err());
+        assert!(parse(&sv(&["watch", "--in", "x", "--checkpoint-dir", "d"])).is_err());
+        let stray = sv(&[
+            "analyze",
+            "--in",
+            "x",
+            "--resume",
+            "--listen",
+            "a",
+            "--no-commit",
+        ]);
+        let err = parse(&stray).unwrap_err();
+        assert_eq!(err, "flag --resume is not valid for analyze");
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_subcommand_accepts() {
+        let usage = USAGE.split("global:").next().unwrap();
+        for block in usage.split("  autosens ").skip(1) {
+            let sub = block.split_whitespace().next().unwrap();
+            let mut listed: Vec<&str> = block
+                .split(|c: char| c.is_whitespace() || "[]|=".contains(c))
+                .filter(|t| t.starts_with("--"))
+                .collect();
+            listed.sort_unstable();
+            listed.dedup();
+            let mut accepted = flags_of(sub).unwrap();
+            accepted.sort_unstable();
+            assert_eq!(listed, accepted, "{sub}");
+        }
     }
 
     #[test]

@@ -262,34 +262,6 @@ pub fn alpha_vs_reference(
     (per_bin, mean)
 }
 
-/// Precision-weighted variant of [`alpha_vs_reference`]: each bin's α is
-/// weighted by the inverse of its (delta-method) relative variance,
-/// `1 / (1/c_g + 1/c_r + 1/u_g + 1/u_r)`, so sparsely populated bins no
-/// longer dominate the average with their noise. An extension beyond the
-/// paper (which averages uniformly); enabled by
-/// [`crate::config::AutoSensConfig::alpha_precision_weighting`].
-pub fn alpha_vs_reference_weighted(
-    c_g: &[f64],
-    u_g: &[f64],
-    c_r: &[f64],
-    u_r: &[f64],
-    min_c: f64,
-    min_u: f64,
-) -> (Vec<Option<f64>>, Option<f64>) {
-    let (per_bin, _) = alpha_vs_reference(c_g, u_g, c_r, u_r, min_c, min_u);
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (i, a) in per_bin.iter().enumerate() {
-        if let Some(a) = a {
-            let w = 1.0 / (1.0 / c_g[i] + 1.0 / c_r[i] + 1.0 / u_g[i] + 1.0 / u_r[i]);
-            num += w * a;
-            den += w;
-        }
-    }
-    let mean = if den > 0.0 { Some(num / den) } else { None };
-    (per_bin, mean)
-}
-
 /// The per-cell action partition behind α estimation: one biased (count)
 /// histogram and one action counter per **loss cell** (local hour ×
 /// day kind × user class — [`autosens_telemetry::loss::N_LOSS_CELLS`]
@@ -356,31 +328,6 @@ impl GroupPartition {
     /// Per-cell action counts, indexed by loss-cell id.
     pub fn cell_actions(&self) -> &[u64] {
         &self.cell_actions
-    }
-
-    /// Install cell `i`'s histogram and action count (checkpoint restore).
-    /// Errors when `i` is out of range or the histogram's grid is not the
-    /// partition's.
-    pub fn set_cell(
-        &mut self,
-        i: usize,
-        histogram: Histogram,
-        actions: u64,
-    ) -> Result<(), AutoSensError> {
-        if i >= self.cells.len() {
-            return Err(AutoSensError::Internal(format!(
-                "cell index {i} out of range ({} cells)",
-                self.cells.len()
-            )));
-        }
-        if histogram.binner() != &self.binner {
-            return Err(AutoSensError::Internal(format!(
-                "cell {i} histogram binner does not match the partition's"
-            )));
-        }
-        self.cells[i] = Some(Box::new(histogram));
-        self.cell_actions[i] = actions;
-        Ok(())
     }
 
     /// Loss-cell index of a record.
@@ -809,15 +756,9 @@ fn solve_alpha(
     let mut alpha_n = vec![0usize; n_groups];
     let mut per_bin_primary: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n_groups];
 
-    // Paper behavior: uniform average over bins; extension: precision
-    // weighting (see `alpha_vs_reference_weighted`).
+    // Paper behavior: a uniform average over the supported bins.
     let estimate = |g: usize, r: usize| {
-        let f = if cfg.alpha_precision_weighting {
-            alpha_vs_reference_weighted
-        } else {
-            alpha_vs_reference
-        };
-        f(
+        alpha_vs_reference(
             biased[g].counts(),
             unbiased[g].counts(),
             biased[r].counts(),
@@ -1002,33 +943,6 @@ mod tests {
             0.0,
         );
         assert_eq!(mean, None);
-    }
-
-    #[test]
-    fn precision_weighting_discounts_sparse_bins() {
-        // Bin 0 is sparse (tiny counts, alpha badly off); bin 1 is dense
-        // (huge counts, alpha correct at 0.5). The uniform mean is pulled
-        // toward the sparse bin's value; the weighted mean is not.
-        let c_g = [6.0, 5_000.0];
-        let u_g = [100.0, 10_000.0];
-        let c_r = [2.0, 10_000.0];
-        let u_r = [100.0, 10_000.0];
-        let (_, uniform) = alpha_vs_reference(&c_g, &u_g, &c_r, &u_r, 1.0, 1.0);
-        let (_, weighted) = alpha_vs_reference_weighted(&c_g, &u_g, &c_r, &u_r, 1.0, 1.0);
-        // True dense-bin alpha is 0.5; sparse bin says 3.0.
-        let uniform = uniform.unwrap();
-        let weighted = weighted.unwrap();
-        assert!((uniform - 1.75).abs() < 1e-9, "uniform = {uniform}");
-        assert!((weighted - 0.5).abs() < 0.01, "weighted = {weighted}");
-    }
-
-    #[test]
-    fn precision_weighting_matches_uniform_on_balanced_bins() {
-        let c = [500.0, 500.0, 500.0];
-        let u = [300.0, 300.0, 300.0];
-        let (_, a) = alpha_vs_reference(&c, &u, &c, &u, 1.0, 1.0);
-        let (_, b) = alpha_vs_reference_weighted(&c, &u, &c, &u, 1.0, 1.0);
-        assert!((a.unwrap() - b.unwrap()).abs() < 1e-12);
     }
 
     #[test]

@@ -52,12 +52,6 @@ pub struct AutoSensConfig {
     /// weekdays. Off by default, matching the paper's hour-of-day slots.
     #[serde(default)]
     pub weekday_weekend_slots: bool,
-    /// Weight per-bin α values by their estimated precision when averaging
-    /// across latency bins, instead of the paper's uniform average. Cuts
-    /// the α noise of sparsely populated slots; off by default to match
-    /// the paper exactly.
-    #[serde(default)]
-    pub alpha_precision_weighting: bool,
     /// Worker threads for the data-parallel stages (sanitize, α partition,
     /// unbiased draws, bootstrap replicates). `0` means "all available
     /// cores". The analysis output is bit-identical for every value: chunk
@@ -95,7 +89,6 @@ impl Default for AutoSensConfig {
             seed: 0x5E_ED_00,
             slot_tz_offset_ms: 0,
             weekday_weekend_slots: false,
-            alpha_precision_weighting: false,
             threads: 0,
             loss_correct: true,
         }

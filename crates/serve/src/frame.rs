@@ -19,6 +19,11 @@
 //!                    [u64 user][u8 class][i64 tz_offset_ms][u8 outcome]
 //! ```
 //!
+//! A BATCH whose records include one a log would refuse (an enum code out
+//! of range, a latency that is not finite and non-negative, a timezone
+//! offset beyond ±14 h) fails to decode as a whole, so the gateway answers
+//! ERROR and none of its records reaches a tenant.
+//!
 //! A gateway ACKs every HELLO, BATCH, and COMMIT (for COMMIT, only after
 //! the checkpoint has been renamed into place), so an agent that has seen
 //! its COMMIT ACK knows the pushed records survive a gateway kill.
@@ -163,15 +168,23 @@ pub fn encode_record(buf: &mut Vec<u8>, r: &ActionRecord) {
     buf.push(r.outcome.code());
 }
 
+/// Decode one wire row, refusing an enum code out of range (`from_code`
+/// would panic).
 fn decode_record(c: &mut Cursor<'_>) -> Result<ActionRecord, ServeError> {
+    let (time, action, latency_ms, user) = (c.i64()?, c.u8()?, c.f64()?, c.u64()?);
+    let (class, tz_offset_ms, outcome) = (c.u8()?, c.i64()?, c.u8()?);
+    if action > 4 || class > 1 || outcome > 1 {
+        let codes = format!("action {action}, class {class}, outcome {outcome}");
+        return Err(ServeError::Protocol(format!("code out of range: {codes}")));
+    }
     Ok(ActionRecord {
-        time: SimTime(c.i64()?),
-        action: ActionType::from_code(c.u8()?),
-        latency_ms: c.f64()?,
-        user: UserId(c.u64()?),
-        class: UserClass::from_code(c.u8()?),
-        tz_offset_ms: c.i64()?,
-        outcome: Outcome::from_code(c.u8()?),
+        time: SimTime(time),
+        action: ActionType::from_code(action),
+        latency_ms,
+        user: UserId(user),
+        class: UserClass::from_code(class),
+        tz_offset_ms,
+        outcome: Outcome::from_code(outcome),
     })
 }
 
@@ -230,6 +243,13 @@ impl Frame {
                 let mut records = Vec::with_capacity(n);
                 for _ in 0..n {
                     records.push(decode_record(&mut c)?);
+                }
+                // Refuse whatever a log would refuse. A pass of its own
+                // keeps the decode loop tight: validating inside it made
+                // a 64-record batch decode about 1.5x slower.
+                for r in &records {
+                    r.validate()
+                        .map_err(|e| ServeError::Protocol(e.to_string()))?;
                 }
                 Frame::Batch { tenant, records }
             }
@@ -359,6 +379,42 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&(u32::MAX).to_le_bytes());
         assert!(read_frame(&mut &wire[..]).is_err());
+    }
+
+    #[test]
+    fn rejects_records_that_fail_validation() {
+        let tenant = TenantKey::new("s", "r").unwrap();
+        let batch = |r| {
+            let records = vec![rec(1, 2.0), r];
+            Frame::Batch {
+                tenant: tenant.clone(),
+                records,
+            }
+            .encode()
+        };
+        let good = batch(rec(2, 3.0));
+        assert!(Frame::decode(&good).is_ok());
+        // One past the last action, class and outcome code, in the last row.
+        let row = good.len() - RECORD_WIRE_BYTES;
+        let mut bad: Vec<Vec<u8>> = [(8, 5u8), (25, 2), (34, 2)]
+            .map(|(at, code)| {
+                let mut bytes = good.clone();
+                bytes[row + at] = code;
+                bytes
+            })
+            .into();
+        let bad_tz = ActionRecord {
+            tz_offset_ms: i64::MAX,
+            ..rec(2, 3.0)
+        };
+        bad.extend([rec(2, f64::NAN), rec(2, -1.0), bad_tz].map(batch));
+        for bytes in bad {
+            let decoded = Frame::decode(&bytes);
+            assert!(
+                matches!(decoded, Err(ServeError::Protocol(_))),
+                "{decoded:?}"
+            );
+        }
     }
 
     #[test]

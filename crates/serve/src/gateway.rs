@@ -316,6 +316,41 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_holding_an_invalid_record_is_refused_whole() {
+        let dir = std::env::temp_dir().join(format!("autosens-gw-invalid-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = GatewayConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..GatewayConfig::default()
+        };
+        let gw = Gateway::new(config.clone(), Recorder::disabled()).unwrap();
+        let tenant = TenantKey::new("mail", "eu").unwrap();
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        let batch = |records| Frame::Batch {
+            tenant: tenant.clone(),
+            records,
+        };
+        let good = (0..3).map(|i| rec(i, 10.0 + i as f64)).collect();
+        let bad = vec![rec(3, 13.0), rec(4, f64::NAN)];
+        let replies = roundtrip(&gw, &[hello.clone(), batch(good), batch(bad)]);
+        let acks = [Frame::Ack { records: 0 }, Frame::Ack { records: 3 }];
+        assert_eq!(replies[..2], acks, "{replies:?}");
+        assert!(matches!(replies[2..], [Frame::Error { .. }]), "{replies:?}");
+        // A later COMMIT writes a generation that restores and holds
+        // only the good batch.
+        assert_eq!(
+            roundtrip(&gw, &[hello, Frame::Commit]),
+            vec![acks[0].clone(); 2]
+        );
+        let restored = Registry::restore(&dir, config.stream, 1024, Recorder::disabled()).unwrap();
+        let events = restored.with_tenant(&tenant, |t| t.engine.status().events);
+        assert_eq!(events.unwrap(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn wrong_version_gets_an_error() {
         let gw = Gateway::new(GatewayConfig::default(), Recorder::disabled()).unwrap();
         let replies = roundtrip(&gw, &[Frame::Hello { version: 9999 }]);

@@ -70,8 +70,6 @@ pub struct Tenant {
     /// The per-tenant bounded intake queue (Block policy: the gateway
     /// drains inline when an offer reports full, so nothing sheds).
     pub ingestor: Ingestor,
-    /// Records routed to this tenant since creation or restore.
-    pub records: u64,
     /// `(events, generation)` of the checkpoint file this tenant last
     /// wrote (or was restored from): while the engine's intake event
     /// counter — the snapshot cache's dirty key — still equals `events`
@@ -222,7 +220,6 @@ impl Registry {
                 OverflowPolicy::Block,
                 self.recorder.clone(),
             ),
-            records: 0,
             ckpt_file: None,
         }));
         shard.insert(key.clone(), tenant.clone());
@@ -247,7 +244,6 @@ impl Registry {
                     Offer::Full => t.drain()?,
                 }
             }
-            t.records += 1;
         }
         self.recorder
             .metrics()
@@ -481,7 +477,6 @@ impl Registry {
                     OverflowPolicy::Block,
                     recorder.clone(),
                 ),
-                records: 0,
                 ckpt_file,
             }));
             registry.shards[key.shard(REGISTRY_SHARDS)]
@@ -590,7 +585,6 @@ mod tests {
         reg.ingest(&key, &records).unwrap();
         let tenant = reg.get(&key).unwrap();
         let t = tenant.lock();
-        assert_eq!(t.records, 100);
         assert_eq!(t.ingestor.shed(), 0);
         assert_eq!(
             t.engine.status().events + t.ingestor.queue_depth() as u64,

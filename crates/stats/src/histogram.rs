@@ -91,37 +91,6 @@ impl Histogram {
         h
     }
 
-    /// Reassemble a histogram from previously extracted state — the
-    /// inverse of reading [`Histogram::counts`] / [`Histogram::total`] /
-    /// [`Histogram::n_recorded`] / [`Histogram::n_discarded`], used to
-    /// rehydrate checkpointed partial aggregates. Errors when the counts
-    /// length does not match the binner's bin count.
-    pub fn from_parts(
-        binner: Binner,
-        counts: Vec<f64>,
-        total: f64,
-        n_recorded: u64,
-        n_discarded: u64,
-    ) -> Result<Self, StatsError> {
-        if counts.len() != binner.n_bins() {
-            return Err(StatsError::InvalidParameter {
-                name: "counts",
-                reason: format!(
-                    "length {} does not match {} bins",
-                    counts.len(),
-                    binner.n_bins()
-                ),
-            });
-        }
-        Ok(Histogram {
-            binner,
-            counts,
-            total,
-            n_recorded,
-            n_discarded,
-        })
-    }
-
     /// The binner underlying this histogram.
     pub fn binner(&self) -> &Binner {
         &self.binner

@@ -701,12 +701,11 @@ impl StreamEngine {
         Ok(report)
     }
 
-    /// Serialize the engine's durable state. The rows are the state of
-    /// record, sliced out of the store shard by shard; the cached
-    /// plan-layer partials ride along and are cross-validated against the
-    /// rows on restore (see [`crate::checkpoint`]). `source_offset` is the
-    /// tailed file's checkpointed byte offset (pass 0 when not tailing a
-    /// file).
+    /// Serialize the engine's durable state: the intake counters and the
+    /// rows, sliced out of the store shard by shard. Shard partials are
+    /// derived from the rows, so they stay in memory (see
+    /// [`crate::checkpoint`]). `source_offset` is the tailed file's
+    /// checkpointed byte offset (pass 0 when not tailing a file).
     pub fn checkpoint(&self, source_offset: u64) -> crate::checkpoint::Checkpoint {
         self.flight.record(
             FlightKind::CheckpointSaved,
@@ -735,16 +734,17 @@ impl StreamEngine {
                     Some(crate::checkpoint::ShardCheckpoint {
                         bucket,
                         records: rows.map(|i| self.store.get(i)).collect(),
-                        partials: Some(crate::checkpoint::ShardPartials::capture(shard)),
                     })
                 })
                 .collect(),
         }
     }
 
-    /// Rebuild an engine from a checkpoint, resuming mid-flight. The
-    /// slice is not serialized (it can hold arbitrary user sets); the
-    /// caller re-supplies the slice it checkpointed under.
+    /// Rebuild an engine from a checkpoint, resuming mid-flight: every
+    /// record is validated ([`ActionRecord::validate`]) and each shard is
+    /// refolded from its records. The slice is not serialized (it can
+    /// hold arbitrary user sets); the caller re-supplies the slice it
+    /// checkpointed under.
     pub fn restore(
         checkpoint: crate::checkpoint::Checkpoint,
         slice: Slice,
@@ -758,34 +758,19 @@ impl StreamEngine {
         // shard's rows are sorted and inside their bucket (checked
         // below), so appending shard by shard keeps the store sorted.
         for sc in checkpoint.shards {
-            for w in sc.records.windows(2) {
-                if w[1].time < w[0].time {
-                    return Err(StreamError::Corrupt(format!(
-                        "shard {} records are not time-sorted",
-                        sc.bucket
-                    )));
+            let corrupt = |detail| StreamError::Corrupt(format!("shard {}: {detail}", sc.bucket));
+            for (i, r) in sc.records.iter().enumerate() {
+                r.validate().map_err(|e| corrupt(e.to_string()))?;
+                if i > 0 && r.time < sc.records[i - 1].time {
+                    return Err(corrupt("records are not time-sorted".into()));
                 }
-            }
-            for r in &sc.records {
-                let bucket = r.time.millis().div_euclid(engine.config.shard_ms);
-                if bucket != sc.bucket {
-                    return Err(StreamError::Corrupt(format!(
-                        "record at {} ms does not belong to shard {}",
-                        r.time.millis(),
-                        sc.bucket
-                    )));
+                if r.time.millis().div_euclid(engine.config.shard_ms) != sc.bucket {
+                    let at = r.time.millis();
+                    return Err(corrupt(format!("record at {at} ms is outside the shard")));
                 }
-            }
-            // Checkpointed partials skip the per-record refold — but only
-            // after validating their totals against the records; absent
-            // partials (pre-partials checkpoints) rebuild from records.
-            let shard = match &sc.partials {
-                Some(p) => p.restore(sc.bucket, sc.records.len(), &engine.binner)?,
-                None => Shard::rebuild(&sc.records, &engine.binner),
-            };
-            for r in &sc.records {
                 engine.store.push(r);
             }
+            let shard = Shard::rebuild(&sc.records, &engine.binner);
             shard.merge_hours_into(&mut engine.hour_counts);
             engine.shards.insert(sc.bucket, shard);
         }

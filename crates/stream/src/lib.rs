@@ -37,7 +37,7 @@ pub mod ingest;
 mod shard;
 pub mod status;
 
-pub use checkpoint::{CellPartial, Checkpoint, ShardCheckpoint, ShardPartials, CHECKPOINT_VERSION};
+pub use checkpoint::{Checkpoint, ShardCheckpoint, CHECKPOINT_VERSION};
 pub use detector::{DetectorConfig, RegimeShift};
 pub use engine::{Ingest, StreamConfig, StreamEngine, StreamStatus};
 pub use error::StreamError;
@@ -313,60 +313,43 @@ mod tests {
     }
 
     #[test]
-    fn tampered_checkpoint_partials_are_rejected_and_absent_ones_rebuild() {
+    fn a_stale_partials_member_is_ignored_on_restore() {
         let log = smoke_log();
         let mut engine = StreamEngine::new(stream_config(), Slice::all()).expect("engine");
         for r in log.iter() {
             engine.push(r);
         }
-        let mut ck = engine.checkpoint(0);
-        let partials = ck.shards[0]
-            .partials
-            .as_mut()
-            .expect("checkpoints carry partials");
-        partials
-            .cells
-            .first_mut()
-            .expect("non-empty cell partials")
-            .actions += 1;
-        let err = StreamEngine::restore(ck, Slice::all(), Recorder::disabled());
-        assert!(matches!(err, Err(StreamError::Corrupt(_))));
-
-        // A second entry for a cell must not overwrite the first: here an
-        // emptied copy of cell 0 whose totals still add up shard-wide.
-        let mut ck = engine.checkpoint(0);
-        let cells = &mut ck.shards[0].partials.as_mut().unwrap().cells;
-        let mut emptied = cells[0].clone();
-        emptied.recorded = 0;
-        emptied.discarded = 0;
-        emptied.total = 0.0;
-        emptied.bins.clear();
-        cells.push(emptied);
-        let err = StreamEngine::restore(ck, Slice::all(), Recorder::disabled());
-        assert!(matches!(err, Err(StreamError::Corrupt(_))));
-
-        // Actions moved between two cells keep every shard-wide total
-        // but break each cell's actions == recorded + discarded.
-        let mut ck = engine.checkpoint(0);
-        let cells = &mut ck.shards[0].partials.as_mut().unwrap().cells;
-        assert!(cells.len() >= 2 && cells[1].actions > 0);
-        cells[0].actions += 1;
-        cells[1].actions -= 1;
-        let err = StreamEngine::restore(ck, Slice::all(), Recorder::disabled());
-        assert!(matches!(err, Err(StreamError::Corrupt(_))));
-
-        // Absent partials (pre-partials checkpoints) rebuild from the
-        // records and still restore bit-identically.
-        let mut ck = engine.checkpoint(0);
-        for shard in &mut ck.shards {
-            shard.partials = None;
-        }
+        let json = engine.checkpoint(0).to_json().expect("serialize");
+        // The shard member older builds wrote, disagreeing with the records.
+        let stale = r#""partials": {"hour_counts": [1], "loss": {"days": []}, "cells": [
+            {"cell": 7, "actions": 9, "recorded": 1, "discarded": 0, "total": 1.0, "bins": []}]},
+          "records": ["#;
+        let tampered = json.replacen(r#""records": ["#, stale, 1);
+        assert_ne!(tampered, json, "the shard member was not planted");
+        let ck = Checkpoint::from_json(&tampered).expect("parse");
         let restored =
             StreamEngine::restore(ck, Slice::all(), Recorder::disabled()).expect("restore");
+        assert_eq!(restored.checkpoint(0).to_json().expect("serialize"), json);
+        assert_eq!(engine.status(), restored.status());
         let a = engine.snapshot().expect("original snapshot");
         let b = restored.snapshot().expect("restored snapshot");
         assert_reports_identical(&a, &b);
-        assert_eq!(engine.status(), restored.status());
+    }
+
+    #[test]
+    fn a_checkpointed_record_that_fails_validation_is_rejected() {
+        let mut engine = StreamEngine::new(stream_config(), Slice::all()).expect("engine");
+        for r in smoke_log().iter().take(100) {
+            engine.push(r);
+        }
+        let mut ck = engine.checkpoint(0);
+        ck.shards[0].records[0].tz_offset_ms = i64::MAX / 2;
+        let ck = Checkpoint::from_json(&ck.to_json().expect("serialize")).expect("parse");
+        let err = StreamEngine::restore(ck, Slice::all(), Recorder::disabled()).err();
+        assert!(
+            matches!(&err, Some(StreamError::Corrupt(m)) if m.contains("timezone")),
+            "{err:?}"
+        );
     }
 
     #[test]

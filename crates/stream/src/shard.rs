@@ -16,6 +16,10 @@
 //! Histogram counts are unit-weight (integer-valued) additions and loss
 //! counts are `u64`s, so shard-merge order cannot perturb the result: the
 //! merged partials are bit-identical to a batch rescan.
+//!
+//! The aggregates live in memory only. A checkpoint holds the rows, and
+//! restore refolds each shard from them with [`Shard::rebuild`] — the
+//! same per-record fold an insert runs.
 
 use autosens_core::PlanPartials;
 use autosens_exec::Mergeable;
@@ -39,7 +43,11 @@ pub(crate) struct Shard {
 
 impl Shard {
     pub fn new(binner: &Binner) -> Shard {
-        Shard::from_parts(0, PlanPartials::empty(binner), [0u64; 24])
+        Shard {
+            partials: PlanPartials::empty(binner),
+            hour_counts: [0u64; 24],
+            len: 0,
+        }
     }
 
     /// Number of rows held.
@@ -55,26 +63,14 @@ impl Shard {
         self.len += 1;
     }
 
-    /// Rebuild a shard's aggregates from checkpointed records (the
-    /// records are the durable state; the partials are derived).
+    /// Refold a shard from its checkpointed records — the restore path
+    /// (the records are the durable state; the partials are derived).
     pub fn rebuild(records: &[ActionRecord], binner: &Binner) -> Shard {
         let mut shard = Shard::new(binner);
         for r in records {
             shard.record(r);
         }
         shard
-    }
-
-    /// Assemble a shard from checkpointed partial aggregates, skipping the
-    /// per-record refold. The caller (checkpoint restore) is responsible
-    /// for validating that the partials actually summarize `len` records
-    /// before trusting them.
-    pub fn from_parts(len: usize, partials: PlanPartials, hour_counts: [u64; 24]) -> Shard {
-        Shard {
-            partials,
-            hour_counts,
-            len,
-        }
     }
 
     /// Fold this shard's hour counters into an accumulator.

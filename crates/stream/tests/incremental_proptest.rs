@@ -1,21 +1,27 @@
 //! Property test for the dirty-tracked incremental snapshot path: over
 //! random insert/evict/late-drop interleavings and every supported
-//! thread count, three ways of analyzing the live window must agree
+//! thread count, four ways of analyzing the live window must agree
 //! **byte-for-byte** (compared as serialized `PreferenceSummary` JSON,
 //! the same document the serve plane's `/curve` endpoint returns):
 //!
-//! 1. the incremental engine — snapshots taken mid-stream so later
-//!    snapshots reuse the cached store prefix and merged partials;
+//! 1. the incremental engine — snapshotted mid-stream, so every later
+//!    snapshot replaces a cached report and merges shard partials kept
+//!    up to date across earlier snapshots — checkpointed at a drawn
+//!    arrival;
 //! 2. a cold engine fed the identical arrival sequence and snapshotted
 //!    once at the end (full recompute);
-//! 3. the batch plan entry point over the live window's records.
+//! 3. the batch plan entry point over the live window's records;
+//! 4. an engine restored from that checkpoint, round-tripped through
+//!    JSON, then fed the remaining arrivals — the restore path refolds
+//!    every shard from its checkpointed records.
 //!
 //! A zero-dirty double snapshot (no events in between) must also return
 //! the cached report verbatim.
 
 use autosens_core::report::{default_grid, PreferenceSummary};
 use autosens_core::{AnalysisPlan, AutoSensConfig, PlanInput, RunOptions};
-use autosens_stream::{StreamConfig, StreamEngine};
+use autosens_obs::Recorder;
+use autosens_stream::{Checkpoint, StreamConfig, StreamEngine};
 use autosens_telemetry::log::TelemetryLog;
 use autosens_telemetry::query::Slice;
 use autosens_telemetry::record::{ActionRecord, ActionType, Outcome, UserClass, UserId};
@@ -106,13 +112,19 @@ proptest! {
     fn incremental_equals_full_recompute_equals_batch(
         arrivals in prop::collection::vec(arrival(), 40..220),
         snapshot_every in 7usize..40,
+        cut in 0usize..220,
     ) {
+        let cut = cut % arrivals.len();
         for threads in [1usize, 2, 4, 8] {
-            // 1. Incremental: snapshot mid-stream so the final snapshot
-            //    reuses a cached prefix and merged per-shard partials.
+            // 1. Incremental: snapshot mid-stream, so the final snapshot
+            //    follows cached reports over the same shard partials.
             let mut engine =
                 StreamEngine::new(stream_config(threads), Slice::all()).expect("engine");
+            let mut cut_json = String::new();
             for (i, a) in arrivals.iter().enumerate() {
+                if i == cut {
+                    cut_json = engine.checkpoint(0).to_json().expect("checkpoint serialization");
+                }
                 engine.push(to_record(a));
                 if i % snapshot_every == snapshot_every - 1 {
                     let _ = engine.snapshot();
@@ -143,13 +155,25 @@ proptest! {
             let batch = AnalysisPlan::new(stream_config(threads).analysis)
                 .run(PlanInput::log(&log), RunOptions::default());
 
-            match (incremental, full, batch) {
-                (Ok(inc), Ok(full), Ok(batch)) => {
+            // 4. Restored: the checkpoint cut before arrival `cut`, then
+            //    the remaining arrivals.
+            let ck = Checkpoint::from_json(&cut_json).expect("checkpoint parse");
+            let mut resumed =
+                StreamEngine::restore(ck, Slice::all(), Recorder::disabled()).expect("restore");
+            for a in &arrivals[cut..] {
+                resumed.push(to_record(a));
+            }
+            let restored = resumed.snapshot();
+
+            match (incremental, full, batch, restored) {
+                (Ok(inc), Ok(full), Ok(batch), Ok(restored)) => {
                     let inc_json = summary_json(&inc);
                     prop_assert_eq!(&inc_json, &summary_json(&full),
                         "incremental vs full recompute diverged (threads={})", threads);
                     prop_assert_eq!(&inc_json, &summary_json(&batch.report),
                         "incremental vs batch diverged (threads={})", threads);
+                    prop_assert_eq!(&inc_json, &summary_json(&restored),
+                        "incremental vs restored diverged (threads={}, cut={})", threads, cut);
 
                     // Zero dirty shards: a second snapshot with no new
                     // events must serve the cached report verbatim.
@@ -158,13 +182,14 @@ proptest! {
                     prop_assert_eq!(&inc_json, &summary_json(&again),
                         "cached report diverged (threads={})", threads);
                 }
-                (inc, full, batch) => {
+                (inc, full, batch, restored) => {
                     // Degenerate windows (too little data) must fail the
                     // same way on every path, never succeed on one.
                     let msgs = [
                         inc.err().map(|e| e.to_string()),
                         full.err().map(|e| e.to_string()),
                         batch.err().map(|e| e.to_string()),
+                        restored.err().map(|e| e.to_string()),
                     ];
                     prop_assert!(
                         msgs.iter().all(|m| m.is_some()),
@@ -174,6 +199,7 @@ proptest! {
                     );
                     prop_assert_eq!(&msgs[0], &msgs[1]);
                     prop_assert_eq!(&msgs[0], &msgs[2]);
+                    prop_assert_eq!(&msgs[0], &msgs[3]);
                 }
             }
         }
