@@ -121,6 +121,28 @@ if ! diff -u tests/fixtures/golden_analyze.json "$SMOKE_DIR/golden_report.json";
     exit 1
 fi
 
+echo "==> golden loss-corrected gate (byte-identical default --json on the pinned fixture)"
+# The default path corrects for telemetry loss: the loss estimator flags
+# cells in the golden fixture's organic day-to-day variation, so the report
+# carries a `loss` section and reweighted curves. The gate above pins only
+# the uncorrected path; this one pins the corrected path's bytes, so a
+# change to the loss estimator's internals (medians, micro-cell scan) or
+# to the reweighting that moves a single bit fails here. Regenerate the
+# fixture ONLY for an intentional, reviewed behavior change:
+#   gzip -dc tests/fixtures/golden_telemetry.csv.gz > /tmp/golden.csv
+#   ./target/release/autosens analyze --in /tmp/golden.csv --json --quiet \
+#       > tests/fixtures/golden_analyze_loss.json
+./target/release/autosens analyze --in "$SMOKE_DIR/golden.csv" --json --quiet \
+    > "$SMOKE_DIR/golden_report_loss.json"
+grep -q '"loss"' "$SMOKE_DIR/golden_report_loss.json" || {
+    echo "ci.sh: default analyze of the golden fixture carries no loss section" >&2
+    exit 1
+}
+if ! diff -u tests/fixtures/golden_analyze_loss.json "$SMOKE_DIR/golden_report_loss.json"; then
+    echo "ci.sh: default (loss-corrected) analyze diverged from tests/fixtures/golden_analyze_loss.json" >&2
+    exit 1
+fi
+
 echo "==> container equivalence gate (convert + binary analyze vs text analyze)"
 # The `.asc` binary container is a pure transport: converting the golden
 # fixture and analyzing the container through the zero-parse mmap path must

@@ -33,7 +33,7 @@ use autosens_telemetry::time::{DayPeriod, MS_PER_DAY, MS_PER_HOUR};
 use crate::config::AutoSensConfig;
 use crate::error::AutoSensError;
 use crate::lossmodel::LossModel;
-use crate::unbiased::unbiased_histogram_in_windows_par;
+use crate::unbiased::{unbiased_histogram_in_cells_par, CellTable};
 
 /// How records are grouped in time for the confounder correction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -677,6 +677,9 @@ fn build_alpha_inputs<R: Rng>(
 
     let mut unbiased: Vec<Histogram> = Vec::with_capacity(n_groups);
     let mut target_mass = vec![0.0f64; n_groups];
+    // One table for every group: each build reuses the buffers the last
+    // one sized, instead of faulting in fresh pages per group.
+    let mut cells = CellTable::default();
     for g in 0..n_groups {
         let ideal = cfg.unbiased_draws as f64 * group_time[g] as f64 / total_time as f64;
         target_mass[g] = ideal;
@@ -687,14 +690,9 @@ fn build_alpha_inputs<R: Rng>(
         let h = if group_windows[g].is_empty() || n_actions[g] == 0 {
             Histogram::new(binner.clone())
         } else {
-            let (h, report) = unbiased_histogram_in_windows_par(
-                log,
-                binner,
-                &group_windows[g],
-                draws,
-                cfg.threads,
-                rng,
-            )?;
+            cells.build(log, &group_windows[g])?;
+            let (h, report) =
+                unbiased_histogram_in_cells_par(log, binner, &cells, draws, cfg.threads, rng)?;
             exec_reports.push(report);
             h
         };

@@ -32,6 +32,9 @@ pub enum AutoSensError {
         /// What was being computed.
         what: String,
     },
+    /// An input too large for a kernel's index width (e.g. a view with
+    /// more rows than a `u32` row index holds). Never truncated.
+    TooLarge(String),
     /// An internal failure the pipeline recovered into a typed error rather
     /// than a panic (e.g. an analysis worker thread panicked).
     Internal(String),
@@ -61,6 +64,7 @@ impl fmt::Display for AutoSensError {
             AutoSensError::NonFinite { what } => {
                 write!(f, "non-finite value while computing {what}")
             }
+            AutoSensError::TooLarge(what) => write!(f, "input too large: {what}"),
             AutoSensError::Internal(what) => write!(f, "internal failure: {what}"),
             AutoSensError::Stats(e) => write!(f, "statistics error: {e}"),
             AutoSensError::Telemetry(e) => write!(f, "telemetry error: {e}"),
@@ -128,6 +132,8 @@ mod tests {
             what: "alpha mean".into(),
         };
         assert!(e.to_string().contains("alpha mean"));
+        let e = AutoSensError::TooLarge("5000000000 rows".into());
+        assert!(e.to_string().contains("5000000000 rows"));
         let e = AutoSensError::Internal("worker panicked".into());
         assert!(e.to_string().contains("worker panicked"));
     }

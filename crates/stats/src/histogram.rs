@@ -161,6 +161,31 @@ impl Histogram {
         Ok(())
     }
 
+    /// Add integer bin counts: `counts[i]` samples of weight 1 in bin `i`,
+    /// plus `discarded` samples the binning dropped — what recording each
+    /// sample with [`Histogram::record`] would add. While every bin and the
+    /// total stay below 2^53 the sums are exact, so the result's bits do not
+    /// depend on how the samples were grouped or ordered.
+    ///
+    /// `counts` must have one entry per bin.
+    pub fn add_counts(&mut self, counts: &[u64], discarded: u64) -> Result<(), StatsError> {
+        if counts.len() != self.counts.len() {
+            return Err(crate::error::invalid(
+                "counts",
+                format!("has {} bins, histogram {}", counts.len(), self.counts.len()),
+            ));
+        }
+        let mut recorded = 0u64;
+        for (c, &k) in self.counts.iter_mut().zip(counts) {
+            *c += k as f64;
+            recorded += k;
+        }
+        self.total += recorded as f64;
+        self.n_recorded += recorded;
+        self.n_discarded += discarded;
+        Ok(())
+    }
+
     /// Normalize into a probability density function.
     ///
     /// Densities integrate to 1 over the binned range. Fails on an empty
@@ -272,6 +297,26 @@ mod tests {
         assert_eq!(a.count(2), 1.0);
         assert_eq!(a.total(), 4.0);
         assert_eq!(a.n_recorded(), 4);
+    }
+
+    #[test]
+    fn add_counts_matches_recording_each_sample() {
+        let values = [5.0, 15.0, 15.0, 95.0, -1.0, 150.0, f64::NAN, 15.0];
+        let mut want = Histogram::new(binner());
+        want.record(42.0);
+        let mut got = want.clone();
+        want.record_all(&values);
+        let mut counts = vec![0u64; 10];
+        let mut discarded = 0;
+        for &v in &values {
+            match binner().index_of(v) {
+                Some(i) => counts[i] += 1,
+                None => discarded += 1,
+            }
+        }
+        got.add_counts(&counts, discarded).unwrap();
+        assert_eq!(got, want);
+        assert!(got.add_counts(&[1, 2], 0).is_err());
     }
 
     #[test]

@@ -67,7 +67,7 @@ use autosens_core::pipeline::{AnalysisReport, DecaySpec, Degradation};
 use autosens_core::{
     AnalysisPlan, AutoSensConfig, AutoSensError, PlanInput, PlanPartials, PreparedMeta, RunOptions,
 };
-use autosens_obs::{FlightKind, FlightRecorder, Recorder};
+use autosens_obs::{Counter, FlightKind, FlightRecorder, Gauge, Recorder};
 use autosens_stats::binning::Binner;
 use autosens_telemetry::log::{ColumnStore, LogView};
 use autosens_telemetry::query::Slice;
@@ -255,6 +255,12 @@ pub struct StreamEngine {
     /// (interior mutability: snapshots take `&self`). Edge-triggers one
     /// [`FlightKind::LossGateTrip`] event per open, not one per snapshot.
     loss_gate_open: std::sync::atomic::AtomicBool,
+    /// The two series on every push's common path, resolved once:
+    /// `autosens_stream_events_total` and
+    /// `autosens_stream_watermark_lag_ms`. The rarer outcomes' series
+    /// (filtered, late, duplicate) register on their first event.
+    events_total: Counter,
+    watermark_lag: Gauge,
 }
 
 impl StreamEngine {
@@ -268,6 +274,9 @@ impl StreamEngine {
         config.validate()?;
         let binner = config.analysis.binner()?;
         let filter = slice.clone().successes();
+        let metrics = recorder.metrics();
+        let events_total = metrics.counter("autosens_stream_events_total");
+        let watermark_lag = metrics.gauge("autosens_stream_watermark_lag_ms");
         Ok(StreamEngine {
             plan: AnalysisPlan::with_recorder(config.analysis.clone(), recorder),
             config,
@@ -293,6 +302,8 @@ impl StreamEngine {
             emitted_shifts: BTreeSet::new(),
             last_shifts: Vec::new(),
             loss_gate_open: std::sync::atomic::AtomicBool::new(false),
+            events_total,
+            watermark_lag,
         })
     }
 
@@ -316,10 +327,8 @@ impl StreamEngine {
     /// outcome is always counted in the `autosens_stream_*` metrics, so
     /// degraded intake is visible, never silent.
     pub fn push(&mut self, r: ActionRecord) -> Ingest {
-        let recorder = self.plan.recorder().clone();
-        let metrics = recorder.metrics();
         self.events += 1;
-        metrics.counter("autosens_stream_events_total").inc();
+        self.events_total.inc();
 
         // Arrival-order bookkeeping mirrors batch sanitize's is_sorted
         // check on the raw input sequence (before any filtering).
@@ -332,9 +341,7 @@ impl StreamEngine {
 
         if !self.filter.matches(&r) {
             self.filtered += 1;
-            metrics
-                .counter("autosens_stream_filtered_events_total")
-                .inc();
+            self.count("autosens_stream_filtered_events_total");
             return Ingest::Filtered;
         }
 
@@ -344,24 +351,20 @@ impl StreamEngine {
             if t < watermark {
                 self.late += 1;
                 self.open_late_burst += 1;
-                metrics.counter("autosens_stream_late_events_total").inc();
+                self.count("autosens_stream_late_events_total");
                 return Ingest::Late;
             }
             self.close_late_burst(frontier);
-            metrics
-                .gauge("autosens_stream_watermark_lag_ms")
-                .set((frontier - t).max(0) as f64);
+            self.watermark_lag.set((frontier - t).max(0) as f64);
         } else {
-            metrics.gauge("autosens_stream_watermark_lag_ms").set(0.0);
+            self.watermark_lag.set(0.0);
         }
         self.max_event_time = Some(self.max_event_time.unwrap_or(t).max(t));
 
         self.records_in += 1;
         if !self.insert_row(&r) {
             self.duplicates += 1;
-            metrics
-                .counter("autosens_stream_duplicate_events_total")
-                .inc();
+            self.count("autosens_stream_duplicate_events_total");
             return Ingest::Duplicate;
         }
         self.shards
@@ -374,6 +377,12 @@ impl StreamEngine {
             self.evict_older_than(self.max_event_time.unwrap_or(t) - retain);
         }
         Ingest::Admitted
+    }
+
+    /// Bump a counter looked up by name: the outcomes that are rare enough
+    /// to register their series on first use.
+    fn count(&self, name: &str) {
+        self.plan.recorder().metrics().counter(name).inc();
     }
 
     /// Insert a row at the upper bound of its equal-timestamp run

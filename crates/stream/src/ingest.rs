@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use parking_lot::Mutex;
 
 use autosens_faults::FaultStream;
-use autosens_obs::Recorder;
+use autosens_obs::{Gauge, Recorder};
 use autosens_telemetry::record::ActionRecord;
 
 use crate::engine::{Ingest, StreamEngine};
@@ -60,6 +60,8 @@ pub struct Ingestor {
     capacity: usize,
     policy: OverflowPolicy,
     recorder: Recorder,
+    /// `autosens_stream_queue_depth`, resolved once: every offer sets it.
+    queue_depth: Gauge,
 }
 
 impl Ingestor {
@@ -74,6 +76,7 @@ impl Ingestor {
             }),
             capacity,
             policy,
+            queue_depth: recorder.metrics().gauge("autosens_stream_queue_depth"),
             recorder,
         }
     }
@@ -89,38 +92,47 @@ impl Ingestor {
     /// resulting record, so a duplicate burst can partially shed.
     pub fn offer(&self, record: ActionRecord) -> Offer {
         let mut state = self.state.lock();
-        let produced: Vec<ActionRecord> = match &mut state.faults {
-            Some(fs) => fs.push(record),
-            None => vec![record],
-        };
-        // A fault-dropped record is not an overflow: report it accepted so
-        // the producer keeps going (the FaultStream already accounted it).
-        let mut outcome = Offer::Accepted;
-        for r in produced {
-            if state.queue.len() >= self.capacity {
-                match self.policy {
-                    OverflowPolicy::Block => {
-                        outcome = Offer::Full;
-                        break;
-                    }
-                    OverflowPolicy::Shed => {
-                        state.shed += 1;
-                        self.recorder
-                            .metrics()
-                            .counter("autosens_stream_shed_events_total")
-                            .inc();
-                        outcome = Offer::Shed;
-                        continue;
+        let outcome = match state.faults.as_mut().map(|fs| fs.push(record)) {
+            None => self.enqueue(&mut state, record),
+            Some(produced) => {
+                // A fault-dropped record is not an overflow: report it
+                // accepted so the producer keeps going (the FaultStream
+                // already accounted it).
+                let mut outcome = Offer::Accepted;
+                for r in produced {
+                    match self.enqueue(&mut state, r) {
+                        Offer::Full => {
+                            outcome = Offer::Full;
+                            break;
+                        }
+                        Offer::Shed => outcome = Offer::Shed,
+                        Offer::Accepted => {}
                     }
                 }
+                outcome
             }
-            state.queue.push_back(r);
-        }
-        self.recorder
-            .metrics()
-            .gauge("autosens_stream_queue_depth")
-            .set(state.queue.len() as f64);
+        };
+        self.queue_depth.set(state.queue.len() as f64);
         outcome
+    }
+
+    /// Queue one record, or shed it or refuse it at capacity.
+    fn enqueue(&self, state: &mut IngestorState, r: ActionRecord) -> Offer {
+        if state.queue.len() >= self.capacity {
+            return match self.policy {
+                OverflowPolicy::Block => Offer::Full,
+                OverflowPolicy::Shed => {
+                    state.shed += 1;
+                    self.recorder
+                        .metrics()
+                        .counter("autosens_stream_shed_events_total")
+                        .inc();
+                    Offer::Shed
+                }
+            };
+        }
+        state.queue.push_back(r);
+        Offer::Accepted
     }
 
     /// Records currently queued.
@@ -141,10 +153,7 @@ impl Ingestor {
     /// holds no memory until its next offer.
     pub fn drain_into(&self, engine: &mut StreamEngine) -> Result<DrainSummary, StreamError> {
         let drained = Vec::from(std::mem::take(&mut self.state.lock().queue));
-        self.recorder
-            .metrics()
-            .gauge("autosens_stream_queue_depth")
-            .set(0.0);
+        self.queue_depth.set(0.0);
         let mut summary = DrainSummary::default();
         for r in drained {
             summary.pushed += 1;

@@ -507,6 +507,75 @@ mod tests {
     }
 
     #[test]
+    fn intake_exports_the_same_stream_metrics() {
+        // Offers, a drain, then late, duplicate and filtered records, and
+        // a second round of offers past capacity: every autosens_stream_*
+        // series must read what the per-record name lookups exported.
+        use autosens_telemetry::record::{ActionType, Outcome, UserClass, UserId};
+        use autosens_telemetry::time::SimTime;
+        let rec = |t: i64, outcome: Outcome| ActionRecord {
+            time: SimTime(t),
+            action: ActionType::SelectMail,
+            latency_ms: 120.0,
+            user: UserId(7),
+            class: UserClass::Business,
+            tz_offset_ms: 0,
+            outcome,
+        };
+        let recorder = Recorder::new();
+        let ingestor = Ingestor::new(6, OverflowPolicy::Shed, recorder.clone());
+        let mut engine =
+            StreamEngine::with_recorder(stream_config(), Slice::all(), recorder.clone())
+                .expect("engine");
+        for r in [
+            rec(10_000_000, Outcome::Success),
+            rec(10_000_500, Outcome::Success),
+            rec(10_000_500, Outcome::Success), // duplicate
+            rec(10_001_000, Outcome::Error),   // filtered
+            rec(5_000_000, Outcome::Success),  // past the watermark
+            rec(9_000_000, Outcome::Success),  // lag 1,000,500 ms
+        ] {
+            assert_eq!(ingestor.offer(r), Offer::Accepted);
+        }
+        let summary = ingestor.drain_into(&mut engine).expect("drain");
+        assert_eq!((summary.pushed, summary.admitted), (6, 3));
+        for i in 0..8 {
+            ingestor.offer(rec(10_002_000 + i, Outcome::Success));
+        }
+        let snap = recorder.metrics().snapshot();
+        let stream = |name: &str| name.starts_with("autosens_stream_");
+        let counters: Vec<(&str, u64)> = snap
+            .counters
+            .iter()
+            .filter(|c| stream(&c.name))
+            .map(|c| (c.name.as_str(), c.value))
+            .collect();
+        let gauges: Vec<(&str, f64)> = snap
+            .gauges
+            .iter()
+            .filter(|g| stream(&g.name))
+            .map(|g| (g.name.as_str(), g.value))
+            .collect();
+        assert_eq!(
+            counters,
+            [
+                ("autosens_stream_duplicate_events_total", 1),
+                ("autosens_stream_events_total", 6),
+                ("autosens_stream_filtered_events_total", 1),
+                ("autosens_stream_late_events_total", 1),
+                ("autosens_stream_shed_events_total", 2),
+            ]
+        );
+        assert_eq!(
+            gauges,
+            [
+                ("autosens_stream_queue_depth", 6.0),
+                ("autosens_stream_watermark_lag_ms", 1_000_500.0),
+            ]
+        );
+    }
+
+    #[test]
     fn ingestor_blocks_with_backpressure() {
         let ingestor = Ingestor::new(2, OverflowPolicy::Block, Recorder::disabled());
         let log = smoke_log();

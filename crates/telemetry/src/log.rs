@@ -7,13 +7,12 @@
 //! of order (e.g. merged shards); the log tracks sortedness and
 //! `ensure_sorted` performs a stable sort on demand.
 //!
-//! Two lookups share one answer. [`LogView::nearest_in_time`] answers a
-//! single query with three binary searches from scratch. [`NearestCursor`]
-//! answers a non-decreasing *sequence* of queries — the estimator's
-//! time-ordered draws — from the gap between the two rows that bracket the
-//! query, moving forward only (by galloping) when a query leaves that gap,
-//! so a sweep of `m` draws over `n` rows costs `O(m + n)` row reads instead
-//! of `O(m log n)`. It returns the identical `(lo, hi)` for every query.
+//! [`LogView::nearest_in_time`] answers one nearest-sample query with
+//! three binary searches and returns *every* row at the minimal distance,
+//! so callers can break ties. It is the serial estimators' lookup; the
+//! chunked estimators resolve their draws through a table of the cells on
+//! which its answer is constant (`autosens_core::unbiased::CellTable`),
+//! which it checks in tests.
 //!
 //! Storage is struct-of-arrays ([`ColumnStore`]): seven parallel columns,
 //! one per record field. The analysis hot loops (histogram fills, α
@@ -562,7 +561,12 @@ impl<'a> LogView<'a> {
     ///
     /// Errors on an empty or unsorted view.
     pub fn nearest_in_time(&self, t: SimTime) -> Result<(usize, usize), TelemetryError> {
-        self.require_nearest_lookup()?;
+        self.require_sorted()?;
+        if self.is_empty() {
+            return Err(TelemetryError::InvalidRecord(
+                "nearest_in_time on empty log".into(),
+            ));
+        }
         let n = self.len();
         let t = t.millis();
         // First row at or after t, then candidate distances on each side.
@@ -580,28 +584,6 @@ impl<'a> LogView<'a> {
         let hi = self.partition_point_time(|x| x <= t + best);
         debug_assert!(lo < hi, "at least one row at the minimal distance");
         Ok((lo, hi))
-    }
-
-    /// A forward-only cursor answering [`LogView::nearest_in_time`] for a
-    /// non-decreasing sequence of query times (see [`NearestCursor`]).
-    ///
-    /// Errors exactly as `nearest_in_time` does — on an empty or unsorted
-    /// view — so the sortedness check runs once per sweep, not per query.
-    pub fn nearest_cursor(&self) -> Result<NearestCursor<'_>, TelemetryError> {
-        self.require_nearest_lookup()?;
-        Ok(NearestCursor::start(self.borrowed()))
-    }
-
-    /// The errors both nearest-sample lookups share: an unsorted view (with
-    /// its first violating index) or an empty one.
-    fn require_nearest_lookup(&self) -> Result<(), TelemetryError> {
-        self.require_sorted()?;
-        if self.is_empty() {
-            return Err(TelemetryError::InvalidRecord(
-                "nearest_in_time on empty log".into(),
-            ));
-        }
-        Ok(())
     }
 
     /// Earliest viewed time (min scan if unsorted).
@@ -776,122 +758,6 @@ fn view_rows_equal(v: &LogView<'_>, i: usize, j: usize) -> bool {
         && v.class[a] == v.class[b]
         && v.tz_offset_ms[a] == v.tz_offset_ms[b]
         && v.outcome[a] == v.outcome[b]
-}
-
-/// Nearest-in-time lookups for a non-decreasing sequence of query times
-/// over a sorted, non-empty view, built by [`LogView::nearest_cursor`].
-///
-/// The cursor stands in the gap between rows `at - 1` and `at`, where `at`
-/// is the first row at or after the last query. Every query in that gap
-/// has the same candidates — the run of equal timestamps ending at
-/// `at - 1` and the run starting at `at` — so it is answered from the two
-/// runs with one comparison: the nearer run, or both on an exact midpoint,
-/// which is the range [`LogView::nearest_in_time`] returns. A query past
-/// the gap moves `at` and the two run bounds forward by galloping (probe
-/// 1, 2, 4, … rows ahead, then bisect the last step). None of them ever
-/// moves back while queries do not decrease, so `m` queries over `n` rows
-/// cost `O(m + n)` row reads. A query earlier than the one before restarts
-/// the cursor at row 0: any sequence gets the right answer, a
-/// non-decreasing one gets the linear cost.
-#[derive(Debug, Clone)]
-pub struct NearestCursor<'a> {
-    view: LogView<'a>,
-    /// First row at or after the last query.
-    at: usize,
-    /// First row of the run of equal timestamps that ends at `at - 1`.
-    left: usize,
-    /// One past the last row of the run that starts at `at`.
-    right: usize,
-    /// Time of row `at - 1` (unused while `at == 0`).
-    prev_t: i64,
-    /// Time of row `at`, or `i64::MAX` once `at` is past the last row.
-    next_t: i64,
-    /// The last query time.
-    last: i64,
-}
-
-impl<'a> NearestCursor<'a> {
-    fn start(view: LogView<'a>) -> NearestCursor<'a> {
-        let mut cursor = NearestCursor {
-            view,
-            at: 0,
-            left: 0,
-            right: 0,
-            prev_t: i64::MIN,
-            next_t: i64::MIN,
-            last: i64::MIN,
-        };
-        cursor.seek(i64::MIN);
-        cursor
-    }
-
-    /// The view-index range `[lo, hi)` of *all* rows sharing the minimal
-    /// |time - t| — the range [`LogView::nearest_in_time`] returns.
-    pub fn nearest(&mut self, t: SimTime) -> (usize, usize) {
-        let t = t.millis();
-        if t < self.last {
-            // An earlier query: sweep again from row 0.
-            (self.at, self.left) = (0, 0);
-            self.seek(t);
-        } else if t > self.next_t {
-            self.seek(t);
-        }
-        self.last = t;
-        if self.at == 0 {
-            return (0, self.right);
-        }
-        if self.at == self.view.len() {
-            return (self.left, self.at);
-        }
-        match (t - self.prev_t).cmp(&(self.next_t - t)) {
-            std::cmp::Ordering::Less => (self.left, self.at),
-            std::cmp::Ordering::Equal => (self.left, self.right),
-            std::cmp::Ordering::Greater => (self.at, self.right),
-        }
-    }
-
-    /// Move to the gap holding `t`: `at` to the first row at or after `t`,
-    /// and the two run bounds with it.
-    fn seek(&mut self, t: i64) {
-        let n = self.view.len();
-        self.at = self.gallop(self.at, |x| x < t);
-        if self.at > 0 {
-            self.prev_t = self.view.time_at(self.at - 1);
-            self.left = self.gallop(self.left, |x| x < self.prev_t);
-        }
-        if self.at < n {
-            self.next_t = self.view.time_at(self.at);
-            self.right = self.gallop(self.at, |x| x <= self.next_t);
-        } else {
-            self.next_t = i64::MAX;
-            self.right = n;
-        }
-    }
-
-    /// First view index at or after `from` whose time fails `pred`, where
-    /// `pred` holds on a prefix of the view that covers every row before
-    /// `from`. Probes `from`, `from + 1`, `from + 3`, `from + 7`, … until a
-    /// probe fails, then bisects the last step: `O(log d)` reads for a move
-    /// of `d` rows.
-    fn gallop(&self, from: usize, pred: impl Fn(i64) -> bool) -> usize {
-        let n = self.view.len();
-        let (mut lo, mut probe, mut step) = (from, from, 1usize);
-        while probe < n && pred(self.view.time_at(probe)) {
-            lo = probe + 1;
-            probe += step;
-            step *= 2;
-        }
-        let mut hi = probe.min(n);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(self.view.time_at(mid)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
 }
 
 /// A collection of action records with a maintained time order, stored
@@ -1412,21 +1278,6 @@ mod tests {
         log.push(rec(10, 1.0)).unwrap();
         log.push(rec(5, 1.0)).unwrap();
         assert!(log.nearest_in_time(SimTime(0)).is_err());
-    }
-
-    #[test]
-    fn nearest_cursor_errors_like_nearest_in_time() {
-        assert!(matches!(
-            TelemetryLog::new().view().nearest_cursor(),
-            Err(TelemetryError::InvalidRecord(_))
-        ));
-        let mut log = TelemetryLog::new();
-        log.push(rec(10, 1.0)).unwrap();
-        log.push(rec(5, 1.0)).unwrap();
-        assert!(matches!(
-            log.view().nearest_cursor(),
-            Err(TelemetryError::Unsorted { index: 1 })
-        ));
     }
 
     #[test]

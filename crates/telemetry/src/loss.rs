@@ -325,27 +325,109 @@ impl LossEvidence {
     }
 }
 
-fn median_of_sorted(xs: &[f64]) -> f64 {
+/// The median of `xs` (0 for none), by selection rather than a full
+/// sort: the element at rank `n / 2` and, for even `n`, the largest of
+/// the ranks below it, averaged. Both are the elements a sort by
+/// `f64::total_cmp` would put there, so the result has the same bits.
+fn median(xs: &[f64]) -> f64 {
+    median_in_place(&mut xs.to_vec())
+}
+
+/// [`median`] of a buffer it may reorder.
+fn median_in_place(xs: &mut [f64]) -> f64 {
     let n = xs.len();
     if n == 0 {
         return 0.0;
     }
+    let (below, &mut mid, _) = xs.select_nth_unstable_by(n / 2, f64::total_cmp);
     if n % 2 == 1 {
-        xs[n / 2]
+        mid
     } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+        let lower = below
+            .iter()
+            .copied()
+            .max_by(f64::total_cmp)
+            .expect("even n >= 2 leaves a lower half");
+        (lower + mid) / 2.0
     }
 }
 
-fn median(xs: &[f64]) -> f64 {
-    let mut s = xs.to_vec();
-    s.sort_unstable_by(f64::total_cmp);
-    median_of_sorted(&s)
+/// The median absolute deviation of `xs` around `med`.
+fn mad(xs: &[f64], med: f64) -> f64 {
+    let mut devs: Vec<f64> = xs.iter().map(|&x| (x - med).abs()).collect();
+    median_in_place(&mut devs)
 }
 
-fn mad(xs: &[f64], med: f64) -> f64 {
-    let devs: Vec<f64> = xs.iter().map(|&x| (x - med).abs()).collect();
-    median(&devs)
+/// The sum of the `K` largest values (all of them when there are fewer),
+/// found without sorting. Integer sums are exact, so it equals summing the
+/// head of a descending sort.
+fn top_sum<const K: usize>(values: impl Iterator<Item = i64>) -> i64 {
+    let mut top = [0i64; K];
+    let mut len = 0;
+    for v in values {
+        if len < K {
+            top[len] = v;
+            len += 1;
+        } else if let Some(min) = top.iter_mut().min() {
+            if v > *min {
+                *min = v;
+            }
+        }
+    }
+    top[..len].iter().sum()
+}
+
+/// Each (local day, hour) micro-cell's local record times, in view order
+/// (unsorted). The scan runs as a chunked map whose per-chunk maps merge
+/// in chunk order, so every sequence is the serial pass's for any thread
+/// count.
+fn micro_cells(view: &LogView<'_>, threads: usize) -> BTreeMap<(i64, u8), Vec<i64>> {
+    struct MicroPart(BTreeMap<(i64, u8), Vec<i64>>);
+    impl autosens_exec::Mergeable for MicroPart {
+        fn merge(&mut self, other: Self) {
+            for (k, mut v) in other.0 {
+                self.0.entry(k).or_default().append(&mut v);
+            }
+        }
+    }
+    let n = view.len();
+    let v = view.borrowed();
+    let (part, _) = autosens_exec::map_reduce(
+        "loss_micro_cells",
+        n,
+        autosens_exec::scan_chunk_size_for(n),
+        threads,
+        |_, range| {
+            // One map lookup per run of rows in one local hour: a sorted
+            // single-timezone view has one run per hour, and a mixed one
+            // still appends each key's rows in view order.
+            let mut micro: BTreeMap<(i64, u8), Vec<i64>> = BTreeMap::new();
+            let local_at = |i: usize| v.time_at(i) + v.tz_offset_at(i);
+            let mut i = range.start;
+            while i < range.end {
+                let local = local_at(i);
+                let hour_start = local - local.rem_euclid(MS_PER_HOUR);
+                let key = (
+                    local.div_euclid(MS_PER_DAY),
+                    local.div_euclid(MS_PER_HOUR).rem_euclid(24) as u8,
+                );
+                let ts = micro.entry(key).or_default();
+                ts.push(local);
+                i += 1;
+                while i < range.end {
+                    let local = local_at(i);
+                    if local < hour_start || local >= hour_start + MS_PER_HOUR {
+                        break;
+                    }
+                    ts.push(local);
+                    i += 1;
+                }
+            }
+            MicroPart(micro)
+        },
+    )
+    .expect("micro-cell scan does not panic");
+    part.map(|p| p.0).unwrap_or_default()
 }
 
 /// Estimate the per-cell loss of a view.
@@ -378,34 +460,7 @@ pub fn estimate_cell_loss_par(
     // sequence-gap evidence below and, via the top-gap quiet statistic,
     // by the day-rate corroboration gate: burst loss leaves a few big
     // holes, organic slowness leaves evenly thinner traffic.
-    struct MicroPart(BTreeMap<(i64, u8), Vec<i64>>);
-    impl autosens_exec::Mergeable for MicroPart {
-        fn merge(&mut self, other: Self) {
-            for (k, mut v) in other.0 {
-                self.0.entry(k).or_default().append(&mut v);
-            }
-        }
-    }
-    let n = view.len();
-    let v = view.borrowed();
-    let (part, _) = autosens_exec::map_reduce(
-        "loss_micro_cells",
-        n,
-        autosens_exec::scan_chunk_size_for(n),
-        threads,
-        |_, range| {
-            let mut micro: BTreeMap<(i64, u8), Vec<i64>> = BTreeMap::new();
-            for i in range {
-                let local = v.time_at(i) + v.tz_offset_at(i);
-                let day = local.div_euclid(MS_PER_DAY);
-                let hour = local.div_euclid(MS_PER_HOUR).rem_euclid(24) as u8;
-                micro.entry((day, hour)).or_default().push(local);
-            }
-            MicroPart(micro)
-        },
-    )
-    .expect("micro-cell scan does not panic");
-    let mut micro = part.map(|p| p.0).unwrap_or_default();
+    let mut micro = micro_cells(view, threads);
     for ts in micro.values_mut() {
         ts.sort_unstable();
     }
@@ -421,14 +476,9 @@ pub fn estimate_cell_loss_par(
             None => MS_PER_HOUR as f64,
             Some(ts) => {
                 let start = day * MS_PER_DAY + hour as i64 * MS_PER_HOUR;
-                let mut gaps: Vec<i64> = Vec::with_capacity(ts.len() + 1);
-                gaps.push(ts[0] - start);
-                gaps.push(start + MS_PER_HOUR - ts[ts.len() - 1]);
-                for w in ts.windows(2) {
-                    gaps.push(w[1] - w[0]);
-                }
-                gaps.sort_unstable_by(|a, b| b.cmp(a));
-                gaps.iter().take(TOP_QUIET_GAPS).sum::<i64>() as f64
+                let edges = [ts[0] - start, start + MS_PER_HOUR - ts[ts.len() - 1]];
+                let inner = ts.windows(2).map(|w| w[1] - w[0]);
+                top_sum::<TOP_QUIET_GAPS>(edges.into_iter().chain(inner)) as f64
             }
         }
     };
@@ -943,5 +993,74 @@ mod tests {
         let ev = estimate_cell_loss(&view, &LossCounts::from_view(&view));
         assert!(ev.is_zero());
         assert_eq!(ev.overall_rate, 0.0);
+    }
+
+    /// The sort-based statistics the selection-based ones replace.
+    fn sorted_median(xs: &[f64]) -> f64 {
+        let mut s = xs.to_vec();
+        s.sort_unstable_by(f64::total_cmp);
+        let n = s.len();
+        match n {
+            0 => 0.0,
+            _ if n % 2 == 1 => s[n / 2],
+            _ => (s[n / 2 - 1] + s[n / 2]) / 2.0,
+        }
+    }
+
+    fn sorted_top_sum(xs: &[i64], k: usize) -> i64 {
+        let mut s = xs.to_vec();
+        s.sort_unstable_by(|a, b| b.cmp(a));
+        s.iter().take(k).sum()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn selection_statistics_equal_the_sorted_ones(
+            // Few distinct values, so repeats are common; lengths cover
+            // empty, odd and even.
+            raw in proptest::collection::vec((0u8..6, -3i64..3), 0..40),
+        ) {
+            let xs: Vec<f64> = raw.iter().map(|&(v, s)| v as f64 * 0.25 - s as f64).collect();
+            let med = median(&xs);
+            proptest::prop_assert_eq!(med.to_bits(), sorted_median(&xs).to_bits());
+            let devs: Vec<f64> = xs.iter().map(|&x| (x - med).abs()).collect();
+            proptest::prop_assert_eq!(mad(&xs, med).to_bits(), sorted_median(&devs).to_bits());
+            let ints: Vec<i64> = raw.iter().map(|&(v, s)| v as i64 * 7 + s).collect();
+            proptest::prop_assert_eq!(
+                top_sum::<3>(ints.iter().copied()),
+                sorted_top_sum(&ints, 3)
+            );
+            proptest::prop_assert_eq!(
+                top_sum::<1>(ints.iter().copied()),
+                sorted_top_sum(&ints, 1)
+            );
+        }
+    }
+
+    #[test]
+    fn mixed_timezone_micro_cells_match_per_row_keys() {
+        // Rows alternate between two timezones, so each local hour's rows
+        // arrive in interleaved runs, over more rows than one scan chunk
+        // holds. Every key's sequence must be the one a lookup per row
+        // builds, in view order.
+        let mut records = steady(200);
+        for (i, r) in records.iter_mut().enumerate() {
+            r.tz_offset_ms = if i % 3 == 0 { 0 } else { -5 * MS_PER_HOUR };
+        }
+        let log = TelemetryLog::from_records(records).unwrap();
+        let view = crate::query::Slice::all().select(&log);
+        assert!(view.len() > autosens_exec::scan_chunk_size_for(view.len()));
+        let mut want: BTreeMap<(i64, u8), Vec<i64>> = BTreeMap::new();
+        for i in 0..view.len() {
+            let local = view.time_at(i) + view.tz_offset_at(i);
+            let key = (
+                local.div_euclid(MS_PER_DAY),
+                local.div_euclid(MS_PER_HOUR).rem_euclid(24) as u8,
+            );
+            want.entry(key).or_default().push(local);
+        }
+        for threads in [1, 2, 4] {
+            assert_eq!(micro_cells(&view, threads), want, "threads={threads}");
+        }
     }
 }

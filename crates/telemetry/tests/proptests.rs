@@ -44,63 +44,6 @@ fn arb_record() -> impl Strategy<Value = ActionRecord> {
         )
 }
 
-/// Sorted timestamps with runs of equal values: each row repeats the one
-/// before or steps forward by a small or a large gap, so equal runs and
-/// exact integer midpoints between rows are common. One log in eight has
-/// every row at a single timestamp.
-fn arb_sorted_times() -> impl Strategy<Value = Vec<i64>> {
-    (
-        -5_000i64..5_000,
-        prop::collection::vec(prop_oneof![Just(0i64), 1i64..5, 5i64..200], 1..120),
-        0u8..8,
-    )
-        .prop_map(|(first, gaps, flat)| {
-            let mut t = first;
-            gaps.iter()
-                .map(|&gap| {
-                    if flat != 0 {
-                        t += gap;
-                    }
-                    t
-                })
-                .collect()
-        })
-}
-
-/// A success record at `t_ms`; the cursor reads only the time column.
-fn rec_at(t_ms: i64) -> ActionRecord {
-    ActionRecord {
-        time: SimTime(t_ms),
-        action: ActionType::SelectMail,
-        latency_ms: 100.0,
-        user: UserId(1),
-        class: UserClass::Business,
-        tz_offset_ms: 0,
-        outcome: Outcome::Success,
-    }
-}
-
-/// A non-decreasing query sequence over `times` (sorted, non-empty): random
-/// instants from before the first row to after the last, every row's own
-/// timestamp, and every exact midpoint between two neighbouring distinct
-/// timestamps (where the two runs tie for nearest).
-fn sweep_queries(times: &[i64], offsets: &[i64]) -> Vec<i64> {
-    let (first, last) = (times[0], times[times.len() - 1]);
-    let mut queries: Vec<i64> = offsets
-        .iter()
-        .map(|&o| first - 300 + o.rem_euclid(last - first + 601))
-        .collect();
-    queries.extend([first - 1_000, first - 1, last + 1, last + 1_000]);
-    queries.extend_from_slice(times);
-    for pair in times.windows(2) {
-        if pair[0] != pair[1] && (pair[0] + pair[1]) % 2 == 0 {
-            queries.push((pair[0] + pair[1]) / 2);
-        }
-    }
-    queries.sort_unstable();
-    queries
-}
-
 proptest! {
     #[test]
     fn log_sorting_preserves_multiset(records in prop::collection::vec(arb_record(), 0..100)) {
@@ -264,38 +207,5 @@ proptest! {
         let n_err = log.iter().filter(|r| r.outcome == Outcome::Error).count();
         prop_assert_eq!(ok.len() + n_err, log.len());
         prop_assert!(ok.iter().all(|r| r.outcome == Outcome::Success));
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn nearest_cursor_sweep_matches_nearest_in_time(
-        times in arb_sorted_times(),
-        offsets in prop::collection::vec(0i64..1_000_000, 0..200),
-        every in 1usize..4,
-    ) {
-        let log = TelemetryLog::from_records(times.iter().map(|&t| rec_at(t)).collect()).unwrap();
-        // The full view, and a selection of every `every`-th row (the
-        // cursor reads times through the selection vector).
-        let full = log.view();
-        let sel: Vec<u32> = (0..log.len() as u32).step_by(every).collect();
-        for view in [full.clone(), full.with_selection(sel)] {
-            let view_times: Vec<i64> = (0..view.len()).map(|i| view.time_at(i)).collect();
-            let queries = sweep_queries(&view_times, &offsets);
-            // Two sweeps through one cursor: the second opens with a query
-            // earlier than the last, which must restart it, not mislead it.
-            let mut cursor = view.nearest_cursor().unwrap();
-            for &q in queries.iter().chain(&queries) {
-                prop_assert_eq!(
-                    cursor.nearest(SimTime(q)),
-                    view.nearest_in_time(SimTime(q)).unwrap(),
-                    "query {} over times {:?}",
-                    q,
-                    times
-                );
-            }
-        }
     }
 }
