@@ -100,6 +100,21 @@ if ! diff -u "$SMOKE_DIR/core_batch.txt" "$SMOKE_DIR/core_stream.txt"; then
     echo "ci.sh: core metrics diverged between batch analyze and streamed watch" >&2
     exit 1
 fi
+# The same at 1-minute shards: about 19,000 buckets on the smoke log, so
+# the per-bucket row counts and hour counters run at a scale the 6-hour
+# default never reaches.
+./target/release/autosens watch --in "$SMOKE_DIR/smoke.csv" --until-eof --json \
+    --shard-ms 60000 --metrics-out "$SMOKE_DIR/metrics_stream_1m.json" \
+    --quiet > "$SMOKE_DIR/report_stream_1m.json"
+if ! diff -u "$SMOKE_DIR/report_batch.json" "$SMOKE_DIR/report_stream_1m.json"; then
+    echo "ci.sh: report streamed at 1-minute shards diverged from batch analyze" >&2
+    exit 1
+fi
+core_counters "$SMOKE_DIR/metrics_stream_1m.json" > "$SMOKE_DIR/core_stream_1m.txt"
+if ! diff -u "$SMOKE_DIR/core_batch.txt" "$SMOKE_DIR/core_stream_1m.txt"; then
+    echo "ci.sh: core metrics diverged between batch analyze and watch at 1-minute shards" >&2
+    exit 1
+fi
 
 echo "==> golden analyze gate (byte-identical --json on the pinned fixture)"
 # The columnar refactor (and anything after it) must be behavior-invariant:

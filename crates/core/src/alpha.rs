@@ -150,14 +150,6 @@ pub struct AlphaEstimate {
 }
 
 impl AlphaEstimate {
-    /// α for a record's group, if usable.
-    pub fn alpha_for(&self, record: &ActionRecord) -> Option<f64> {
-        let hour = record.hour_slot().0;
-        let weekend = record.time.is_weekend_local(record.tz_offset_ms);
-        let g = self.grouping.group_of(hour, weekend);
-        self.groups[g].alpha
-    }
-
     /// The α-normalized pooled biased histogram: each group's counts scaled
     /// by `1/α_T`. Groups without a usable α are excluded.
     pub fn normalized_biased(&self, binner: &Binner) -> Result<Histogram, AutoSensError> {
@@ -284,11 +276,9 @@ pub fn alpha_vs_reference(
 /// representation only ever added such zeros (`x + 0.0 == x` for the
 /// non-negative counts held here), sparse results are bit-identical.
 ///
-/// [`estimate_alpha`] builds this with a chunked map-reduce over the log;
-/// an incremental caller (the streaming engine) maintains the same partials
-/// per shard and merges them instead. Histogram counts are unit-weight
-/// additions, so partial merges are exact in any order and the merged
-/// partition is bit-identical to a batch rescan of the same records.
+/// [`estimate_alpha`] builds this with a chunked map-reduce over the log
+/// ([`partition_by_group`]); chunk partials merge in chunk order, so the
+/// partition is bit-identical for every thread count.
 #[derive(Debug, Clone)]
 pub struct GroupPartition {
     /// The latency grid every cell histogram uses.
@@ -310,26 +300,6 @@ impl GroupPartition {
         }
     }
 
-    /// The latency grid of the cell histograms.
-    pub fn binner(&self) -> &Binner {
-        &self.binner
-    }
-
-    /// Number of cells (always [`N_LOSS_CELLS`]).
-    pub fn n_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Cell `i`'s histogram, or `None` while the cell holds no record.
-    pub fn cell(&self, i: usize) -> Option<&Histogram> {
-        self.cells[i].as_deref()
-    }
-
-    /// Per-cell action counts, indexed by loss-cell id.
-    pub fn cell_actions(&self) -> &[u64] {
-        &self.cell_actions
-    }
-
     /// Loss-cell index of a record.
     pub fn cell_of(r: &ActionRecord) -> usize {
         let weekend = r.time.is_weekend_local(r.tz_offset_ms);
@@ -340,12 +310,6 @@ impl GroupPartition {
     fn cell_mut(&mut self, c: usize) -> &mut Histogram {
         let binner = &self.binner;
         self.cells[c].get_or_insert_with(|| Box::new(Histogram::new(binner.clone())))
-    }
-
-    /// Fold one record into the partition (the incremental counterpart of
-    /// the batch map-reduce's per-chunk loop).
-    pub fn record(&mut self, r: &ActionRecord) {
-        self.record_weighted(r, 1.0);
     }
 
     /// Fold one record in with a loss-correction weight on its histogram
@@ -499,28 +463,18 @@ fn partition_fold(
     ))
 }
 
-/// Estimate α over a log, optionally from a precomputed
-/// [`GroupPartition`].
+/// Estimate α over a log.
 ///
 /// The log must be sorted and non-empty. The day windows used for the
 /// group-conditional unbiased draws are derived from the log's span.
-///
-/// When `partition` is `Some`, the per-group rescan of the log is skipped
-/// and the supplied partials are used directly — this is how the streaming
-/// engine turns its incrementally maintained shard state into an α
-/// estimate without re-walking history. The partition must cover exactly
-/// the records of `log` under the same `binner` and `grouping`; the RNG-
-/// bearing stages (group-conditional unbiased draws) always run over the
-/// full log, so the caller's RNG consumption is identical either way.
 pub fn estimate_alpha<R: Rng>(
     log: &LogView<'_>,
     binner: &Binner,
     grouping: Grouping,
     cfg: &AutoSensConfig,
     rng: &mut R,
-    partition: Option<GroupPartition>,
 ) -> Result<AlphaEstimate, AutoSensError> {
-    let (part, mut inputs) = build_alpha_inputs(log, binner, grouping, cfg, rng, partition)?;
+    let (part, mut inputs) = build_alpha_inputs(log, binner, grouping, cfg, rng)?;
     let biased = part.group_biased(grouping)?;
     let exec_reports = std::mem::take(&mut inputs.exec_reports);
     Ok(solve_alpha(
@@ -545,17 +499,15 @@ pub fn estimate_alpha<R: Rng>(
 ///
 /// Reference selection, draw skipping, and the reported `n_actions` use
 /// the raw counts in both solves; only the biased masses differ.
-#[allow(clippy::too_many_arguments)]
 pub fn estimate_alpha_corrected<R: Rng>(
     log: &LogView<'_>,
     binner: &Binner,
     grouping: Grouping,
     cfg: &AutoSensConfig,
     rng: &mut R,
-    partition: Option<GroupPartition>,
     model: &LossModel,
 ) -> Result<(AlphaEstimate, AlphaEstimate), AutoSensError> {
-    let (part, mut inputs) = build_alpha_inputs(log, binner, grouping, cfg, rng, partition)?;
+    let (part, mut inputs) = build_alpha_inputs(log, binner, grouping, cfg, rng)?;
     let naive_biased = part.group_biased(grouping)?;
     let (weighted, weighted_report) = partition_by_group_weighted(log, binner, model, cfg.threads)?;
     inputs.exec_reports.push(weighted_report);
@@ -586,45 +538,16 @@ fn build_alpha_inputs<R: Rng>(
     grouping: Grouping,
     cfg: &AutoSensConfig,
     rng: &mut R,
-    partition: Option<GroupPartition>,
 ) -> Result<(GroupPartition, AlphaInputs), AutoSensError> {
     if log.is_empty() {
         return Err(AutoSensError::EmptySlice("alpha estimation".into()));
     }
     let n_groups = grouping.n_groups();
-    let mut exec_reports: Vec<ExecReport> = Vec::new();
 
     // Partition counts by loss cell (records' own local hour, day kind and
-    // class), either precomputed by an incremental caller or rebuilt here
-    // as a chunked map-reduce.
-    let part = match partition {
-        Some(part) => {
-            if part.n_cells() != N_LOSS_CELLS {
-                return Err(AutoSensError::Internal(format!(
-                    "group partition has {} cells, expected {N_LOSS_CELLS}",
-                    part.n_cells()
-                )));
-            }
-            if part.binner() != binner {
-                return Err(AutoSensError::Internal(
-                    "group partition binner does not match the analysis binner".into(),
-                ));
-            }
-            let partitioned = part.n_records();
-            if partitioned != log.len() as u64 {
-                return Err(AutoSensError::Internal(format!(
-                    "group partition covers {partitioned} actions, log has {}",
-                    log.len()
-                )));
-            }
-            part
-        }
-        None => {
-            let (part, report) = partition_by_group(log, binner, cfg.threads)?;
-            exec_reports.push(report);
-            part
-        }
-    };
+    // class) as a chunked map-reduce.
+    let (part, report) = partition_by_group(log, binner, cfg.threads)?;
+    let mut exec_reports = vec![report];
     let n_actions = part.group_actions(grouping);
 
     // Group-conditional unbiased histograms: draws restricted to each
@@ -975,17 +898,16 @@ mod tests {
     /// Every present cell's action count and histogram state, as bits.
     #[allow(clippy::type_complexity)]
     fn cell_bits(part: &GroupPartition) -> Vec<(usize, u64, Vec<u64>, u64, u64, u64)> {
-        (0..part.n_cells())
-            .filter_map(|c| {
-                let h = part.cell(c)?;
-                Some((
+        part.present()
+            .map(|(c, h)| {
+                (
                     c,
-                    part.cell_actions()[c],
+                    part.cell_actions[c],
                     h.counts().iter().map(|x| x.to_bits()).collect(),
                     h.total().to_bits(),
                     h.n_recorded(),
                     h.n_discarded(),
-                ))
+                )
             })
             .collect()
     }
@@ -994,7 +916,8 @@ mod tests {
     fn one_hour_one_class_batch_allocates_only_its_cell() {
         let binner = AutoSensConfig::default().binner().unwrap();
         let empty = GroupPartition::empty(&binner);
-        assert!((0..empty.n_cells()).all(|c| empty.cell(c).is_none()));
+        assert_eq!(empty.cells.len(), N_LOSS_CELLS);
+        assert!(empty.cells.iter().all(Option::is_none));
 
         let nine_am = 9 * MS_PER_HOUR;
         let records: Vec<ActionRecord> = (0..600)
@@ -1002,9 +925,7 @@ mod tests {
             .collect();
         let log = TelemetryLog::from_records(records.clone()).unwrap();
         let (part, _) = partition_by_group(&log.view(), &binner, 1).unwrap();
-        let present: Vec<usize> = (0..part.n_cells())
-            .filter(|&c| part.cell(c).is_some())
-            .collect();
+        let present: Vec<usize> = part.present().map(|(c, _)| c).collect();
         assert_eq!(present, vec![GroupPartition::cell_of(&records[0])]);
         assert_eq!(part.n_records(), 600);
     }
@@ -1045,7 +966,7 @@ mod tests {
         let mut serial = GroupPartition::empty(&binner);
         let mut serial_weighted = GroupPartition::empty(&binner);
         for r in &records {
-            serial.record(r);
+            serial.record_weighted(r, 1.0);
             serial_weighted.record_weighted(r, weight(r));
         }
         assert!(cell_bits(&serial).iter().any(|cell| cell.5 > 0));

@@ -76,10 +76,10 @@ pub mod preference;
 pub mod report;
 pub mod unbiased;
 
-pub use alpha::{partition_by_group, GroupPartition, Grouping};
+pub use alpha::Grouping;
 pub use config::AutoSensConfig;
 pub use error::AutoSensError;
 pub use lossmodel::LossModel;
 pub use pipeline::{DecaySpec, LossReport, WindowedCurve};
-pub use plan::{AnalysisPlan, PlanInput, PlanPartials, PreparedMeta, RunOptions};
+pub use plan::{AnalysisPlan, PlanInput, PreparedMeta, RunOptions};
 pub use preference::NormalizedPreference;

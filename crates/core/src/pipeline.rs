@@ -237,13 +237,13 @@ impl AnalysisPlan {
     /// [`PlanInput::Prepared`](crate::plan::PlanInput::Prepared)): a
     /// bookkeeping sanitize span, then everything downstream.
     ///
-    /// This is the incremental entry: the streaming engine merges its
-    /// shard state into a [`PreparedMeta`] and obtains an
-    /// [`AnalysisReport`] bit-identical to what the batch path would
-    /// produce over the same records — every RNG-bearing stage runs from
-    /// the same `StdRng::seed_from_u64(config.seed)` over the same
-    /// sanitized record sequence. The run still traces one span per
-    /// documented stage (the `"sanitize"` span carries the caller's
+    /// This is the incremental entry: the streaming engine passes the view
+    /// it borrows from its row store plus its sanitize bookkeeping, and
+    /// obtains an [`AnalysisReport`] bit-identical to what the batch path
+    /// would produce over the same records — every stage after sanitize
+    /// runs over the same sanitized record sequence, from the same
+    /// `StdRng::seed_from_u64(config.seed)`. The run still traces one span
+    /// per documented stage (the `"sanitize"` span carries the caller's
     /// counts; its wall time reflects only bookkeeping).
     pub(crate) fn run_prepared(
         &self,
@@ -267,7 +267,7 @@ impl AnalysisPlan {
     /// report assembly. Shared verbatim by the batch and prepared paths —
     /// this is what makes streaming snapshots bit-identical to batch
     /// analyses. `meta` carries sanitize's bookkeeping (the batch path
-    /// fills it without partials or decay); `copied` counts rows sanitize
+    /// fills it without decay); `copied` counts rows sanitize
     /// materialized to repair out-of-order input.
     fn finish_analysis(
         &self,
@@ -281,10 +281,8 @@ impl AnalysisPlan {
             mut degradations,
             records_in,
             records_dropped,
-            partials,
             decay,
         } = meta;
-        let (partition, loss_counts) = partials.map(|p| (p.partition, p.loss)).unzip();
         let binner = self.config.binner()?;
         if sub.is_empty() {
             return Err(AutoSensError::EmptySlice(
@@ -300,8 +298,7 @@ impl AnalysisPlan {
         // consumes no randomness, so an inactive correction leaves every
         // downstream bit unchanged.
         let mut span = root.child(op::LOSSMODEL);
-        let counts =
-            loss_counts.unwrap_or_else(|| LossCounts::from_view_par(sub, self.config.threads));
+        let counts = LossCounts::from_view_par(sub, self.config.threads);
         let evidence = estimate_cell_loss_par(sub, &counts, self.config.threads);
         let model = LossModel::from_evidence(&evidence);
         let correct = self.config.loss_correct && !model.is_noop();
@@ -339,13 +336,11 @@ impl AnalysisPlan {
                     grouping,
                     &self.config,
                     &mut rng,
-                    partition,
                     &model,
                 )?;
                 (est, Some(naive_est))
             } else {
-                let est =
-                    estimate_alpha(sub, &binner, grouping, &self.config, &mut rng, partition)?;
+                let est = estimate_alpha(sub, &binner, grouping, &self.config, &mut rng)?;
                 (est, None)
             };
             for r in &naive_est.as_ref().unwrap_or(&est).exec_reports {
@@ -602,17 +597,10 @@ impl AnalysisPlan {
         base: &Slice,
         min_actions_per_user: usize,
     ) -> Result<(LatencyQuartiles, QuartileAnalyses), AutoSensError> {
-        let selected = base.clone().successes().select(log);
-        let owned;
-        let sub = if selected.is_sorted() {
-            selected
-        } else {
-            owned = selected.materialize();
-            owned.view()
-        };
-        let quartiles = latency_quartiles(&sub, min_actions_per_user).ok_or_else(|| {
-            AutoSensError::EmptySlice("too few eligible users for quartiles".into())
-        })?;
+        let quartiles = sorted_successes(log, base, |sub| {
+            latency_quartiles(sub, min_actions_per_user)
+        })
+        .ok_or_else(|| AutoSensError::EmptySlice("too few eligible users for quartiles".into()))?;
         let slices: Vec<(usize, Slice)> = (0..4)
             .map(|q| (q, base.clone().users(quartiles.groups[q].clone())))
             .collect();
@@ -695,18 +683,14 @@ impl AnalysisPlan {
         let label = label.into();
         let analysis = self.run_view(&log.view(), slice)?;
         let alpha_est = self.alpha_by_period(log, slice)?;
-        let selected = slice.clone().successes().select(log);
-        let owned;
-        let sub = if selected.is_sorted() {
-            selected
-        } else {
-            owned = selected.materialize();
-            owned.view()
-        };
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xF0);
-        let locality = crate::locality::locality_report(&sub, &mut rng)?;
-        let density = crate::locality::density_latency_correlation(&sub, 60_000)?;
-        let decorrelation = crate::locality::decorrelation_report(&sub, 60_000, 24 * 60).ok();
+        let (locality, density, decorrelation) = sorted_successes(log, slice, |sub| {
+            let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xF0);
+            Ok::<_, AutoSensError>((
+                crate::locality::locality_report(sub, &mut rng)?,
+                crate::locality::density_latency_correlation(sub, 60_000)?,
+                crate::locality::decorrelation_report(sub, 60_000, 24 * 60).ok(),
+            ))
+        })?;
         let bottleneck = crate::bottleneck::bottleneck_report(&analysis.preference, 500.0);
         Ok(FullReport {
             label: label.clone(),
@@ -740,28 +724,15 @@ impl AnalysisPlan {
         base: &Slice,
     ) -> Result<AlphaEstimate, AutoSensError> {
         let binner = self.config.binner()?;
-        let selected = base.clone().successes().select(log);
-        let owned;
-        let sub = if selected.is_sorted() {
-            selected
-        } else {
-            owned = selected.materialize();
-            owned.view()
-        };
-        if sub.is_empty() {
-            return Err(AutoSensError::EmptySlice("alpha_by_period".into()));
-        }
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xA1FA);
         // Force the morning period as primary reference by reordering:
         // estimate normally, then rescale every alpha by the morning value.
-        let mut est = estimate_alpha(
-            &sub,
-            &binner,
-            Grouping::DayPeriods,
-            &self.config,
-            &mut rng,
-            None,
-        )?;
+        let mut est = sorted_successes(log, base, |sub| {
+            if sub.is_empty() {
+                return Err(AutoSensError::EmptySlice("alpha_by_period".into()));
+            }
+            let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xA1FA);
+            estimate_alpha(sub, &binner, Grouping::DayPeriods, &self.config, &mut rng)
+        })?;
         let morning = 0usize; // group 0 = Morning8to14 by Grouping order
         if let Some(m_alpha) = est.groups[morning].alpha {
             for g in &mut est.groups {
@@ -821,6 +792,18 @@ impl AnalysisPlan {
             .counter("autosens_exec_chunks_total")
             .add(report.n_chunks as u64);
         out
+    }
+}
+
+/// Run `f` over the successes of `slice` in `log`, in time order: the
+/// zero-copy selection when the log is sorted, otherwise one materialized,
+/// re-sorted copy of it.
+fn sorted_successes<R>(log: &TelemetryLog, slice: &Slice, f: impl FnOnce(&LogView<'_>) -> R) -> R {
+    let selected = slice.clone().successes().select(log);
+    if selected.is_sorted() {
+        f(&selected)
+    } else {
+        f(&selected.materialize().view())
     }
 }
 

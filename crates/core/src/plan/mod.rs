@@ -10,11 +10,11 @@
 //! The same type carries the per-slice analyses of the paper's evaluation
 //! sections (`by_action_type`, `full_report`, …, in [`crate::pipeline`]).
 //!
-//! Incremental callers cache the pre-RNG per-shard states
-//! ([`PlanPartials`]) and enter via [`PlanInput::prepared`]; the output is
-//! bit-identical to a batch run over the same records at every thread
-//! count — see the [`op`] module docs for why the RNG frontier is exactly
-//! the cacheability frontier.
+//! An incremental caller that keeps its own sorted, deduplicated rows (the
+//! streaming engine) enters via [`PlanInput::prepared`] with only its
+//! sanitize bookkeeping; every later stage runs over those rows exactly as
+//! batch runs over its sanitized view, so the output is bit-identical to a
+//! batch run over the same records at every thread count.
 //!
 //! ```
 //! use autosens_core::plan::{AnalysisPlan, PlanInput, RunOptions};
@@ -29,9 +29,6 @@
 //! ```
 
 pub mod op;
-mod partials;
-
-pub use partials::PlanPartials;
 
 use autosens_obs::Recorder;
 use autosens_telemetry::log::{LogView, TelemetryLog};
@@ -65,15 +62,15 @@ pub enum PlanInput<'a> {
         /// The slice filter to apply during sanitize.
         slice: &'a Slice,
     },
-    /// An externally sanitized view plus cached pre-RNG operator state —
-    /// the incremental shape the streaming engine uses, over a view it
+    /// An externally sanitized view plus its sanitize bookkeeping — the
+    /// incremental shape the streaming engine uses, over a view it
     /// borrows from its own row store. `view` must equal what batch
     /// sanitize would produce for the same input: filtered to the slice's
     /// successes, stably time-sorted, exact duplicates removed keep-first.
     Prepared {
         /// The sanitized (sorted, deduplicated) rows of successes.
         view: &'a LogView<'a>,
-        /// The caller's sanitize bookkeeping and cached partials.
+        /// The caller's sanitize bookkeeping.
         meta: PreparedMeta,
     },
 }
@@ -100,9 +97,9 @@ impl<'a> PlanInput<'a> {
     }
 }
 
-/// Sanitize bookkeeping and cached operator state accompanying a
-/// [`PlanInput::Prepared`] input. [`Default`] is a clean, cacheless
-/// prepared run: no degradations, no partials, no windowed curve.
+/// Sanitize bookkeeping accompanying a [`PlanInput::Prepared`] input.
+/// [`Default`] is a clean prepared run: no degradations, no windowed
+/// curve.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedMeta {
     /// Degradations observed while preparing (out-of-order arrival,
@@ -113,9 +110,6 @@ pub struct PreparedMeta {
     pub records_in: usize,
     /// Records dropped by deduplication.
     pub records_dropped: usize,
-    /// Cached pre-RNG operator partials matching the log exactly; when
-    /// present the lossmodel and α folds skip their rescans.
-    pub partials: Option<PlanPartials>,
     /// Optional windowed-decay request: when present the report also
     /// carries an exponentially-decayed windowed curve. The lifetime
     /// curve is unaffected either way.
@@ -276,7 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_shape_with_partials_is_bit_identical_to_batch() {
+    fn prepared_shape_is_bit_identical_to_batch() {
         let log = smoke_log();
         let plan = AnalysisPlan::new(fast_config());
         let batch = plan
@@ -285,18 +279,12 @@ mod tests {
             .report;
 
         // Sanitize externally: the smoke log is clean, so select + sort
-        // is the identity and partials can be folded record by record.
+        // is the identity.
         let selected = Slice::all().successes().select(&log);
         let sanitized = selected.materialize();
-        let binner = plan.config().binner().unwrap();
-        let mut partials = PlanPartials::empty(&binner);
-        for r in &sanitized.to_records() {
-            partials.record(r);
-        }
         let records_in = sanitized.view().len();
         let meta = PreparedMeta {
             records_in,
-            partials: Some(partials),
             ..PreparedMeta::default()
         };
         let prepared = plan

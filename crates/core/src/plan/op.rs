@@ -1,28 +1,29 @@
 //! Stage names: the span, stage-timing, metrics and `Degradation::stage`
 //! label of every pipeline stage, each declared once.
 //!
-//! ## Why the RNG frontier is the cacheability frontier
+//! ## The RNG frontier
 //!
 //! The pipeline seeds one `StdRng` after sanitize and threads it through
-//! the stages in a fixed order. Any state accumulated *before* the first
-//! draw is a pure, order-insensitive fold over the sanitized records —
-//! unit-weight integer histogram additions and `u64` counters — so
-//! per-shard partials of it merge bit-identically to a batch rescan.
-//! Anything at or past a draw depends on the *global* window (the draw
-//! count and instant layout are functions of the window's start/end), so
-//! caching it per shard would change the random sequence and break the
-//! bit-equality invariant. The CI bootstrap is the extreme case: it
-//! resamples the final pooled histograms, so there is no per-shard
-//! decomposition of it at all.
+//! the stages in a fixed order. State accumulated *before* the first draw
+//! — the `LossCounts` fold of [`LOSSMODEL`] and the `GroupPartition` fold
+//! that [`ALPHA`] and [`BIASED_PDF`] read — is a pure, order-insensitive
+//! fold over the sanitized records (unit-weight integer histogram
+//! additions and `u64` counters), so any chunking of it merges
+//! bit-identically to one serial pass. Anything at or past a draw depends
+//! on the *global* window (the draw count and instant layout are functions
+//! of the window's start/end), so it has no per-chunk or per-shard
+//! decomposition that keeps the random sequence. The CI bootstrap is the
+//! extreme case: it resamples the final pooled histograms.
 //!
-//! Concretely, an incremental caller may cache the sorted, deduplicated
-//! shard columns ([`SANITIZE`]), the `LossCounts` fold ([`LOSSMODEL`]) and
-//! the `GroupPartition` fold that [`ALPHA`] and [`BIASED_PDF`] read — the
-//! pre-draw part of α — bundled as
-//! [`PlanPartials`](crate::plan::PlanPartials). [`UNBIASED_PDF`],
-//! [`CI_BOOTSTRAP`] and [`WINDOWED_CURVE`] draw from an RNG stream and
-//! are recomputed in full on every run; [`SMOOTHING`] and
-//! [`NORMALIZATION`] are pure functions of the pooled histograms.
+//! The streaming engine keeps only what [`SANITIZE`] produces — its
+//! sorted, deduplicated row store — and reruns every later stage over it
+//! on a dirty snapshot. [`ALPHA`]'s draw-cell table and [`LOSSMODEL`]'s
+//! micro-cell scan read every row of the window anyway, so a cached copy
+//! of the two pre-draw folds would save only two of several passes over
+//! the rows.
+//! [`SMOOTHING`] and [`NORMALIZATION`] are pure functions of the pooled
+//! histograms; [`CI_BOOTSTRAP`] and [`WINDOWED_CURVE`] draw from RNG
+//! streams of their own.
 
 /// Filter / stable sort / exact dedup.
 pub const SANITIZE: &str = "sanitize";

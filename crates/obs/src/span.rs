@@ -163,12 +163,6 @@ impl Recorder {
         Recorder::with_options(true, MetricsRegistry::new())
     }
 
-    /// A collecting recorder that shares the given registry (what the CLI
-    /// wants: codec/sim counters and pipeline counters in one snapshot).
-    pub fn with_registry(metrics: MetricsRegistry) -> Recorder {
-        Recorder::with_options(true, metrics)
-    }
-
     /// A non-collecting recorder: spans still time their work (so stage
     /// timings are available from [`Span::finish`]) but nothing is buffered.
     /// The default for library callers that never drain the trace.
@@ -270,11 +264,6 @@ impl Span {
     /// The span's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Wall-clock milliseconds since the span opened.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1000.0
     }
 
     /// Close the span now, returning its wall-clock duration in

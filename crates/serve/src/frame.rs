@@ -407,7 +407,10 @@ mod tests {
             tz_offset_ms: i64::MAX,
             ..rec(2, 3.0)
         };
-        bad.extend([rec(2, f64::NAN), rec(2, -1.0), bad_tz].map(batch));
+        // A clock decades off would make every snapshot of its tenant
+        // build one α window per hour of the span.
+        let far_off = rec(autosens_telemetry::record::MAX_ABS_TIME_MS + 1, 3.0);
+        bad.extend([rec(2, f64::NAN), rec(2, -1.0), bad_tz, far_off].map(batch));
         for bytes in bad {
             let decoded = Frame::decode(&bytes);
             assert!(

@@ -1,7 +1,7 @@
 //! Resident heap per tenant. The gateway runs one streaming engine per
 //! tenant, so the bytes a tenant keeps after ingest and a snapshot bound
-//! how many tenants one host can serve. A counting global allocator
-//! measures them across the registry's public calls.
+//! how many tenants one host can serve, at any shard width. A counting
+//! global allocator measures them across the registry's public calls.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -61,6 +61,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const TENANTS: usize = 8;
 const RECORDS: usize = 2_400;
 const BUDGET_BYTES: isize = 512 * 1024;
+/// What 1-minute shards may cost a tenant over 6-hour ones.
+const NARROW_SHARD_SLACK_BYTES: isize = 64 * 1024;
 
 /// `RECORDS` time-sorted records from 10:00, about 20 a minute, with a
 /// latency that drifts from minute to minute.
@@ -102,8 +104,10 @@ fn serve_config() -> StreamConfig {
     }
 }
 
+/// Both phases share one test function: the counter is process-wide, so
+/// a test running in parallel would skew either reading.
 #[test]
-fn a_snapshotted_tenant_keeps_at_most_512_kib() {
+fn a_tenant_keeps_at_most_512_kib_at_any_shard_width() {
     let records = tenant_stream();
     let keys: Vec<TenantKey> = (0..TENANTS)
         .map(|i| TenantKey::new("svc", format!("r{i}")).unwrap())
@@ -122,5 +126,27 @@ fn a_snapshotted_tenant_keeps_at_most_512_kib() {
     assert!(
         per_tenant <= BUDGET_BYTES,
         "each tenant keeps {per_tenant} B, over the {BUDGET_BYTES} B budget"
+    );
+
+    // Shard width must not multiply memory: the same records at 1-minute
+    // shards (120 buckets a tenant) and at 6-hour shards (one), drained.
+    let drained_per_tenant = |shard_ms: i64| {
+        let config = StreamConfig {
+            shard_ms,
+            ..serve_config()
+        };
+        let registry = Registry::new(config, 65_536, Recorder::disabled());
+        let before = LIVE.load(Ordering::Relaxed);
+        for key in &keys {
+            registry.ingest(key, &records).unwrap();
+            registry.with_tenant(key, |_| ()).unwrap();
+        }
+        (LIVE.load(Ordering::Relaxed) - before) / TENANTS as isize
+    };
+    let six_hours = drained_per_tenant(6 * 3_600_000);
+    let one_minute = drained_per_tenant(60_000);
+    assert!(
+        one_minute <= six_hours + NARROW_SHARD_SLACK_BYTES,
+        "a tenant keeps {one_minute} B at 1-minute shards and {six_hours} B at 6-hour shards"
     );
 }

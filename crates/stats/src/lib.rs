@@ -23,7 +23,6 @@
 //! * [`dist`] — seeded samplers for Normal/LogNormal/Exponential/Pareto/Poisson.
 //! * [`sampling`] — shuffles, bootstrap resampling, reservoir sampling.
 //! * [`timeseries`] — fixed-window aggregation of timestamped values.
-//! * [`ecdf`] — empirical CDFs and Kolmogorov–Smirnov distances.
 //!
 //! All stochastic routines take an explicit `&mut impl Rng`; nothing in this
 //! crate reads ambient entropy, so downstream pipelines are reproducible from
@@ -34,7 +33,6 @@ pub mod binning;
 pub mod correlation;
 pub mod descriptive;
 pub mod dist;
-pub mod ecdf;
 pub mod error;
 pub mod histogram;
 pub mod linalg;

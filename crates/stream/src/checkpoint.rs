@@ -2,11 +2,11 @@
 //! disk, resume a stream mid-flight.
 //!
 //! The shard **records** — each shard's run of the engine's row store —
-//! and the intake counters are the whole durable state. Everything a
-//! shard caches in memory (the plan-layer partials and hour counters) is
-//! a fold over its records, so a checkpoint writes none of it: restore
+//! and the intake counters are the whole durable state. The engine's
+//! other bookkeeping (per-bucket row counts, the hour counters) is a
+//! count over those records, so a checkpoint writes none of it: restore
 //! validates every record, checks each shard's sortedness and bucket, and
-//! refolds the shard from its records. A member a file carries beyond
+//! counts the rows as it appends them. A member a file carries beyond
 //! these fields (such as the `partials` section older builds wrote) is
 //! ignored on parse, never trusted. The analysis
 //! [`Slice`](autosens_telemetry::query::Slice)

@@ -20,41 +20,43 @@
 //!   and dropped at insert, keeping the first arrival exactly as batch
 //!   dedup keeps the first post-sort occurrence.
 //!
-//! Each time bucket's shard keeps only aggregates: its row count, the
-//! cached [`PlanPartials`] (the plan layer's pre-RNG operator state) and
-//! hour counters. Equal timestamps never span a bucket, so a shard's rows
-//! are one contiguous run of the store, in bucket order. [`StreamEngine::snapshot`] borrows the store as a sorted
-//! [`LogView`] (no copy, no re-sort), merges the shard partials, and
-//! enters the shared pipeline through the single plan entry point
+//! A shard is one time bucket's row count. Equal timestamps never span a
+//! bucket, so a shard's rows are one contiguous run of the store, in
+//! bucket order; the store and the per-bucket counts are all the engine
+//! keeps of its data. [`StreamEngine::snapshot`] borrows the store as a
+//! sorted [`LogView`] (no copy, no re-sort) and enters the shared pipeline
+//! through the single plan entry point
 //! ([`AnalysisPlan::run`](autosens_core::AnalysisPlan::run) with a
-//! prepared input), so after draining a finite log the report is
-//! **bit-identical** to batch `analyze` on the same log — including
-//! degradation bookkeeping and `autosens_core_*` metrics.
+//! prepared input that carries only sanitize's bookkeeping), so after
+//! draining a finite log the report is **bit-identical** to batch
+//! `analyze` on the same log — including degradation bookkeeping and
+//! `autosens_core_*` metrics.
 //!
 //! ## What is incremental and what is not
 //!
-//! Snapshots are dirty-tracked. The engine caches the last finished
-//! report, shared as an [`Arc`], keyed by the intake event counter:
+//! Intake maintains sanitize's output — the sorted, deduplicated rows —
+//! one insert at a time. Snapshots are dirty-tracked. The engine caches
+//! the last finished report, shared as an [`Arc`], keyed by the intake
+//! event counter:
 //!
 //! * **No events since the last snapshot** → the cached report is
 //!   returned (another reference to the same allocation), skipping the
 //!   pipeline entirely; `autosens_stream_snapshot_reuse_total` counts
 //!   these and [`StreamEngine::last_snapshot_reused`] exposes the flag.
-//! * **Dirty** → the pipeline runs over the borrowed store, and the new
-//!   report replaces the cached one in a single assignment after the run
+//! * **Dirty** → every stage after sanitize runs over the borrowed store,
+//!   exactly as batch runs it over its sanitized view, and the new report
+//!   replaces the cached one in a single assignment after the run
 //!   succeeds. A failed or panicking run leaves the previous entry, which
 //!   is still exact for its own event count.
 //!
-//! The per-cell biased histograms, action counts, and per-day loss-cell
-//! observation counts are maintained incrementally per shard and merged
-//! in O(shards · touched cells · bins). The RNG-bearing
-//! operators — the group-conditional unbiased draws and the smoothing
-//! fit — are recomputed per snapshot over the merged window: their draw
-//! count and window layout depend on the window's global start/end, so
-//! caching them per shard would change the random sequence and break bit
-//! equality (see the RNG-frontier notes in
-//! [`autosens_core::plan::op`]). Rows themselves are kept once (they are
-//! the checkpoint's durable state and the unbiased estimator's input).
+//! Nothing past sanitize is kept per shard. The paper's `U` draws span the
+//! whole window and α compares hour slots across every day of it, so α's
+//! draw-cell table and the lossmodel's micro-cell scan read every live
+//! row at each dirty snapshot anyway; the pre-draw folds (per-day loss
+//! counts, per-cell biased histograms) are two more passes of the same
+//! order (see the RNG-frontier notes in [`autosens_core::plan::op`]).
+//! Rows are kept once: they are the checkpoint's durable state and every
+//! stage's input.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,17 +67,16 @@ use serde::{Deserialize, Serialize};
 
 use autosens_core::pipeline::{AnalysisReport, DecaySpec, Degradation};
 use autosens_core::{
-    AnalysisPlan, AutoSensConfig, AutoSensError, PlanInput, PlanPartials, PreparedMeta, RunOptions,
+    AnalysisPlan, AutoSensConfig, AutoSensError, PlanInput, PreparedMeta, RunOptions,
 };
 use autosens_obs::{Counter, FlightKind, FlightRecorder, Gauge, Recorder};
-use autosens_stats::binning::Binner;
 use autosens_telemetry::log::{ColumnStore, LogView};
 use autosens_telemetry::query::Slice;
 use autosens_telemetry::record::ActionRecord;
+use autosens_telemetry::time::SimTime;
 
 use crate::detector::{detect_regimes, DetectorConfig, RegimeShift};
 use crate::error::StreamError;
-use crate::shard::Shard;
 
 /// Retained flight-recorder events (see [`FlightRecorder`]).
 const FLIGHT_CAPACITY: usize = 256;
@@ -215,12 +216,13 @@ pub struct StreamEngine {
     config: StreamConfig,
     slice: Slice,
     filter: Slice,
-    binner: Binner,
     /// Every live admitted row, time-sorted and arrival-stable among equal
     /// timestamps. Each shard's rows are one contiguous run, in bucket
     /// order.
     store: ColumnStore,
-    shards: BTreeMap<i64, Shard>,
+    /// Rows per live time bucket (`time_ms.div_euclid(shard_ms)`), in
+    /// bucket order: the shards.
+    shards: BTreeMap<i64, usize>,
     max_event_time: Option<i64>,
     last_arrival: Option<i64>,
     saw_out_of_order: bool,
@@ -272,7 +274,7 @@ impl StreamEngine {
         recorder: Recorder,
     ) -> Result<StreamEngine, StreamError> {
         config.validate()?;
-        let binner = config.analysis.binner()?;
+        config.analysis.binner()?;
         let filter = slice.clone().successes();
         let metrics = recorder.metrics();
         let events_total = metrics.counter("autosens_stream_events_total");
@@ -282,7 +284,6 @@ impl StreamEngine {
             config,
             slice,
             filter,
-            binner,
             store: ColumnStore::new(),
             shards: BTreeMap::new(),
             max_event_time: None,
@@ -367,11 +368,11 @@ impl StreamEngine {
             self.count("autosens_stream_duplicate_events_total");
             return Ingest::Duplicate;
         }
-        self.shards
+        *self
+            .shards
             .entry(t.div_euclid(self.config.shard_ms))
-            .or_insert_with(|| Shard::new(&self.binner))
-            .record(&r);
-        self.hour_counts[r.hour_slot().0 as usize % 24] += 1;
+            .or_insert(0) += 1;
+        self.hour_counts[r.hour_slot().0 as usize] += 1;
 
         if let Some(retain) = self.config.retain_ms {
             self.evict_older_than(self.max_event_time.unwrap_or(t) - retain);
@@ -407,28 +408,29 @@ impl StreamEngine {
     /// Evict shards whose bucket ends at or before `cutoff_ms`, dropping
     /// their rows (a prefix of the store) with them.
     fn evict_older_than(&mut self, cutoff_ms: i64) {
-        let metrics = self.plan.recorder().metrics();
         let mut rows = 0usize;
         // BTreeMap iterates in bucket order; stop at the first live shard.
-        while let Some((&bucket, shard)) = self.shards.first_key_value() {
-            let bucket_end = (bucket + 1) * self.config.shard_ms;
-            if bucket_end > cutoff_ms {
+        while let Some((&bucket, &n)) = self.shards.first_key_value() {
+            if (bucket + 1) * self.config.shard_ms > cutoff_ms {
                 break;
             }
-            let dropped = shard.len() as u64;
-            rows += shard.len();
-            self.evicted += dropped;
-            for (acc, &n) in self.hour_counts.iter_mut().zip(&shard.hour_counts) {
-                *acc -= n;
-            }
-            metrics
-                .counter("autosens_stream_evicted_records_total")
-                .add(dropped);
+            rows += n;
             self.shards.remove(&bucket);
         }
-        if rows > 0 {
-            self.store.drain_front(rows);
+        if rows == 0 {
+            return;
         }
+        let (times, tzs) = (self.store.times(), self.store.tz_offsets());
+        for i in 0..rows {
+            self.hour_counts[SimTime(times[i]).hour_slot_local(tzs[i]).0 as usize] -= 1;
+        }
+        self.store.drain_front(rows);
+        self.evicted += rows as u64;
+        self.plan
+            .recorder()
+            .metrics()
+            .counter("autosens_stream_evicted_records_total")
+            .add(rows as u64);
     }
 
     /// Close an open run of consecutive late drops into one flight event.
@@ -467,16 +469,12 @@ impl StreamEngine {
         let mut end = 0usize;
         self.shards
             .iter()
-            .map(|(&bucket, shard)| {
-                end += shard.len();
-                let newest = if shard.len() == 0 {
-                    frontier
-                } else {
-                    times[end - 1]
-                };
+            .map(|(&bucket, &rows)| {
+                end += rows;
+                let newest = if rows == 0 { frontier } else { times[end - 1] };
                 (
                     bucket * self.config.shard_ms,
-                    shard.len() as u64,
+                    rows as u64,
                     (frontier - newest).max(0),
                 )
             })
@@ -588,9 +586,9 @@ impl StreamEngine {
         self.last_snapshot_reused.load(Ordering::Relaxed)
     }
 
-    /// Analyze the live window by merging shard partials into the shared
-    /// post-sanitize pipeline. After draining a finite log (no lateness
-    /// drops, no eviction), the result is bit-identical to batch
+    /// Analyze the live window: the shared post-sanitize pipeline over a
+    /// borrowed view of the row store. After draining a finite log (no
+    /// lateness drops, no eviction), the result is bit-identical to batch
     /// `analyze` over the same log.
     ///
     /// Snapshots are dirty-tracked (see the module docs): with no events
@@ -613,10 +611,6 @@ impl StreamEngine {
         span.field("events", self.events);
         span.field("shards", self.shards.len());
         span.field("records", self.store.len());
-        let mut partials = PlanPartials::empty(&self.binner);
-        for shard in self.shards.values() {
-            partials.try_merge(&shard.partials)?;
-        }
 
         // Degradations in the order batch sanitize reports them, plus the
         // streaming-only lateness drop (absent in the equivalence regime).
@@ -668,7 +662,6 @@ impl StreamEngine {
             degradations,
             records_in: self.records_in as usize,
             records_dropped: self.duplicates as usize,
-            partials: Some(partials),
             decay,
         };
         let s = &self.store;
@@ -711,8 +704,7 @@ impl StreamEngine {
     }
 
     /// Serialize the engine's durable state: the intake counters and the
-    /// rows, sliced out of the store shard by shard. Shard partials are
-    /// derived from the rows, so they stay in memory (see
+    /// rows, sliced out of the store shard by shard (see
     /// [`crate::checkpoint`]). `source_offset` is the tailed file's
     /// checkpointed byte offset (pass 0 when not tailing a file).
     pub fn checkpoint(&self, source_offset: u64) -> crate::checkpoint::Checkpoint {
@@ -737,8 +729,8 @@ impl StreamEngine {
             shards: self
                 .shards
                 .iter()
-                .scan(0usize, |start, (&bucket, shard)| {
-                    let rows = *start..*start + shard.len();
+                .scan(0usize, |start, (&bucket, &n)| {
+                    let rows = *start..*start + n;
                     *start = rows.end;
                     Some(crate::checkpoint::ShardCheckpoint {
                         bucket,
@@ -750,10 +742,10 @@ impl StreamEngine {
     }
 
     /// Rebuild an engine from a checkpoint, resuming mid-flight: every
-    /// record is validated ([`ActionRecord::validate`]) and each shard is
-    /// refolded from its records. The slice is not serialized (it can
-    /// hold arbitrary user sets); the caller re-supplies the slice it
-    /// checkpointed under.
+    /// record is validated ([`ActionRecord::validate`]) and appended to the
+    /// store, and each shard's rows are counted. The slice is not
+    /// serialized (it can hold arbitrary user sets); the caller re-supplies
+    /// the slice it checkpointed under.
     pub fn restore(
         checkpoint: crate::checkpoint::Checkpoint,
         slice: Slice,
@@ -778,10 +770,9 @@ impl StreamEngine {
                     return Err(corrupt(format!("record at {at} ms is outside the shard")));
                 }
                 engine.store.push(r);
+                engine.hour_counts[r.hour_slot().0 as usize] += 1;
             }
-            let shard = Shard::rebuild(&sc.records, &engine.binner);
-            shard.merge_hours_into(&mut engine.hour_counts);
-            engine.shards.insert(sc.bucket, shard);
+            engine.shards.insert(sc.bucket, sc.records.len());
         }
         engine.max_event_time = checkpoint.max_event_time_ms;
         engine.last_arrival = checkpoint.last_arrival_ms;
@@ -854,30 +845,11 @@ mod tests {
         assert_eq!(engine.push(r), Ingest::Duplicate);
         // Same time, different latency: not a duplicate.
         assert_eq!(engine.push(rec(1000, 11.0, 1)), Ingest::Admitted);
+        // Duplicates are counted nowhere: not in the store the snapshot
+        // reads, the shard's row count or the hour counters.
         assert_eq!(engine.store.len(), 2);
-        let shard = &engine.shards[&0];
-        assert_eq!(shard.len(), 2);
-        assert_eq!(shard.hour_counts.iter().sum::<u64>(), 2);
-        // Duplicates are not double-counted as loss-cell observations.
-        assert_eq!(shard.partials.loss.total(), 2);
-    }
-
-    #[test]
-    fn rebuild_matches_incremental_state() {
-        let mut engine = engine();
-        for i in 0..50 {
-            engine.push(rec(i * 60_000, 50.0 + i as f64, i as u64 % 5));
-        }
-        let shard = &engine.shards[&0];
-        let rebuilt = Shard::rebuild(&engine.store.to_records(), &engine.binner);
-        assert_eq!(rebuilt.len(), shard.len());
-        assert_eq!(rebuilt.hour_counts, shard.hour_counts);
-        let (a, b) = (&rebuilt.partials.partition, &shard.partials.partition);
-        assert_eq!(a.cell_actions(), b.cell_actions());
-        for c in 0..a.n_cells() {
-            assert_eq!(a.cell(c).map(|h| h.counts()), b.cell(c).map(|h| h.counts()));
-        }
-        assert_eq!(rebuilt.partials.loss, shard.partials.loss);
+        assert_eq!(engine.shards[&0], 2);
+        assert_eq!(engine.status().hour_counts.iter().sum::<u64>(), 2);
     }
 
     /// A panic while the snapshot lock is held must not break the engine:
@@ -925,10 +897,11 @@ mod tests {
         assert_eq!(bits(&after), bits(&expected));
     }
 
-    /// The O(1) status counters (maintained on admit/evict) must equal a
-    /// full shard walk at every point of an insert/evict interleaving.
+    /// The O(1) status counters and the shard row counts (maintained on
+    /// admit/evict) must equal a full walk of the store's rows at every
+    /// point of an insert/evict interleaving.
     #[test]
-    fn incremental_status_counters_match_a_shard_walk() {
+    fn incremental_status_counters_match_a_store_walk() {
         let (log, _) = generate(&SimConfig::scenario(Scenario::Smoke)).unwrap();
         let cfg = StreamConfig {
             shard_ms: 6 * 3_600_000,
@@ -938,13 +911,12 @@ mod tests {
         let mut engine = StreamEngine::new(cfg, Slice::all()).unwrap();
         let check = |engine: &StreamEngine| {
             let mut hour_counts = [0u64; 24];
-            let mut live = 0u64;
-            for shard in engine.shards.values() {
-                shard.merge_hours_into(&mut hour_counts);
-                live += shard.len() as u64;
+            for r in engine.store.to_records() {
+                hour_counts[r.hour_slot().0 as usize] += 1;
             }
             let status = engine.status();
-            assert_eq!(status.live_records, live, "live_records drifted");
+            let shard_rows: usize = engine.shards.values().sum();
+            assert_eq!(status.live_records, shard_rows as u64, "shard rows drifted");
             assert_eq!(status.hour_counts, hour_counts, "hour_counts drifted");
         };
         for (i, r) in log.iter().enumerate() {

@@ -13,10 +13,10 @@
 //! * [`StreamEngine`] — a time-sharded sliding-window store tolerating
 //!   out-of-order arrival up to a configurable lateness budget
 //!   (low-watermark semantics: older arrivals are counted-and-dropped,
-//!   never silently lost). Each shard keeps incremental partial
-//!   aggregates, so [`StreamEngine::snapshot`] merges partials and enters
-//!   the shared pipeline post-sanitize instead of re-running the batch
-//!   pipeline from scratch.
+//!   never silently lost). Intake keeps the rows sorted and deduplicated
+//!   as batch sanitize would, so [`StreamEngine::snapshot`] enters the
+//!   shared pipeline post-sanitize over a borrowed view of them instead
+//!   of re-running the batch pipeline from scratch.
 //! * [`Checkpoint`] — serialize the engine's durable state to disk and
 //!   resume a stream mid-flight, including the tailed file's byte offset.
 //! * Observability — `autosens_stream_*` counters (events, late,
@@ -34,7 +34,6 @@ pub mod detector;
 pub mod engine;
 pub mod error;
 pub mod ingest;
-mod shard;
 pub mod status;
 
 pub use checkpoint::{Checkpoint, ShardCheckpoint, CHECKPOINT_VERSION};

@@ -5,15 +5,16 @@
 //! the same document the serve plane's `/curve` endpoint returns):
 //!
 //! 1. the incremental engine — snapshotted mid-stream, so every later
-//!    snapshot replaces a cached report and merges shard partials kept
-//!    up to date across earlier snapshots — checkpointed at a drawn
-//!    arrival;
+//!    snapshot replaces a cached report and reads a row store (and shard
+//!    row counts) kept up to date across earlier snapshots — checkpointed
+//!    at a drawn arrival;
 //! 2. a cold engine fed the identical arrival sequence and snapshotted
 //!    once at the end (full recompute);
 //! 3. the batch plan entry point over the live window's records;
 //! 4. an engine restored from that checkpoint, round-tripped through
-//!    JSON, then fed the remaining arrivals — the restore path refolds
-//!    every shard from its checkpointed records.
+//!    JSON, then fed the remaining arrivals — the restore path rebuilds
+//!    the store and every shard's row count from its checkpointed
+//!    records.
 //!
 //! A zero-dirty double snapshot (no events in between) must also return
 //! the cached report verbatim.
@@ -117,7 +118,7 @@ proptest! {
         let cut = cut % arrivals.len();
         for threads in [1usize, 2, 4, 8] {
             // 1. Incremental: snapshot mid-stream, so the final snapshot
-            //    follows cached reports over the same shard partials.
+            //    follows cached reports over the same row store.
             let mut engine =
                 StreamEngine::new(stream_config(threads), Slice::all()).expect("engine");
             let mut cut_json = String::new();

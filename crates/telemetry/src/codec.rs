@@ -200,7 +200,10 @@ fn read_csv_inner<R: Read>(
             continue;
         }
         match parse_csv_row(&line, lineno).and_then(|r| {
-            r.validate()?;
+            r.validate().map_err(|e| TelemetryError::Malformed {
+                line: lineno,
+                reason: e.to_string(),
+            })?;
             Ok(r)
         }) {
             Ok(record) => {
@@ -569,15 +572,32 @@ mod tests {
 
     #[test]
     fn csv_rejects_semantically_invalid_records() {
-        // Parses fine but fails validation (negative latency).
+        // Parses fine but fails validation (negative latency), naming the
+        // line like a parse failure does.
         let data = format!("{CSV_HEADER}\n1000,SelectMail,-5.0,1,Business,0,Success\n");
         assert!(matches!(
             read_csv(data.as_bytes()),
-            Err(TelemetryError::InvalidRecord(_))
+            Err(TelemetryError::Malformed { line: 2, .. })
         ));
         // NaN latency parses as f64 but must be rejected.
         let data = format!("{CSV_HEADER}\n1000,SelectMail,NaN,1,Business,0,Success\n");
         assert!(read_csv(data.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn csv_rejects_a_far_off_time_naming_the_line() {
+        // A clock decades off the epoch, after one good row.
+        let far_off = crate::record::MAX_ABS_TIME_MS + 1;
+        let data = format!(
+            "{CSV_HEADER}\n1000,SelectMail,5.0,1,Business,0,Success\n\
+             {far_off},SelectMail,5.0,1,Business,0,Success\n"
+        );
+        match read_csv(data.as_bytes()) {
+            Err(TelemetryError::Malformed { line: 3, reason }) => {
+                assert!(reason.contains(&far_off.to_string()), "{reason}")
+            }
+            other => panic!("expected a line-3 rejection, got {other:?}"),
+        }
     }
 
     #[test]

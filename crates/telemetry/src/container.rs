@@ -50,7 +50,7 @@ use std::path::{Path, PathBuf};
 
 use crate::error::TelemetryError;
 use crate::log::{ColumnStore, LogView, TelemetryLog};
-use crate::record::ActionRecord;
+use crate::record::{ActionRecord, MAX_ABS_TIME_MS};
 use crate::time::MS_PER_HOUR;
 
 // The byte-level layout below assumes the in-memory representation of the
@@ -734,6 +734,15 @@ impl MappedLog {
                     col[i]
                 )));
             }
+        }
+        if let Some(i) = times
+            .iter()
+            .position(|&t| t.unsigned_abs() > MAX_ABS_TIME_MS as u64)
+        {
+            return Err(corrupt(format!(
+                "time column row {i} is outside +/-2^40 ms: {} ms",
+                times[i]
+            )));
         }
         let fourteen_hours = 14 * MS_PER_HOUR;
         if let Some(i) = tzs.iter().position(|&t| t.abs() > fourteen_hours) {

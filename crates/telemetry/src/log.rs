@@ -168,18 +168,6 @@ impl ColumnStore {
         &self.outcome
     }
 
-    /// Field-for-field identity of rows `i` and `j` at the bit level
-    /// (latency compared as bits), matching the dedup hash-set key.
-    pub fn row_equals_row(&self, i: usize, j: usize) -> bool {
-        self.time_ms[i] == self.time_ms[j]
-            && self.action[i] == self.action[j]
-            && self.latency_ms[i].to_bits() == self.latency_ms[j].to_bits()
-            && self.user[i] == self.user[j]
-            && self.class[i] == self.class[j]
-            && self.tz_offset_ms[i] == self.tz_offset_ms[j]
-            && self.outcome[i] == self.outcome[j]
-    }
-
     /// Field-for-field identity of row `i` and a record, bit-exact latency.
     pub fn row_equals_record(&self, i: usize, r: &ActionRecord) -> bool {
         self.time_ms[i] == r.time.millis()
@@ -880,13 +868,6 @@ impl TelemetryLog {
     /// The columnar storage.
     pub fn columns(&self) -> &ColumnStore {
         &self.cols
-    }
-
-    /// Take the columnar storage back out of the log without copying a
-    /// row — the inverse of [`TelemetryLog::from_columns`], for callers
-    /// that lend their store to an analysis and want it back afterwards.
-    pub fn into_columns(self) -> ColumnStore {
-        self.cols
     }
 
     /// The zero-copy view of every row (storage order).

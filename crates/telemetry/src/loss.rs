@@ -119,21 +119,21 @@ pub fn loss_cell_label(cell: usize) -> String {
     format!("h{hour:02}_{kind}_{class}")
 }
 
-/// Per-local-day record counts by (hour, class): the incremental substrate
-/// of the volume evidence.
+/// Per-local-day record counts by (hour, class): the substrate of the
+/// volume evidence.
 ///
-/// Counts are unit `u64` additions, so partials maintained per stream
-/// shard merge exactly in any order and match a batch rescan of the same
-/// records bit for bit. The day kind is derived from the day index, so
-/// one 48-wide row per day suffices for all 96 cells.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Counts are unit `u64` additions, so chunk partials merge exactly in any
+/// order and match one serial pass over the same records bit for bit. The
+/// day kind is derived from the day index, so one 48-wide row per day
+/// suffices for all 96 cells.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LossCounts {
     /// Per-local-day rows, kept sorted by day (ascending, unique).
     pub days: Vec<DayCounts>,
 }
 
 /// One local day's `[hour * N_LOSS_CLASSES + class]` record counts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DayCounts {
     /// Local day index (milliseconds since epoch / [`MS_PER_DAY`]).
     pub day: i64,
@@ -190,8 +190,7 @@ impl LossCounts {
         }
     }
 
-    /// Build from a view in one pass (the batch counterpart of the
-    /// incremental `record` path; identical result for the same rows).
+    /// Build from a view in one serial pass.
     pub fn from_view(view: &LogView<'_>) -> LossCounts {
         let mut counts = LossCounts::new();
         for i in 0..view.len() {
@@ -433,7 +432,7 @@ fn micro_cells(view: &LogView<'_>, threads: usize) -> BTreeMap<(i64, u8), Vec<i6
 /// Estimate the per-cell loss of a view.
 ///
 /// `counts` must tally exactly the view's records (use
-/// [`LossCounts::from_view`], or the incrementally maintained equivalent).
+/// [`LossCounts::from_view`] or [`LossCounts::from_view_par`]).
 /// The estimator is deterministic and single-pass over the view; it never
 /// reports a cell rate below [`MIN_CELL_RATE`].
 pub fn estimate_cell_loss(view: &LogView<'_>, counts: &LossCounts) -> LossEvidence {

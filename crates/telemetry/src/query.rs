@@ -7,7 +7,7 @@
 
 use std::collections::HashSet;
 
-use crate::log::{ColumnStore, LogView, TelemetryLog};
+use crate::log::{LogView, TelemetryLog};
 use crate::record::{ActionRecord, ActionType, Outcome, UserClass, UserId};
 use crate::time::{DayPeriod, Month, SimTime};
 
@@ -126,50 +126,11 @@ impl Slice {
         true
     }
 
-    /// Column-wise [`Slice::matches`] against storage row `i` — the hot
-    /// form: no record is materialized, and each unset predicate touches
-    /// zero columns.
-    pub fn matches_row(&self, cols: &ColumnStore, i: usize) -> bool {
-        if let Some(a) = self.action {
-            if cols.actions()[i] != a.code() {
-                return false;
-            }
-        }
-        if let Some(c) = self.class {
-            if cols.classes()[i] != c.code() {
-                return false;
-            }
-        }
-        if let Some(p) = self.period {
-            if SimTime(cols.times()[i]).day_period_local(cols.tz_offsets()[i]) != p {
-                return false;
-            }
-        }
-        if let Some(m) = self.month {
-            if SimTime(cols.times()[i]).month_local(cols.tz_offsets()[i]) != m {
-                return false;
-            }
-        }
-        if let Some(users) = &self.users {
-            if !users.contains(&UserId(cols.users()[i])) {
-                return false;
-            }
-        }
-        if let Some(tz) = self.tz_offset_ms {
-            if cols.tz_offsets()[i] != tz {
-                return false;
-            }
-        }
-        if self.successes_only && cols.outcomes()[i] != Outcome::Success.code() {
-            return false;
-        }
-        true
-    }
-
-    /// [`Slice::matches_row`] in *view* coordinates: tests view row `i`
-    /// (which may sit behind a selection vector) without materializing a
-    /// record. This is the form the zero-copy ingest path uses — mapped
-    /// containers produce a [`LogView`] with no [`ColumnStore`] behind it.
+    /// Column-wise [`Slice::matches`] against view row `i` (which may sit
+    /// behind a selection vector): no record is materialized, and each
+    /// unset predicate touches zero columns. This is the form every
+    /// selection uses, including the zero-copy ingest path's — mapped
+    /// containers produce a [`LogView`] with no owned columns behind it.
     pub fn matches_view(&self, view: &LogView<'_>, i: usize) -> bool {
         if let Some(a) = self.action {
             if view.action_at(i) != a.code() {
@@ -224,15 +185,7 @@ impl Slice {
     /// the analysis pipeline computes over; [`Slice::apply`] is the
     /// materializing escape hatch.
     pub fn select<'a>(&self, log: &'a TelemetryLog) -> LogView<'a> {
-        let view = log.view();
-        if self.is_unrestricted() {
-            return view;
-        }
-        let cols = log.columns();
-        let sel: Vec<u32> = (0..cols.len() as u32)
-            .filter(|&i| self.matches_row(cols, i as usize))
-            .collect();
-        view.with_selection(sel)
+        self.select_view(&log.view())
     }
 
     /// Chunked [`Slice::select`]: build the selection vector as a
@@ -304,18 +257,6 @@ impl Slice {
     /// [`Slice::select`].
     pub fn iter<'a>(&'a self, log: &'a TelemetryLog) -> impl Iterator<Item = ActionRecord> + 'a {
         log.iter().filter(|r| self.matches(r))
-    }
-
-    /// Chunked [`Slice::apply`]: [`Slice::select_par`] followed by one
-    /// materialize. The result is identical to `apply` for every thread
-    /// count.
-    pub fn apply_par(
-        &self,
-        log: &TelemetryLog,
-        threads: usize,
-    ) -> Result<(TelemetryLog, autosens_exec::ExecReport), autosens_exec::ExecError> {
-        let (view, report) = self.select_par(log, threads)?;
-        Ok((view.materialize(), report))
     }
 }
 
@@ -476,18 +417,6 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(0).user.0, 2);
         assert!(Slice::all().tz_offset_hours(3).apply(&log).is_empty());
-    }
-
-    #[test]
-    fn apply_par_matches_apply_for_any_thread_count() {
-        let log = sample_log();
-        let slice = Slice::all().action(ActionType::SelectMail).successes();
-        let serial = slice.apply(&log);
-        for threads in [1, 2, 4, 8] {
-            let (par, report) = slice.apply_par(&log, threads).unwrap();
-            assert_eq!(par.to_records(), serial.to_records(), "threads={threads}");
-            assert_eq!(report.n_items, log.len());
-        }
     }
 
     #[test]

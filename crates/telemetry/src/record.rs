@@ -184,6 +184,13 @@ impl Outcome {
     }
 }
 
+/// The largest record timestamp magnitude accepted, in ms: 2^40, about
+/// ±34.8 years around the simulation epoch (the simulated calendar spans
+/// one year). α builds one draw window per hour of a log's span, so the
+/// bound caps a snapshot at about 611,000 windows however far off one
+/// record's clock is.
+pub const MAX_ABS_TIME_MS: i64 = 1 << 40;
+
 /// One logged user action: the `(T, A, L, M)` tuple of the paper plus the
 /// anonymized user id and outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -207,13 +214,20 @@ pub struct ActionRecord {
 
 impl ActionRecord {
     /// Validate the semantic invariants a record must satisfy before it may
-    /// enter a [`crate::log::TelemetryLog`]: finite, non-negative latency and
-    /// a sane timezone offset (within ±14h like real-world offsets).
+    /// enter a [`crate::log::TelemetryLog`]: finite, non-negative latency, a
+    /// time within ±[`MAX_ABS_TIME_MS`] and a sane timezone offset (within
+    /// ±14h like real-world offsets).
     pub fn validate(&self) -> Result<(), TelemetryError> {
         if !self.latency_ms.is_finite() || self.latency_ms < 0.0 {
             return Err(TelemetryError::InvalidRecord(format!(
                 "latency must be finite and >= 0, got {}",
                 self.latency_ms
+            )));
+        }
+        if self.time.millis().unsigned_abs() > MAX_ABS_TIME_MS as u64 {
+            return Err(TelemetryError::InvalidRecord(format!(
+                "time {} ms outside +/-2^40 ms",
+                self.time.millis()
             )));
         }
         let fourteen_hours = 14 * crate::time::MS_PER_HOUR;
@@ -315,6 +329,24 @@ mod tests {
         assert!(r.validate().is_err());
         r.tz_offset_ms = -14 * MS_PER_HOUR;
         assert!(r.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_far_off_times() {
+        let mut r = record();
+        for ok in [MAX_ABS_TIME_MS, -MAX_ABS_TIME_MS] {
+            r.time = SimTime(ok);
+            assert!(r.validate().is_ok(), "{ok}");
+        }
+        for bad in [
+            MAX_ABS_TIME_MS + 1,
+            -MAX_ABS_TIME_MS - 1,
+            i64::MAX,
+            i64::MIN,
+        ] {
+            r.time = SimTime(bad);
+            assert!(r.validate().is_err(), "{bad}");
+        }
     }
 
     #[test]

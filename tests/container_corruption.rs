@@ -12,7 +12,9 @@ use autosens_telemetry::container::{
     self, checksum64, MappedLog, CONTAINER_MAGIC, FOOTER_CHECKSUM_OFFSET, FOOTER_LEN,
     FOOTER_SECTIONS_OFFSET, HEADER_LEN, NUM_SECTIONS,
 };
-use autosens_telemetry::record::{ActionRecord, ActionType, Outcome, UserClass, UserId};
+use autosens_telemetry::record::{
+    ActionRecord, ActionType, Outcome, UserClass, UserId, MAX_ABS_TIME_MS,
+};
 use autosens_telemetry::time::{SimTime, MS_PER_HOUR};
 use autosens_telemetry::{TelemetryError, TelemetryLog};
 use proptest::prelude::*;
@@ -243,6 +245,20 @@ fn rejects_timezone_outside_fourteen_hours() {
     bytes[off..off + 8].copy_from_slice(&(15 * MS_PER_HOUR).to_le_bytes());
     refix_section(&mut bytes, 5);
     assert_corrupt(open_bytes(&bytes, "tz"), "outside +/-14h");
+}
+
+#[test]
+fn rejects_times_outside_the_bound() {
+    // The first row pushed back and the last pushed forward, so the time
+    // column stays sorted and only the bound can catch it.
+    let rows = 16;
+    for (row, value) in [(0, -MAX_ABS_TIME_MS - 1), (rows - 1, MAX_ABS_TIME_MS + 1)] {
+        let mut bytes = container_bytes(&fixture_log(rows), None);
+        let (off, _) = section_geometry(&bytes, 0);
+        bytes[off + 8 * row..off + 8 * row + 8].copy_from_slice(&value.to_le_bytes());
+        refix_section(&mut bytes, 0);
+        assert_corrupt(open_bytes(&bytes, "time"), "outside +/-2^40 ms");
+    }
 }
 
 #[test]
