@@ -115,6 +115,17 @@ if ! diff -u "$SMOKE_DIR/core_batch.txt" "$SMOKE_DIR/core_stream_1m.txt"; then
     echo "ci.sh: core metrics diverged between batch analyze and watch at 1-minute shards" >&2
     exit 1
 fi
+# The same on a file whose last line has no newline: analyze reads that
+# line, so watch --until-eof must read it at end of file too.
+head -c -1 "$SMOKE_DIR/smoke.csv" > "$SMOKE_DIR/smoke_unterminated.csv"
+./target/release/autosens analyze --in "$SMOKE_DIR/smoke_unterminated.csv" --json \
+    --quiet > "$SMOKE_DIR/report_batch_unterminated.json"
+./target/release/autosens watch --in "$SMOKE_DIR/smoke_unterminated.csv" --until-eof \
+    --json --quiet > "$SMOKE_DIR/report_stream_unterminated.json"
+if ! diff -u "$SMOKE_DIR/report_batch_unterminated.json" "$SMOKE_DIR/report_stream_unterminated.json"; then
+    echo "ci.sh: watch --until-eof diverged from analyze on a file with an unterminated last line" >&2
+    exit 1
+fi
 
 echo "==> golden analyze gate (byte-identical --json on the pinned fixture)"
 # The columnar refactor (and anything after it) must be behavior-invariant:

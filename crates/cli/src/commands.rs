@@ -10,8 +10,7 @@ use autosens_faults::FaultPlan;
 use autosens_serve::{serve_http, Agent, AgentConfig, Gateway, GatewayConfig, TenantKey};
 use autosens_sim::{generate_with_threads, SimConfig};
 use autosens_stream::{
-    Checkpoint, DetectorConfig, Ingestor, Offer, OverflowPolicy, StatusDocument, StreamConfig,
-    StreamEngine,
+    Checkpoint, DetectorConfig, Ingest, StatusDocument, StreamConfig, StreamEngine,
 };
 use autosens_telemetry::codec;
 use autosens_telemetry::container::{self, MappedLog};
@@ -547,13 +546,15 @@ impl SourceReader {
         }
     }
 
-    /// Read whatever the source has grown by. Returns the new records and
-    /// the count of malformed rows skipped (always 0 for containers, which
-    /// validate all-or-nothing).
-    fn poll(&mut self) -> Result<(Vec<ActionRecord>, usize), String> {
+    /// Read whatever the source has grown by. With `at_eof` the source has
+    /// stopped growing, so end of file ends a text source's last line.
+    /// Returns the new records and the count of malformed rows skipped
+    /// (always 0 for containers, which validate all-or-nothing).
+    fn poll(&mut self, at_eof: bool) -> Result<(Vec<ActionRecord>, usize), String> {
         match self {
             SourceReader::Text(r) => {
-                let (records, errors) = r.poll().map_err(|e| e.to_string())?;
+                let (records, errors) =
+                    if at_eof { r.poll_to_eof() } else { r.poll() }.map_err(|e| e.to_string())?;
                 Ok((records, errors.total()))
             }
             SourceReader::Binary(r) => {
@@ -645,7 +646,6 @@ fn run_watch(args: WatchArgs) -> Result<(), String> {
         }
     };
 
-    let ingestor = Ingestor::new(65_536, OverflowPolicy::Block, recorder.clone());
     let mut admitted_since_emit: u64 = 0;
     let mut last_emit = std::time::Instant::now();
     let mut emitted_any = false;
@@ -661,28 +661,21 @@ fn run_watch(args: WatchArgs) -> Result<(), String> {
         Ok(())
     };
 
+    // With --until-eof, the first empty poll means the file has stopped
+    // growing: one last read then takes end of file as the end of the last
+    // line, so an unterminated final line is analyzed too.
+    let mut at_eof = false;
     loop {
-        let (records, skipped) = reader.poll()?;
+        let (records, skipped) = reader.poll(at_eof)?;
         if skipped > 0 {
             autosens_obs::warn!("skipped {skipped} malformed row(s) while tailing");
         }
         let got_new = !records.is_empty();
         for r in records {
-            // The bounded queue applies backpressure: drain before retrying.
-            if ingestor.offer(r) == Offer::Full {
-                let summary = ingestor
-                    .drain_into(&mut engine)
-                    .map_err(|e| e.to_string())?;
-                admitted_since_emit += summary.admitted as u64;
-                if ingestor.offer(r) != Offer::Accepted {
-                    return Err("ingest queue rejected a record after draining".into());
-                }
+            if engine.push(r) == Ingest::Admitted {
+                admitted_since_emit += 1;
             }
         }
-        let summary = ingestor
-            .drain_into(&mut engine)
-            .map_err(|e| e.to_string())?;
-        admitted_since_emit += summary.admitted as u64;
 
         // Cadence-driven intermediate snapshots.
         let due_events = args.every_events.is_some_and(|n| admitted_since_emit >= n);
@@ -706,7 +699,7 @@ fn run_watch(args: WatchArgs) -> Result<(), String> {
             }
             let report = emit_snapshot(&engine, &label, args.json, args.reference_ms, false)?;
             if let (Some(path), Some(report)) = (&args.status_out, report.as_ref()) {
-                StatusDocument::collect(&engine, report, ingestor.queue_depth() as u64)
+                StatusDocument::collect(&engine, report, 0)
                     .save(std::path::Path::new(path))
                     .map_err(|e| format!("status {path}: {e}"))?;
             }
@@ -716,11 +709,15 @@ fn run_watch(args: WatchArgs) -> Result<(), String> {
             save_checkpoint(&engine, &reader)?;
         }
 
+        if at_eof {
+            break;
+        }
         if !got_new {
             if args.until_eof {
-                break;
+                at_eof = true;
+            } else {
+                std::thread::sleep(std::time::Duration::from_millis(200));
             }
-            std::thread::sleep(std::time::Duration::from_millis(200));
         }
     }
 
@@ -732,7 +729,7 @@ fn run_watch(args: WatchArgs) -> Result<(), String> {
         }
         let report = emit_snapshot(&engine, &label, args.json, args.reference_ms, true)?;
         if let (Some(path), Some(report)) = (&args.status_out, report.as_ref()) {
-            StatusDocument::collect(&engine, report, ingestor.queue_depth() as u64)
+            StatusDocument::collect(&engine, report, 0)
                 .save(std::path::Path::new(path))
                 .map_err(|e| format!("status {path}: {e}"))?;
         }

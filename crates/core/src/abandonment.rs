@@ -82,13 +82,13 @@ pub fn session_continuation(
     if log.is_empty() {
         return Err(AutoSensError::EmptySlice("abandonment analysis".into()));
     }
-    let horizon = log.end_time().expect("non-empty").millis();
+    let horizon = log.view().end_time().expect("non-empty").millis();
     let binner = cfg.binner()?;
 
     // Per-user chronological action streams. A sorted input log yields
     // sorted per-user streams because filtering preserves order.
     let mut per_user: HashMap<UserId, Vec<(i64, f64)>> = HashMap::new();
-    for r in log.iter() {
+    for r in log.view().iter() {
         per_user
             .entry(r.user)
             .or_default()

@@ -23,19 +23,6 @@ pub fn biased_histogram(view: &LogView<'_>, binner: &Binner) -> Histogram {
     h
 }
 
-/// Build a biased histogram with per-record weights, used by the
-/// α-normalization (each record's weight is `1/α` of its hour slot).
-pub fn weighted_biased_histogram<F>(view: &LogView<'_>, binner: &Binner, weight: F) -> Histogram
-where
-    F: Fn(&autosens_telemetry::record::ActionRecord) -> f64,
-{
-    let mut h = Histogram::new(binner.clone());
-    for r in view.iter() {
-        h.record_weighted(r.latency_ms, weight(&r));
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,21 +63,6 @@ mod tests {
         let h = biased_histogram(&log.view(), &binner());
         assert_eq!(h.total(), 1.0);
         assert_eq!(h.n_discarded(), 1);
-    }
-
-    #[test]
-    fn weighted_histogram_applies_weights() {
-        let log = TelemetryLog::from_records(vec![rec(0, 105.0), rec(1, 455.0)]).unwrap();
-        let h = weighted_biased_histogram(&log.view(), &binner(), |r| {
-            if r.latency_ms < 200.0 {
-                2.0
-            } else {
-                0.5
-            }
-        });
-        assert_eq!(h.count(10), 2.0);
-        assert_eq!(h.count(45), 0.5);
-        assert_eq!(h.total(), 2.5);
     }
 
     #[test]

@@ -197,23 +197,21 @@ impl AnalysisPlan {
         let (selected, filter_report) = slice
             .clone()
             .successes()
-            .select_par_view(view, self.config.threads)?;
+            .select_par(view, self.config.threads)?;
         self.record_exec(&span, &filter_report);
         let records_in = selected.len();
         // A selection over a sorted log is already in time order, so the
         // whole sanitize stage runs over the borrowed view without copying
         // a single row. Degraded (out-of-order) input falls back to one
-        // materialized copy, exactly the old filter/sort/dedup sequence.
+        // materialized, sorted copy, deduplicated through its view.
         let owned;
         let (sub, removed, copied) = if selected.is_sorted() {
             let (clean, removed) = selected.dedup_exact_par(self.config.threads);
             (clean, removed, 0)
         } else {
-            let mut m = selected.materialize();
-            m.ensure_sorted();
-            let removed = m.dedup_exact_par(self.config.threads);
-            owned = m;
-            (owned.view(), removed, records_in)
+            owned = selected.materialize();
+            let (clean, removed) = owned.view().dedup_exact_par(self.config.threads);
+            (clean, removed, records_in)
         };
         if removed > 0 {
             degradations.push(Degradation::duplicates_removed(removed as u64));
@@ -799,7 +797,7 @@ impl AnalysisPlan {
 /// zero-copy selection when the log is sorted, otherwise one materialized,
 /// re-sorted copy of it.
 fn sorted_successes<R>(log: &TelemetryLog, slice: &Slice, f: impl FnOnce(&LogView<'_>) -> R) -> R {
-    let selected = slice.clone().successes().select(log);
+    let selected = slice.clone().successes().select(&log.view());
     if selected.is_sorted() {
         f(&selected)
     } else {
@@ -1214,7 +1212,7 @@ mod tests {
     /// sanitize would produce for the whole log, optionally requesting
     /// the windowed decayed curve.
     fn prepared_from(log: &TelemetryLog, decay: Option<DecaySpec>) -> (TelemetryLog, PreparedMeta) {
-        let (selected, _) = Slice::all().successes().select_par(log, 1).unwrap();
+        let (selected, _) = Slice::all().successes().select_par(&log.view(), 1).unwrap();
         let records_in = selected.len();
         let (clean, removed) = selected.dedup_exact_par(1);
         (

@@ -280,7 +280,7 @@ mod tests {
 
         // Sanitize externally: the smoke log is clean, so select + sort
         // is the identity.
-        let selected = Slice::all().successes().select(&log);
+        let selected = Slice::all().successes().select(&log.view());
         let sanitized = selected.materialize();
         let records_in = sanitized.view().len();
         let meta = PreparedMeta {

@@ -12,7 +12,7 @@ use crate::dataset::Dataset;
 /// Jan 1, is a Friday), falling back to the log's first two days when the
 /// span is shorter.
 pub fn generate(data: &Dataset) -> Artifact {
-    let span_end = data.log.end_time().map(|t| t.millis()).unwrap_or(0);
+    let span_end = data.log.view().end_time().map(|t| t.millis()).unwrap_or(0);
     let (from, to) = if span_end >= 6 * MS_PER_DAY {
         (4 * MS_PER_DAY, 6 * MS_PER_DAY)
     } else {

@@ -96,7 +96,7 @@ fn detect(windows: Vec<RegimeWindow>) -> Result<Vec<RegimeShift>, String> {
         ..StreamConfig::default()
     };
     let mut engine = StreamEngine::new(config, Slice::all()).map_err(|e| e.to_string())?;
-    for r in log.iter() {
+    for r in log.view().iter() {
         engine.push(r);
     }
     engine.run_detection().map_err(|e| e.to_string())

@@ -128,7 +128,7 @@ pub fn generate_streaming() -> Artifact {
             Ok(e) => e,
             Err(e) => return fail(format!("engine construction failed: {e}")),
         };
-        for r in corrupted.iter() {
+        for r in corrupted.view().iter() {
             engine.push(r);
         }
         let status = engine.status();

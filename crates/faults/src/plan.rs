@@ -452,8 +452,9 @@ mod tests {
         };
         let a = with_noop_first.apply(&log).unwrap();
         let b = with_other_noop.apply(&log).unwrap();
-        let nulled =
-            |l: &TelemetryLog| -> Vec<bool> { l.iter().map(|r| r.tz_offset_ms == 0).collect() };
+        let nulled = |l: &TelemetryLog| -> Vec<bool> {
+            l.view().iter().map(|r| r.tz_offset_ms == 0).collect()
+        };
         assert_eq!(nulled(&a), nulled(&b));
     }
 
@@ -483,8 +484,8 @@ mod tests {
         let lost = 1.0 - out.len() as f64 / log.len() as f64;
         assert!((lost - 0.3).abs() < 0.12, "lost {lost}");
         // Slow records (latency 900) are lost preferentially.
-        let slow_before = log.iter().filter(|r| r.latency_ms > 500.0).count() as f64;
-        let slow_after = out.iter().filter(|r| r.latency_ms > 500.0).count() as f64;
+        let slow_before = log.view().iter().filter(|r| r.latency_ms > 500.0).count() as f64;
+        let slow_after = out.view().iter().filter(|r| r.latency_ms > 500.0).count() as f64;
         let fast_before = log.len() as f64 - slow_before;
         let fast_after = out.len() as f64 - slow_after;
         let slow_loss = 1.0 - slow_after / slow_before;
@@ -562,7 +563,7 @@ mod tests {
         let out = plan.apply(&log).unwrap();
         // With zero drift, every record of a user shifts by one constant.
         let mut shift_of_user: std::collections::HashMap<u64, i64> = Default::default();
-        for (orig, skewed) in log.iter().zip(out.iter()) {
+        for (orig, skewed) in log.view().iter().zip(out.view().iter()) {
             let d = skewed.time.millis() - orig.time.millis();
             let prev = shift_of_user.entry(orig.user.0).or_insert(d);
             assert_eq!(*prev, d, "user {} shift changed", orig.user.0);
@@ -581,7 +582,7 @@ mod tests {
             ops: vec![FaultOp::QuantizeLatency { grain_ms: 100.0 }],
         };
         let out = plan.apply(&log).unwrap();
-        for r in out.iter() {
+        for r in out.view().iter() {
             assert_eq!(r.latency_ms % 100.0, 0.0, "latency {}", r.latency_ms);
         }
     }
@@ -595,6 +596,7 @@ mod tests {
         };
         let out = plan.apply(&log).unwrap();
         let nulled = out
+            .view()
             .iter()
             .filter(|r| r.tz_offset_ms == 0 && r.class == UserClass::Consumer)
             .count();
@@ -603,7 +605,7 @@ mod tests {
             "nulled {nulled}"
         );
         // Untouched records keep their metadata.
-        assert!(out.iter().any(|r| r.tz_offset_ms == 3_600_000));
+        assert!(out.view().iter().any(|r| r.tz_offset_ms == 3_600_000));
     }
 
     #[test]
@@ -686,7 +688,7 @@ mod tests {
             ],
         };
         let out = plan.apply(&log).unwrap();
-        for r in out.iter() {
+        for r in out.view().iter() {
             assert!(r.validate().is_ok());
         }
     }

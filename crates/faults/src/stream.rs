@@ -227,7 +227,7 @@ mod tests {
         };
         let batch = plan.apply(&log).unwrap();
         let mut stream = FaultStream::new(&plan).unwrap();
-        let streamed: Vec<ActionRecord> = log.iter().flat_map(|r| stream.push(r)).collect();
+        let streamed: Vec<ActionRecord> = log.view().iter().flat_map(|r| stream.push(r)).collect();
         assert_eq!(streamed, batch.to_records());
     }
 
@@ -242,7 +242,7 @@ mod tests {
             }],
         };
         let mut stream = FaultStream::new(&plan).unwrap();
-        let kept: usize = log.iter().map(|r| stream.push(r).len()).sum();
+        let kept: usize = log.view().iter().map(|r| stream.push(r).len()).sum();
         let lost = 1.0 - kept as f64 / log.len() as f64;
         assert!((lost - 0.3).abs() < 0.15, "lost {lost}");
     }
@@ -259,7 +259,7 @@ mod tests {
         };
         let mut stream = FaultStream::new(&plan).unwrap();
         let mut shift_of_user: std::collections::HashMap<u64, i64> = Default::default();
-        for r in log.iter() {
+        for r in log.view().iter() {
             let out = stream.push(r);
             assert_eq!(out.len(), 1);
             let d = out[0].time.millis() - r.time.millis();

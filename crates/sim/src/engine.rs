@@ -287,7 +287,7 @@ mod tests {
         assert!(log.is_sorted());
         assert!(!log.is_empty());
         let end = (cfg.days as i64) * 24 * MS_PER_HOUR;
-        for r in log.iter() {
+        for r in log.view().iter() {
             assert!(r.time.millis() >= 0 && r.time.millis() < end);
             assert!(r.latency_ms > 0.0 && r.latency_ms.is_finite());
         }
@@ -296,18 +296,23 @@ mod tests {
     #[test]
     fn both_classes_and_all_actions_present() {
         let (log, _) = generate(&smoke()).unwrap();
+        let view = log.view();
         for class in UserClass::all() {
-            assert!(log.iter().any(|r| r.class == class), "{class:?} missing");
+            assert!(view.iter().any(|r| r.class == class), "{class:?} missing");
         }
         for action in ActionType::analyzed() {
-            assert!(log.iter().any(|r| r.action == action), "{action:?} missing");
+            assert!(
+                view.iter().any(|r| r.action == action),
+                "{action:?} missing"
+            );
         }
     }
 
     #[test]
     fn error_rate_roughly_respected() {
         let (log, _) = generate(&smoke()).unwrap();
-        let n_err = log.iter().filter(|r| r.outcome == Outcome::Error).count();
+        let view = log.view();
+        let n_err = view.iter().filter(|r| r.outcome == Outcome::Error).count();
         let frac = n_err as f64 / log.len() as f64;
         let expect = smoke().error_rate;
         assert!((frac - expect).abs() < 0.01, "error fraction {frac}");
@@ -318,7 +323,7 @@ mod tests {
         let (log, _) = generate(&smoke()).unwrap();
         let mut day = 0usize;
         let mut night = 0usize;
-        for r in log.iter() {
+        for r in log.view().iter() {
             let h = r.time.hour_of_day_local(r.tz_offset_ms);
             if (9..17).contains(&h) {
                 day += 1;

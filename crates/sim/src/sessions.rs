@@ -208,7 +208,7 @@ mod tests {
         let (log, _) = generate_sessions(&small_cfg(), &SessionConfig::default()).unwrap();
         assert!(log.len() > 1_000, "got {}", log.len());
         assert!(log.is_sorted());
-        for r in log.iter().take(1000) {
+        for r in log.view().iter().take(1000) {
             assert!(r.validate().is_ok());
         }
     }
@@ -235,7 +235,7 @@ mod tests {
         let (log, truth) = generate_sessions(&cfg, &SessionConfig::default()).unwrap();
         // Mean actions per user, split by network factor.
         let mut counts = std::collections::HashMap::new();
-        for r in log.iter() {
+        for r in log.view().iter() {
             *counts.entry(r.user).or_insert(0usize) += 1;
         }
         let mut fast_total = 0.0;

@@ -6,7 +6,7 @@ use autosens_sim::config::{CongestionConfig, Scenario, SimConfig};
 use autosens_sim::congestion::CongestionSeries;
 use autosens_sim::generate;
 use autosens_sim::preference::{base_curve, conditioning_exponent, PrefCurve, SensingMode};
-use autosens_telemetry::record::{ActionType, UserClass};
+use autosens_telemetry::record::{ActionType, Outcome, UserClass};
 use proptest::prelude::*;
 
 /// An arbitrary tiny-but-valid scenario (fast enough for many cases).
@@ -59,7 +59,7 @@ proptest! {
         let (log, _) = generate(&cfg).unwrap();
         prop_assert!(log.is_sorted());
         let end_ms = cfg.days as i64 * 86_400_000;
-        for r in log.iter() {
+        for r in log.view().iter() {
             prop_assert!(r.time.millis() >= 0 && r.time.millis() < end_ms);
             prop_assert!(r.latency_ms.is_finite() && r.latency_ms > 0.0);
             prop_assert!((r.user.0 as u32) < cfg.n_users());
@@ -78,7 +78,7 @@ proptest! {
     fn error_rate_zero_means_no_errors(mut cfg in arb_config()) {
         cfg.error_rate = 0.0;
         let (log, _) = generate(&cfg).unwrap();
-        prop_assert_eq!(log.successes_only().len(), log.len());
+        prop_assert!(log.view().iter().all(|r| r.outcome == Outcome::Success));
     }
 }
 

@@ -37,7 +37,6 @@ pub mod error;
 pub mod histogram;
 pub mod linalg;
 pub mod pdf;
-pub mod quantile_stream;
 pub mod sampling;
 pub mod savgol;
 pub mod smoothing;

@@ -24,8 +24,8 @@
 //! bucket, so a shard's rows are one contiguous run of the store, in
 //! bucket order; the store and the per-bucket counts are all the engine
 //! keeps of its data. [`StreamEngine::snapshot`] borrows the store as a
-//! sorted [`LogView`] (no copy, no re-sort) and enters the shared pipeline
-//! through the single plan entry point
+//! sorted view ([`ColumnStore::view`]: no copy, no re-sort) and enters the
+//! shared pipeline through the single plan entry point
 //! ([`AnalysisPlan::run`](autosens_core::AnalysisPlan::run) with a
 //! prepared input that carries only sanitize's bookkeeping), so after
 //! draining a finite log the report is **bit-identical** to batch
@@ -70,7 +70,7 @@ use autosens_core::{
     AnalysisPlan, AutoSensConfig, AutoSensError, PlanInput, PreparedMeta, RunOptions,
 };
 use autosens_obs::{Counter, FlightKind, FlightRecorder, Gauge, Recorder};
-use autosens_telemetry::log::{ColumnStore, LogView};
+use autosens_telemetry::log::{ColumnStore, RowKey};
 use autosens_telemetry::query::Slice;
 use autosens_telemetry::record::ActionRecord;
 use autosens_telemetry::time::SimTime;
@@ -394,12 +394,12 @@ impl StreamEngine {
         let times = self.store.times();
         let t = r.time.millis();
         let idx = times.partition_point(|&x| x <= t);
-        let mut j = idx;
-        while j > 0 && times[j - 1] == t {
-            if self.store.row_equals_record(j - 1, r) {
+        if idx > 0 && times[idx - 1] == t {
+            let run_start = times[..idx].partition_point(|&x| x < t);
+            let (view, key) = (self.store.view(true), RowKey::from(r));
+            if (run_start..idx).any(|j| view.row_key(j) == key) {
                 return false;
             }
-            j -= 1;
         }
         self.store.insert(idx, r);
         true
@@ -664,17 +664,7 @@ impl StreamEngine {
             records_dropped: self.duplicates as usize,
             decay,
         };
-        let s = &self.store;
-        let view = LogView::from_columns(
-            s.times(),
-            s.latencies(),
-            s.actions(),
-            s.users(),
-            s.classes(),
-            s.tz_offsets(),
-            s.outcomes(),
-            true,
-        )?;
+        let view = self.store.view(true);
         let report = self
             .plan
             .run(PlanInput::prepared(&view, meta), RunOptions::default())?
@@ -862,7 +852,7 @@ mod tests {
             ..StreamConfig::default()
         };
         let feed = |engine: &mut StreamEngine| {
-            for r in log.iter() {
+            for r in log.view().iter() {
                 engine.push(r);
             }
         };
@@ -919,7 +909,7 @@ mod tests {
             assert_eq!(status.live_records, shard_rows as u64, "shard rows drifted");
             assert_eq!(status.hour_counts, hour_counts, "hour_counts drifted");
         };
-        for (i, r) in log.iter().enumerate() {
+        for (i, r) in log.view().iter().enumerate() {
             engine.push(r);
             if i % 997 == 0 {
                 check(&engine);

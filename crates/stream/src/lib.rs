@@ -138,7 +138,7 @@ mod tests {
         let batch = batch_analyze(&log);
 
         let mut engine = StreamEngine::new(stream_config(), Slice::all()).expect("engine");
-        for r in log.iter() {
+        for r in log.view().iter() {
             engine.push(r);
         }
         let snap = engine.snapshot().expect("snapshot");
@@ -168,7 +168,7 @@ mod tests {
         let batch = batch_analyze(&corrupted);
 
         let mut engine = StreamEngine::new(stream_config(), Slice::all()).expect("engine");
-        for r in corrupted.iter() {
+        for r in corrupted.view().iter() {
             assert_ne!(engine.push(r), Ingest::Late, "jitter exceeded lateness");
         }
         let snap = engine.snapshot().expect("snapshot");
@@ -195,7 +195,7 @@ mod tests {
             StreamEngine::with_recorder(stream_config(), Slice::all(), recorder.clone())
                 .expect("engine");
         let mut dups = 0u64;
-        for r in corrupted.iter() {
+        for r in corrupted.view().iter() {
             if engine.push(r) == Ingest::Duplicate {
                 dups += 1;
             }
@@ -224,11 +224,11 @@ mod tests {
         let recorder = Recorder::new();
         let mut engine =
             StreamEngine::with_recorder(cfg, Slice::all(), recorder.clone()).expect("engine");
-        for r in log.iter() {
+        for r in log.view().iter() {
             engine.push(r);
         }
         // Replay the very first record: it is now far behind the frontier.
-        let first = log.iter().next().expect("non-empty log");
+        let first = log.view().iter().next().expect("non-empty log");
         assert_eq!(engine.push(first), Ingest::Late);
         assert_eq!(engine.status().late, 1);
         assert_eq!(
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip_resumes_bit_identically() {
         let log = smoke_log();
-        let records: Vec<ActionRecord> = log.iter().collect();
+        let records: Vec<ActionRecord> = log.view().iter().collect();
         let half = records.len() / 2;
 
         let mut original = StreamEngine::new(stream_config(), Slice::all()).expect("engine");
@@ -278,7 +278,7 @@ mod tests {
         let mut engine =
             StreamEngine::with_recorder(stream_config(), Slice::all(), recorder.clone())
                 .expect("engine");
-        let records: Vec<ActionRecord> = log.iter().collect();
+        let records: Vec<ActionRecord> = log.view().iter().collect();
         let half = records.len() / 2;
         for &r in &records[..half] {
             engine.push(r);
@@ -315,7 +315,7 @@ mod tests {
     fn a_stale_partials_member_is_ignored_on_restore() {
         let log = smoke_log();
         let mut engine = StreamEngine::new(stream_config(), Slice::all()).expect("engine");
-        for r in log.iter() {
+        for r in log.view().iter() {
             engine.push(r);
         }
         let json = engine.checkpoint(0).to_json().expect("serialize");
@@ -338,7 +338,7 @@ mod tests {
     #[test]
     fn a_checkpointed_record_that_fails_validation_is_rejected() {
         let mut engine = StreamEngine::new(stream_config(), Slice::all()).expect("engine");
-        for r in smoke_log().iter().take(100) {
+        for r in smoke_log().view().iter().take(100) {
             engine.push(r);
         }
         let mut ck = engine.checkpoint(0);
@@ -356,7 +356,7 @@ mod tests {
         use autosens_obs::FlightKind;
         let log = smoke_log();
         let mut original = StreamEngine::new(stream_config(), Slice::all()).expect("engine");
-        for r in log.iter() {
+        for r in log.view().iter() {
             original.push(r);
         }
         let ck = original.checkpoint(7);
@@ -390,7 +390,7 @@ mod tests {
             ..stream_config()
         };
         let mut engine = StreamEngine::new(cfg, Slice::all()).expect("engine");
-        for r in log.iter() {
+        for r in log.view().iter() {
             engine.push(r);
         }
         engine.run_detection().expect("detection");
@@ -414,7 +414,7 @@ mod tests {
                 ..stream_config()
             };
             let mut engine = StreamEngine::new(cfg, Slice::all()).expect("engine");
-            for r in log.iter() {
+            for r in log.view().iter() {
                 engine.push(r);
             }
             let shifts = engine.run_detection().expect("detection");
@@ -443,7 +443,7 @@ mod tests {
         // A record filed under the wrong bucket must not restore.
         let log = smoke_log();
         let mut engine = StreamEngine::new(stream_config(), Slice::all()).expect("engine");
-        for r in log.iter().take(100) {
+        for r in log.view().iter().take(100) {
             engine.push(r);
         }
         let mut ck = engine.checkpoint(0);
@@ -459,7 +459,7 @@ mod tests {
         let mut cfg = stream_config();
         cfg.retain_ms = Some(3 * 24 * 3_600_000); // keep ~3 of 14 days
         let mut engine = StreamEngine::new(cfg, Slice::all()).expect("engine");
-        for r in log.iter() {
+        for r in log.view().iter() {
             engine.push(r);
         }
         let status = engine.status();
@@ -478,7 +478,7 @@ mod tests {
         let recorder = Recorder::new();
         let ingestor = Ingestor::new(4, OverflowPolicy::Shed, recorder.clone());
         let log = smoke_log();
-        let records: Vec<ActionRecord> = log.iter().take(10).collect();
+        let records: Vec<ActionRecord> = log.view().iter().take(10).collect();
         let mut shed = 0;
         for r in &records {
             if ingestor.offer(*r) == Offer::Shed {
@@ -578,7 +578,8 @@ mod tests {
     fn ingestor_blocks_with_backpressure() {
         let ingestor = Ingestor::new(2, OverflowPolicy::Block, Recorder::disabled());
         let log = smoke_log();
-        let mut it = log.iter();
+        let view = log.view();
+        let mut it = view.iter();
         assert_eq!(ingestor.offer(it.next().unwrap()), Offer::Accepted);
         assert_eq!(ingestor.offer(it.next().unwrap()), Offer::Accepted);
         assert_eq!(ingestor.offer(it.next().unwrap()), Offer::Full);
@@ -602,7 +603,7 @@ mod tests {
 
         let ingestor = Ingestor::new(usize::MAX >> 1, OverflowPolicy::Shed, Recorder::disabled());
         ingestor.set_faults(Some(FaultStream::new(&plan).expect("fault stream")));
-        for r in log.iter() {
+        for r in log.view().iter() {
             ingestor.offer(r);
         }
         let mut engine = StreamEngine::new(stream_config(), Slice::all()).expect("engine");

@@ -165,7 +165,7 @@ mod tests {
         };
         let mut engine = StreamEngine::new(cfg, Slice::all()).unwrap();
         let (log, _) = generate(&SimConfig::scenario(Scenario::Smoke)).unwrap();
-        for r in log.iter() {
+        for r in log.view().iter() {
             engine.push(r);
         }
         engine.run_detection().unwrap();

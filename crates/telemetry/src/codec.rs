@@ -2,14 +2,17 @@
 //!
 //! These codecs are the bring-your-own-data surface of the library: a
 //! downstream operator exports their web-access logs into either format and
-//! feeds them to the analysis CLI. Parsing is strict — a malformed row is an
-//! error carrying its line number, not a silent skip — with an explicit
-//! lenient mode that collects per-row errors instead of failing fast.
+//! feeds them to the analysis CLI. Every text input — CSV or JSONL, strict,
+//! lenient or tailed — goes through one line loop: it reads one line of
+//! bytes into a buffer reused for the whole read, checks the line is UTF-8,
+//! parses it and validates it. A bad line then either fails the read with
+//! its line number (strict) or is counted and skipped (the lenient readers
+//! and [`TailReader`]), so one damaged row never stops a lenient read.
 
 use std::io::{BufRead, BufReader, Read, Write};
 
 use crate::error::TelemetryError;
-use crate::log::TelemetryLog;
+use crate::log::{ColumnStore, TelemetryLog};
 use crate::record::{ActionRecord, ActionType, Outcome, UserClass, UserId};
 use crate::time::SimTime;
 
@@ -19,7 +22,7 @@ pub const CSV_HEADER: &str = "time_ms,action,latency_ms,user,class,tz_offset_ms,
 /// Write a log as CSV (with header).
 pub fn write_csv<W: Write>(log: &TelemetryLog, out: &mut W) -> Result<(), TelemetryError> {
     writeln!(out, "{CSV_HEADER}")?;
-    for r in log.iter() {
+    for r in log.view().iter() {
         writeln!(
             out,
             "{},{},{},{},{},{},{}",
@@ -35,36 +38,28 @@ pub fn write_csv<W: Write>(log: &TelemetryLog, out: &mut W) -> Result<(), Teleme
     Ok(())
 }
 
-/// Default cap on errors retained by the lenient readers. A pathological
-/// input (e.g. a multi-gigabyte file in the wrong format) would otherwise
-/// balloon memory with one error per line; past the cap, errors are only
-/// counted, not stored.
+/// Cap on errors retained by a lenient read. A pathological input (e.g. a
+/// multi-gigabyte file in the wrong format) would otherwise balloon memory
+/// with one error per line; past the cap, errors are only counted, not
+/// stored.
 pub const DEFAULT_LENIENT_ERROR_CAP: usize = 1_000;
 
-/// Errors collected by a lenient read, bounded in memory by a cap.
+/// Errors collected by a lenient read, bounded in memory by
+/// [`DEFAULT_LENIENT_ERROR_CAP`].
 ///
 /// Behaves like a `Vec<TelemetryError>` for the common cases (`len`,
 /// `is_empty`, indexing via [`Self::errors`], iteration) but stops *storing*
-/// errors past the configured cap; [`Self::overflow`] counts the discarded
-/// remainder and [`Self::total`] is the true malformed-row count.
+/// errors past the cap; [`Self::overflow`] counts the discarded remainder
+/// and [`Self::total`] is the true malformed-row count.
 #[derive(Debug, Default)]
 pub struct LenientErrors {
     errors: Vec<TelemetryError>,
     overflow: usize,
-    cap: usize,
 }
 
 impl LenientErrors {
-    fn with_cap(cap: usize) -> LenientErrors {
-        LenientErrors {
-            errors: Vec::new(),
-            overflow: 0,
-            cap,
-        }
-    }
-
     fn record(&mut self, e: TelemetryError) {
-        if self.errors.len() < self.cap {
+        if self.errors.len() < DEFAULT_LENIENT_ERROR_CAP {
             self.errors.push(e);
         } else {
             self.overflow += 1;
@@ -111,45 +106,178 @@ impl<'a> IntoIterator for &'a LenientErrors {
     }
 }
 
-/// Parsing strictness for the row-oriented readers.
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    /// Fail on the first malformed row.
-    Strict,
-    /// Skip malformed rows, storing at most this many errors.
-    Lenient(usize),
+/// Text format of a telemetry file: how the line loop parses each line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TailFormat {
+    /// The [`CSV_HEADER`]-prefixed CSV written by [`write_csv`].
+    Csv,
+    /// JSON Lines as written by [`write_jsonl`].
+    Jsonl,
+}
+
+/// One pass of the line loop over a byte stream.
+struct LinePass {
+    format: TailFormat,
+    /// Fail on the first bad line instead of counting it.
+    strict: bool,
+    /// Lines before the first one this pass reads, for error numbering.
+    lines_before: usize,
+    /// Whether the first line of the pass is the CSV header.
+    header: bool,
+    /// Whether an unterminated last line waits for its newline (a tail
+    /// mid-stream) instead of ending at end of input.
+    defer_partial: bool,
+}
+
+/// How much of its input a [`LinePass`] consumed.
+struct Consumed {
+    /// Bytes of the lines read, newlines included.
+    bytes: u64,
+    /// Lines read, the header and blank lines included.
+    lines: usize,
+}
+
+impl LinePass {
+    /// Read `input` one line at a time into one reused buffer, handing each
+    /// good record to `emit`. A bad line fails the pass (strict) or is
+    /// counted in `errors` and skipped; a wrong CSV header always fails.
+    fn run<R: BufRead>(
+        &self,
+        mut input: R,
+        errors: &mut LenientErrors,
+        mut emit: impl FnMut(ActionRecord),
+    ) -> Result<Consumed, TelemetryError> {
+        let mut buf = Vec::new();
+        let mut done = Consumed { bytes: 0, lines: 0 };
+        loop {
+            buf.clear();
+            let n = input.read_until(b'\n', &mut buf)?;
+            if n == 0 || (self.defer_partial && buf.last() != Some(&b'\n')) {
+                return Ok(done);
+            }
+            done.bytes += n as u64;
+            done.lines += 1;
+            let line = match buf.as_slice() {
+                [rest @ .., b'\r', b'\n'] | [rest @ .., b'\n'] => rest,
+                whole => whole,
+            };
+            if self.header && done.lines == 1 {
+                check_csv_header(line)?;
+                continue;
+            }
+            match self.parse(line, self.lines_before + done.lines) {
+                Ok(Some(record)) => emit(record),
+                Ok(None) => {}
+                Err(e) if self.strict => return Err(e),
+                Err(e) => errors.record(e),
+            }
+        }
+    }
+
+    /// Decode, parse and validate one line; `None` for a blank line.
+    fn parse(&self, line: &[u8], lineno: usize) -> Result<Option<ActionRecord>, TelemetryError> {
+        let malformed = |reason: String| TelemetryError::Malformed {
+            line: lineno,
+            reason,
+        };
+        let text = std::str::from_utf8(line)
+            .map_err(|e| malformed(format!("line is not valid UTF-8: {e}")))?;
+        if text.trim().is_empty() {
+            return Ok(None);
+        }
+        let record = match self.format {
+            TailFormat::Csv => parse_csv_row(text, lineno)?,
+            TailFormat::Jsonl => {
+                serde_json::from_str::<ActionRecord>(text).map_err(|e| malformed(e.to_string()))?
+            }
+        };
+        record.validate().map_err(|e| malformed(e.to_string()))?;
+        Ok(Some(record))
+    }
+}
+
+fn check_csv_header(line: &[u8]) -> Result<(), TelemetryError> {
+    if std::str::from_utf8(line).is_ok_and(|h| h.trim() == CSV_HEADER) {
+        return Ok(());
+    }
+    Err(TelemetryError::Malformed {
+        line: 1,
+        reason: format!(
+            "unexpected header: {:?} (expected {CSV_HEADER:?})",
+            String::from_utf8_lossy(line)
+        ),
+    })
 }
 
 /// Read a CSV log written by [`write_csv`]. Fails on the first malformed row.
 pub fn read_csv<R: Read>(input: R) -> Result<TelemetryLog, TelemetryError> {
-    let (log, errors) = read_csv_inner(input, Mode::Strict)?;
-    debug_assert!(errors.is_empty(), "strict mode fails fast");
-    Ok(log)
+    Ok(read_text(input, TailFormat::Csv, true)?.0)
 }
 
 /// Read a CSV log, skipping malformed rows and returning them as errors
 /// alongside the successfully parsed log. At most
-/// [`DEFAULT_LENIENT_ERROR_CAP`] errors are stored; see
-/// [`read_csv_lenient_capped`] to choose the cap.
+/// [`DEFAULT_LENIENT_ERROR_CAP`] errors are stored.
 pub fn read_csv_lenient<R: Read>(
     input: R,
 ) -> Result<(TelemetryLog, LenientErrors), TelemetryError> {
-    read_csv_inner(input, Mode::Lenient(DEFAULT_LENIENT_ERROR_CAP))
+    read_text(input, TailFormat::Csv, false)
 }
 
-/// [`read_csv_lenient`] with an explicit cap on stored errors.
-pub fn read_csv_lenient_capped<R: Read>(
+/// Write a log as JSON Lines (one serde-serialized record per line).
+pub fn write_jsonl<W: Write>(log: &TelemetryLog, out: &mut W) -> Result<(), TelemetryError> {
+    for r in log.view().iter() {
+        let line = serde_json::to_string(&r)
+            .map_err(|e| TelemetryError::InvalidRecord(format!("serialization failed: {e}")))?;
+        writeln!(out, "{line}")?;
+    }
+    Ok(())
+}
+
+/// Read a JSONL log. Fails on the first malformed line.
+pub fn read_jsonl<R: Read>(input: R) -> Result<TelemetryLog, TelemetryError> {
+    Ok(read_text(input, TailFormat::Jsonl, true)?.0)
+}
+
+/// Read a JSONL log, skipping malformed lines and returning them as errors
+/// alongside the successfully parsed log. At most
+/// [`DEFAULT_LENIENT_ERROR_CAP`] errors are stored.
+pub fn read_jsonl_lenient<R: Read>(
     input: R,
-    cap: usize,
 ) -> Result<(TelemetryLog, LenientErrors), TelemetryError> {
-    read_csv_inner(input, Mode::Lenient(cap))
+    read_text(input, TailFormat::Jsonl, false)
 }
 
-/// Record one codec pass on the global recorder: close the `codec.*` span
-/// with its record/error fields and bump the records-read / lenient-error
-/// counters (`autosens_telemetry_records_read_total`,
+/// Read a whole text log through the line loop into a sorted log, and
+/// record the pass on the global recorder: the `codec.*` span with its
+/// record/error fields, and the records-read / lenient-error counters
+/// (`autosens_telemetry_records_read_total`,
 /// `autosens_telemetry_codec_lenient_errors_total`).
-fn observe_read(mut span: autosens_obs::Span, log: &TelemetryLog, errors: &LenientErrors) {
+fn read_text<R: Read>(
+    input: R,
+    format: TailFormat,
+    strict: bool,
+) -> Result<(TelemetryLog, LenientErrors), TelemetryError> {
+    let mut span = autosens_obs::Recorder::global().root(match format {
+        TailFormat::Csv => "codec.read_csv",
+        TailFormat::Jsonl => "codec.read_jsonl",
+    });
+    let pass = LinePass {
+        format,
+        strict,
+        lines_before: 0,
+        header: format == TailFormat::Csv,
+        defer_partial: false,
+    };
+    let mut cols = ColumnStore::new();
+    let mut errors = LenientErrors::default();
+    let consumed = pass.run(BufReader::new(input), &mut errors, |r| cols.push(&r))?;
+    if pass.header && consumed.lines == 0 {
+        return Err(TelemetryError::Malformed {
+            line: 1,
+            reason: "empty input (missing header)".into(),
+        });
+    }
+    let log = TelemetryLog::from_columns(cols);
     span.field("records", log.len());
     span.field("lenient_errors", errors.total());
     drop(span);
@@ -160,66 +288,6 @@ fn observe_read(mut span: autosens_obs::Span, log: &TelemetryLog, errors: &Lenie
     metrics
         .counter("autosens_telemetry_codec_lenient_errors_total")
         .add(errors.total() as u64);
-}
-
-fn read_csv_inner<R: Read>(
-    input: R,
-    mode: Mode,
-) -> Result<(TelemetryLog, LenientErrors), TelemetryError> {
-    let span = autosens_obs::Recorder::global().root("codec.read_csv");
-    let reader = BufReader::new(input);
-    let mut log = TelemetryLog::new();
-    let mut errors = LenientErrors::with_cap(match mode {
-        Mode::Strict => 0,
-        Mode::Lenient(cap) => cap,
-    });
-    let mut lines = reader.lines().enumerate();
-
-    // Header.
-    match lines.next() {
-        Some((_, Ok(h))) if h.trim() == CSV_HEADER => {}
-        Some((_, Ok(h))) => {
-            return Err(TelemetryError::Malformed {
-                line: 1,
-                reason: format!("unexpected header: {h:?} (expected {CSV_HEADER:?})"),
-            })
-        }
-        Some((_, Err(e))) => return Err(e.into()),
-        None => {
-            return Err(TelemetryError::Malformed {
-                line: 1,
-                reason: "empty input (missing header)".into(),
-            })
-        }
-    }
-
-    for (idx, line) in lines {
-        let line = line?;
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_csv_row(&line, lineno).and_then(|r| {
-            r.validate().map_err(|e| TelemetryError::Malformed {
-                line: lineno,
-                reason: e.to_string(),
-            })?;
-            Ok(r)
-        }) {
-            Ok(record) => {
-                // Already validated; push cannot fail.
-                log.push(record).expect("record validated above");
-            }
-            Err(e) => {
-                if matches!(mode, Mode::Strict) {
-                    return Err(e);
-                }
-                errors.record(e);
-            }
-        }
-    }
-    log.ensure_sorted();
-    observe_read(span, &log, &errors);
     Ok((log, errors))
 }
 
@@ -268,112 +336,24 @@ fn parse_csv_row(line: &str, lineno: usize) -> Result<ActionRecord, TelemetryErr
     })
 }
 
-/// Write a log as JSON Lines (one serde-serialized record per line).
-pub fn write_jsonl<W: Write>(log: &TelemetryLog, out: &mut W) -> Result<(), TelemetryError> {
-    for r in log.iter() {
-        let line = serde_json::to_string(&r)
-            .map_err(|e| TelemetryError::InvalidRecord(format!("serialization failed: {e}")))?;
-        writeln!(out, "{line}")?;
-    }
-    Ok(())
-}
-
-/// Read a JSONL log. Fails on the first malformed line.
-pub fn read_jsonl<R: Read>(input: R) -> Result<TelemetryLog, TelemetryError> {
-    let (log, errors) = read_jsonl_inner(input, Mode::Strict)?;
-    debug_assert!(errors.is_empty(), "strict mode fails fast");
-    Ok(log)
-}
-
-/// Read a JSONL log, skipping malformed lines and returning them as errors
-/// alongside the successfully parsed log. At most
-/// [`DEFAULT_LENIENT_ERROR_CAP`] errors are stored; see
-/// [`read_jsonl_lenient_capped`] to choose the cap.
-pub fn read_jsonl_lenient<R: Read>(
-    input: R,
-) -> Result<(TelemetryLog, LenientErrors), TelemetryError> {
-    read_jsonl_inner(input, Mode::Lenient(DEFAULT_LENIENT_ERROR_CAP))
-}
-
-/// [`read_jsonl_lenient`] with an explicit cap on stored errors.
-pub fn read_jsonl_lenient_capped<R: Read>(
-    input: R,
-    cap: usize,
-) -> Result<(TelemetryLog, LenientErrors), TelemetryError> {
-    read_jsonl_inner(input, Mode::Lenient(cap))
-}
-
-fn read_jsonl_inner<R: Read>(
-    input: R,
-    mode: Mode,
-) -> Result<(TelemetryLog, LenientErrors), TelemetryError> {
-    let span = autosens_obs::Recorder::global().root("codec.read_jsonl");
-    let reader = BufReader::new(input);
-    let mut log = TelemetryLog::new();
-    let mut errors = LenientErrors::with_cap(match mode {
-        Mode::Strict => 0,
-        Mode::Lenient(cap) => cap,
-    });
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = serde_json::from_str::<ActionRecord>(&line)
-            .map_err(|e| TelemetryError::Malformed {
-                line: lineno,
-                reason: e.to_string(),
-            })
-            .and_then(|r| {
-                r.validate().map_err(|e| TelemetryError::Malformed {
-                    line: lineno,
-                    reason: e.to_string(),
-                })?;
-                Ok(r)
-            });
-        match parsed {
-            Ok(record) => {
-                // Already validated; push cannot fail.
-                log.push(record).expect("record validated above");
-            }
-            Err(e) => {
-                if matches!(mode, Mode::Strict) {
-                    return Err(e);
-                }
-                errors.record(e);
-            }
-        }
-    }
-    log.ensure_sorted();
-    observe_read(span, &log, &errors);
-    Ok((log, errors))
-}
-
-/// Format read by a [`TailReader`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TailFormat {
-    /// The [`CSV_HEADER`]-prefixed CSV written by [`write_csv`].
-    Csv,
-    /// JSON Lines as written by [`write_jsonl`].
-    Jsonl,
-}
-
 /// An append-aware reader that tails a growing telemetry file.
 ///
 /// Each [`TailReader::poll`] reads everything appended since the previous
 /// poll and parses only **complete** lines — a partially written trailing
 /// line is left in the file (the byte offset stops at the last newline)
 /// and picked up whole on a later poll, so a writer mid-`write` never
-/// produces a spurious parse error. The reader holds no file handle
-/// between polls and keeps only a byte offset, which [`TailReader::offset`]
-/// exposes for checkpointing; [`TailReader::resume`] reconstructs the
-/// reader at that offset after a restart.
+/// produces a spurious parse error. Once the file has stopped growing,
+/// [`TailReader::poll_to_eof`] reads that last line too. The reader holds
+/// no file handle between polls and keeps only a byte offset, which
+/// [`TailReader::offset`] exposes for checkpointing;
+/// [`TailReader::resume`] reconstructs the reader at that offset after a
+/// restart.
 ///
 /// Records are returned in file (arrival) order, unsorted — a streaming
-/// consumer does its own time ordering. Malformed rows are collected as
-/// capped [`LenientErrors`] rather than aborting the tail; I/O failures
-/// and file truncation are hard errors.
+/// consumer does its own time ordering. A malformed row, one that is not
+/// UTF-8 included, is collected in capped [`LenientErrors`] and the offset
+/// moves past it, so a resumed tail never meets it again; I/O failures, a
+/// wrong CSV header and file truncation are hard errors.
 #[derive(Debug)]
 pub struct TailReader {
     path: std::path::PathBuf,
@@ -422,8 +402,24 @@ impl TailReader {
     /// Read and parse every complete line appended since the last poll.
     /// Returns an empty batch (not an error) when nothing new is ready.
     pub fn poll(&mut self) -> Result<(Vec<ActionRecord>, LenientErrors), TelemetryError> {
+        self.read_appended(true)
+    }
+
+    /// [`TailReader::poll`] for a file that has stopped growing: end of
+    /// file ends the last line, so an unterminated final line is read too
+    /// and the offset moves to the file length. Call it only once the
+    /// writer is done: bytes appended later would continue a line this
+    /// reader has already consumed.
+    pub fn poll_to_eof(&mut self) -> Result<(Vec<ActionRecord>, LenientErrors), TelemetryError> {
+        self.read_appended(false)
+    }
+
+    fn read_appended(
+        &mut self,
+        defer_partial: bool,
+    ) -> Result<(Vec<ActionRecord>, LenientErrors), TelemetryError> {
         use std::io::Seek;
-        let mut errors = LenientErrors::with_cap(DEFAULT_LENIENT_ERROR_CAP);
+        let mut errors = LenientErrors::default();
         let mut file = std::fs::File::open(&self.path)?;
         let len = file.metadata()?.len();
         if len < self.offset {
@@ -440,58 +436,21 @@ impl TailReader {
             return Ok((Vec::new(), errors));
         }
         file.seek(std::io::SeekFrom::Start(self.offset))?;
-        let mut buf = Vec::with_capacity((len - self.offset) as usize);
-        file.take(len - self.offset).read_to_end(&mut buf)?;
-        // Consume up to the last newline only; a trailing partial line
-        // stays in the file for the next poll.
-        let Some(last_nl) = buf.iter().rposition(|&b| b == b'\n') else {
-            return Ok((Vec::new(), errors));
+        let pass = LinePass {
+            format: self.format,
+            strict: false,
+            lines_before: self.lines_seen,
+            header: self.format == TailFormat::Csv && self.offset == 0,
+            defer_partial,
         };
-        let text =
-            std::str::from_utf8(&buf[..=last_nl]).map_err(|e| TelemetryError::Malformed {
-                line: self.lines_seen + 1,
-                reason: format!("tailed bytes are not UTF-8: {e}"),
-            })?;
-
         let mut records = Vec::new();
-        for line in text.lines() {
-            let at_header = self.offset == 0 && self.lines_seen == 0;
-            self.lines_seen += 1;
-            let lineno = self.lines_seen;
-            if at_header && self.format == TailFormat::Csv {
-                if line.trim() != CSV_HEADER {
-                    return Err(TelemetryError::Malformed {
-                        line: 1,
-                        reason: format!("unexpected header: {line:?} (expected {CSV_HEADER:?})"),
-                    });
-                }
-                continue;
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parsed = match self.format {
-                TailFormat::Csv => parse_csv_row(line, lineno),
-                TailFormat::Jsonl => serde_json::from_str::<ActionRecord>(line).map_err(|e| {
-                    TelemetryError::Malformed {
-                        line: lineno,
-                        reason: e.to_string(),
-                    }
-                }),
-            }
-            .and_then(|r| {
-                r.validate().map_err(|e| TelemetryError::Malformed {
-                    line: lineno,
-                    reason: e.to_string(),
-                })?;
-                Ok(r)
-            });
-            match parsed {
-                Ok(r) => records.push(r),
-                Err(e) => errors.record(e),
-            }
-        }
-        self.offset += (last_nl + 1) as u64;
+        let consumed = pass.run(
+            BufReader::new(file.take(len - self.offset)),
+            &mut errors,
+            |r| records.push(r),
+        )?;
+        self.offset += consumed.bytes;
+        self.lines_seen += consumed.lines;
 
         let metrics = autosens_obs::MetricsRegistry::global();
         metrics.counter("autosens_telemetry_tail_polls_total").inc();
@@ -630,7 +589,7 @@ mod tests {
         );
         let log = read_csv(data.as_bytes()).unwrap();
         assert!(log.is_sorted());
-        assert_eq!(log.get(0).time.millis(), 1000);
+        assert_eq!(log.view().get(0).time.millis(), 1000);
     }
 
     #[test]
@@ -719,7 +678,7 @@ mod tests {
         let want: Vec<usize> = corrupted.iter().map(|i| i + 1).collect();
         assert_eq!(got, want);
         // The surviving records are exactly the uncorrupted ones.
-        let survivor_times: Vec<i64> = back.iter().map(|r| r.time.millis()).collect();
+        let survivor_times: Vec<i64> = back.view().iter().map(|r| r.time.millis()).collect();
         let expected_times: Vec<i64> = (0..m)
             .filter(|i| !corrupted.contains(&(i + 1)))
             .map(|i| i as i64 * 1000)
@@ -848,25 +807,144 @@ mod tests {
     fn lenient_cap_counts_overflow_instead_of_storing() {
         let mut data = String::from(CSV_HEADER);
         data.push('\n');
-        for i in 0..10 {
+        for i in 0..DEFAULT_LENIENT_ERROR_CAP + 7 {
             data.push_str(&format!("bad row {i}\n"));
         }
         data.push_str("1000,SelectMail,100.0,1,Business,0,Success\n");
-        let (log, errors) = read_csv_lenient_capped(data.as_bytes(), 3).unwrap();
+        let (log, errors) = read_csv_lenient(data.as_bytes()).unwrap();
         assert_eq!(log.len(), 1);
-        assert_eq!(errors.len(), 3);
+        assert_eq!(errors.len(), DEFAULT_LENIENT_ERROR_CAP);
         assert_eq!(errors.overflow(), 7);
-        assert_eq!(errors.total(), 10);
-        assert!(!errors.is_empty());
-        // A zero cap stores nothing but still counts.
-        let (_, errors) = read_csv_lenient_capped(data.as_bytes(), 0).unwrap();
-        assert_eq!(errors.len(), 0);
-        assert_eq!(errors.overflow(), 10);
+        assert_eq!(errors.total(), DEFAULT_LENIENT_ERROR_CAP + 7);
         assert!(!errors.is_empty());
         // JSONL honors the cap too.
-        let jsonl = "x\ny\nz\n";
-        let (_, errors) = read_jsonl_lenient_capped(jsonl.as_bytes(), 1).unwrap();
-        assert_eq!(errors.len(), 1);
+        let jsonl = "x\n".repeat(DEFAULT_LENIENT_ERROR_CAP + 2);
+        let (_, errors) = read_jsonl_lenient(jsonl.as_bytes()).unwrap();
+        assert_eq!(errors.len(), DEFAULT_LENIENT_ERROR_CAP);
         assert_eq!(errors.overflow(), 2);
+    }
+
+    /// A CSV file whose line 3 holds a byte that is not UTF-8, between two
+    /// good rows.
+    fn csv_with_bad_utf8() -> Vec<u8> {
+        let mut data =
+            format!("{CSV_HEADER}\n1000,Search,150.5,42,Consumer,0,Success\n").into_bytes();
+        data.extend_from_slice(b"2000,Search,1\xff0.0,42,Consumer,0,Success\n");
+        data.extend_from_slice(b"3000,Search,90.0,7,Business,0,Success\n");
+        data
+    }
+
+    /// The same for JSONL: line 2 of three holds the bad byte.
+    fn jsonl_with_bad_utf8() -> Vec<u8> {
+        let mut data = Vec::new();
+        write_jsonl(
+            &TelemetryLog::from_records(vec![rec(1000, 150.5)]).unwrap(),
+            &mut data,
+        )
+        .unwrap();
+        data.extend_from_slice(b"{\"time\":\xff}\n");
+        write_jsonl(
+            &TelemetryLog::from_records(vec![rec(3000, 90.0)]).unwrap(),
+            &mut data,
+        )
+        .unwrap();
+        data
+    }
+
+    fn malformed_line(e: &TelemetryError) -> usize {
+        match e {
+            TelemetryError::Malformed { line, reason } => {
+                assert!(reason.contains("UTF-8"), "{reason}");
+                *line
+            }
+            other => panic!("expected a malformed-line error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn strict_readers_name_the_line_that_is_not_utf8() {
+        let err = read_csv(csv_with_bad_utf8().as_slice()).unwrap_err();
+        assert_eq!(malformed_line(&err), 3);
+        let err = read_jsonl(jsonl_with_bad_utf8().as_slice()).unwrap_err();
+        assert_eq!(malformed_line(&err), 2);
+    }
+
+    #[test]
+    fn lenient_readers_count_a_line_that_is_not_utf8_and_keep_the_rest() {
+        let (log, errors) = read_csv_lenient(csv_with_bad_utf8().as_slice()).unwrap();
+        let times: Vec<i64> = log.view().iter().map(|r| r.time.millis()).collect();
+        assert_eq!(times, vec![1000, 3000]);
+        assert_eq!(errors.total(), 1);
+        assert_eq!(malformed_line(&errors.errors()[0]), 3);
+        let (log, errors) = read_jsonl_lenient(jsonl_with_bad_utf8().as_slice()).unwrap();
+        assert_eq!(log.len(), 2);
+        assert_eq!(errors.total(), 1);
+        assert_eq!(malformed_line(&errors.errors()[0]), 2);
+    }
+
+    #[test]
+    fn tail_skips_a_line_that_is_not_utf8_and_moves_past_it() {
+        let dir = std::env::temp_dir().join(format!("autosens-tail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, format, data, bad_line) in [
+            ("tail_utf8.csv", TailFormat::Csv, csv_with_bad_utf8(), 3),
+            (
+                "tail_utf8.jsonl",
+                TailFormat::Jsonl,
+                jsonl_with_bad_utf8(),
+                2,
+            ),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, &data).unwrap();
+            let mut tail = TailReader::new(&path, format);
+            let (batch, errors) = tail.poll().unwrap();
+            assert_eq!(batch.len(), 2, "{name}");
+            assert_eq!(errors.total(), 1, "{name}");
+            assert_eq!(malformed_line(&errors.errors()[0]), bad_line, "{name}");
+            assert_eq!(tail.offset(), data.len() as u64, "{name}");
+            // A tail resumed at that offset has nothing left to read.
+            let (batch, errors) = TailReader::resume(&path, format, tail.offset())
+                .poll()
+                .unwrap();
+            assert!(batch.is_empty() && errors.is_empty(), "{name}");
+        }
+    }
+
+    #[test]
+    fn poll_to_eof_reads_an_unterminated_last_line() {
+        let dir = std::env::temp_dir().join(format!("autosens-tail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut jsonl = Vec::new();
+        write_jsonl(&sample_log(), &mut jsonl).unwrap();
+        let mut csv = Vec::new();
+        write_csv(&sample_log(), &mut csv).unwrap();
+        for (name, format, mut data) in [
+            ("tail_eof.csv", TailFormat::Csv, csv),
+            ("tail_eof.jsonl", TailFormat::Jsonl, jsonl),
+        ] {
+            assert_eq!(data.pop(), Some(b'\n'));
+            let path = dir.join(name);
+            std::fs::write(&path, &data).unwrap();
+            let mut tail = TailReader::new(&path, format);
+            let (batch, _) = tail.poll().unwrap();
+            assert_eq!(
+                batch.len(),
+                1,
+                "{name}: a mid-stream poll defers the partial line"
+            );
+            assert!(tail.offset() < data.len() as u64);
+            let (batch, errors) = tail.poll_to_eof().unwrap();
+            assert!(errors.is_empty(), "{name}");
+            assert_eq!(batch, vec![rec(2000, 300.0)], "{name}");
+            assert_eq!(tail.offset(), data.len() as u64, "{name}");
+            assert!(tail.poll_to_eof().unwrap().0.is_empty(), "{name}");
+            // The whole-file readers read the same last line.
+            let log = match format {
+                TailFormat::Csv => read_csv(data.as_slice()).unwrap(),
+                TailFormat::Jsonl => read_jsonl(data.as_slice()).unwrap(),
+            };
+            assert_eq!(log.to_records(), sample_log().to_records(), "{name}");
+        }
     }
 }

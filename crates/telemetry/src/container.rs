@@ -226,7 +226,7 @@ pub fn write_container<W: Write>(
             )))
         }
         Some(ms) => {
-            log.require_sorted()?;
+            log.view().require_sorted()?;
             compute_shard_blocks(cols.times(), ms)
         }
     };
@@ -1029,7 +1029,7 @@ mod tests {
             assert_eq!(mapped.to_log().unwrap().columns(), log.columns());
             let view = mapped.view();
             assert_eq!(view.len(), log.len());
-            assert_eq!(view.get(123), log.get(123));
+            assert_eq!(view.get(123), log.view().get(123));
         }
         assert!(MappedLog::open_copied(&path).unwrap().len() == 500);
         assert!(!MappedLog::open_copied(&path).unwrap().is_mapped());

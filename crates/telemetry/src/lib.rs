@@ -9,12 +9,13 @@
 //! * [`time`] — millisecond timestamps, hour slots, the paper's four 6-hour
 //!   day periods, and months, including per-user local-time handling.
 //! * [`record`] — [`record::ActionRecord`] and its enums.
-//! * [`log`] — [`log::TelemetryLog`], a time-sorted columnar store with
-//!   binary search, plus [`log::LogView`], the zero-copy selection the
-//!   analysis stack computes over.
+//! * [`log`] — [`log::TelemetryLog`], a time-sorted columnar store that
+//!   owns rows, plus [`log::LogView`], the zero-copy view every row query
+//!   (range, nearest-in-time, dedup, selection, iteration) goes through.
 //! * [`query`] — composable record filters for the paper's analysis slices.
 //! * [`users`] — per-user aggregates and the §3.4 median-latency quartiles.
-//! * [`codec`] — CSV and JSONL import/export with strict validation.
+//! * [`codec`] — CSV and JSONL import/export: strict, lenient and tailed
+//!   reads share one validating line loop.
 //! * [`container`] — the `.asc` binary columnar container: checksummed
 //!   on-disk serialization of the column store, memory-mapped back into a
 //!   [`log::LogView`] with zero parsing.

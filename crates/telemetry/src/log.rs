@@ -1,6 +1,10 @@
-//! [`TelemetryLog`]: a validated, time-sorted, *columnar* store of action
-//! records, and [`LogView`]: the zero-copy selection the rest of the stack
-//! computes over.
+//! [`TelemetryLog`] owns a validated, time-sorted, *columnar* store of
+//! action records; [`LogView`] reads it. The roles are split on purpose:
+//! the log is what building, appending, sorting and merging rows needs,
+//! and every row query — range, nearest-in-time, span, dedup, selection,
+//! iteration — is a view method, so an owned log, a stream engine's row
+//! store ([`ColumnStore::view`]) and a memory-mapped container all answer
+//! them through one code path.
 //!
 //! The unbiased-distribution estimator needs fast nearest-in-time lookups,
 //! so the log maintains a sorted-by-time invariant. Appends may arrive out
@@ -168,28 +172,22 @@ impl ColumnStore {
         &self.outcome
     }
 
-    /// Field-for-field identity of row `i` and a record, bit-exact latency.
-    pub fn row_equals_record(&self, i: usize, r: &ActionRecord) -> bool {
-        self.time_ms[i] == r.time.millis()
-            && self.action[i] == r.action.code()
-            && self.latency_ms[i].to_bits() == r.latency_ms.to_bits()
-            && self.user[i] == r.user.0
-            && self.class[i] == r.class.code()
-            && self.tz_offset_ms[i] == r.tz_offset_ms
-            && self.outcome[i] == r.outcome.code()
-    }
-
-    /// The hashable dedup identity of row `i` (latency as bits).
-    fn row_key(&self, i: usize) -> (i64, u8, u64, u64, u8, i64, u8) {
-        (
-            self.time_ms[i],
-            self.action[i],
-            self.latency_ms[i].to_bits(),
-            self.user[i],
-            self.class[i],
-            self.tz_offset_ms[i],
-            self.outcome[i],
-        )
+    /// The zero-copy view of every row, in storage order. `sorted` says
+    /// whether the time column is non-decreasing; the store does not know,
+    /// so its owner ([`TelemetryLog`], the stream engine) passes what it
+    /// tracks.
+    pub fn view(&self, sorted: bool) -> LogView<'_> {
+        LogView {
+            time_ms: &self.time_ms,
+            latency_ms: &self.latency_ms,
+            action: &self.action,
+            user: &self.user,
+            class: &self.class,
+            tz_offset_ms: &self.tz_offset_ms,
+            outcome: &self.outcome,
+            sel: None,
+            sorted,
+        }
     }
 
     /// A new store holding the rows at `idx`, in that order.
@@ -263,6 +261,35 @@ impl ColumnStore {
     }
 }
 
+/// What makes two rows exact duplicates: every field equal, latency
+/// compared by its bits. This is the one definition of an exact duplicate;
+/// batch dedup ([`LogView::dedup_exact_par`]), the stream engine's insert
+/// and the quality audit all compare rows through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RowKey {
+    time_ms: i64,
+    action: u8,
+    latency_bits: u64,
+    user: u64,
+    class: u8,
+    tz_offset_ms: i64,
+    outcome: u8,
+}
+
+impl From<&ActionRecord> for RowKey {
+    fn from(r: &ActionRecord) -> RowKey {
+        RowKey {
+            time_ms: r.time.millis(),
+            action: r.action.code(),
+            latency_bits: r.latency_ms.to_bits(),
+            user: r.user.0,
+            class: r.class.code(),
+            tz_offset_ms: r.tz_offset_ms,
+            outcome: r.outcome.code(),
+        }
+    }
+}
+
 /// A borrowed, zero-copy selection of a [`TelemetryLog`]'s rows: references
 /// to the seven columns plus an optional selection vector of row indices
 /// (ascending, i.e. storage order). This is the currency the analysis stack
@@ -291,27 +318,10 @@ pub struct LogView<'a> {
 }
 
 impl<'a> LogView<'a> {
-    fn full(cols: &'a ColumnStore, sorted: bool) -> LogView<'a> {
-        LogView::full_range(cols, 0, cols.len(), sorted)
-    }
-
-    fn full_range(cols: &'a ColumnStore, lo: usize, hi: usize, sorted: bool) -> LogView<'a> {
-        LogView {
-            time_ms: &cols.time_ms[lo..hi],
-            latency_ms: &cols.latency_ms[lo..hi],
-            action: &cols.action[lo..hi],
-            user: &cols.user[lo..hi],
-            class: &cols.class[lo..hi],
-            tz_offset_ms: &cols.tz_offset_ms[lo..hi],
-            outcome: &cols.outcome[lo..hi],
-            sel: None,
-            sorted,
-        }
-    }
-
     /// Build a full (unselected) view over seven raw column slices — the
     /// zero-copy entry point for memory-mapped container columns, which
-    /// never pass through a [`ColumnStore`]. Errors unless every slice has
+    /// never pass through a [`ColumnStore`] (owners of a store hand out
+    /// [`ColumnStore::view`] instead). Errors unless every slice has
     /// the same length; `sorted` asserts that the time slice is already
     /// known non-decreasing (debug builds re-check).
     #[allow(clippy::too_many_arguments)]
@@ -432,6 +442,21 @@ impl<'a> LogView<'a> {
             class: UserClass::from_code(self.class[r]),
             tz_offset_ms: self.tz_offset_ms[r],
             outcome: Outcome::from_code(self.outcome[r]),
+        }
+    }
+
+    /// The exact-duplicate identity of view row `i`.
+    #[inline]
+    pub fn row_key(&self, i: usize) -> RowKey {
+        let r = self.row(i);
+        RowKey {
+            time_ms: self.time_ms[r],
+            action: self.action[r],
+            latency_bits: self.latency_ms[r].to_bits(),
+            user: self.user[r],
+            class: self.class[r],
+            tz_offset_ms: self.tz_offset_ms[r],
+            outcome: self.outcome[r],
         }
     }
 
@@ -623,12 +648,13 @@ impl<'a> LogView<'a> {
         max
     }
 
-    /// Drop exact field-for-field duplicate rows (keep-first within each
-    /// equal-timestamp run), shrinking the selection — no rows are copied.
-    /// Semantics are identical to [`TelemetryLog::dedup_exact_par`] on the
-    /// materialized view, including the data-dependent (never
-    /// thread-dependent) serial fallback. Returns the deduplicated view and
-    /// how many rows were dropped.
+    /// Drop exact duplicate rows (see [`RowKey`]), keeping the first of
+    /// each in view order and shrinking the selection — no rows are
+    /// copied. Returns the deduplicated view and how many rows were
+    /// dropped. The result is the same for every thread count: an
+    /// unsorted view, or one with an equal-timestamp run too long to scan,
+    /// takes a serial hash-set pass (a condition on the data, never on
+    /// `threads`).
     pub fn dedup_exact_par(&self, threads: usize) -> (LogView<'a>, usize) {
         const MAX_RUN: usize = 256;
         let n = self.len();
@@ -637,18 +663,8 @@ impl<'a> LogView<'a> {
             let mut seen = std::collections::HashSet::with_capacity(n);
             let mut keep: Vec<u32> = Vec::with_capacity(n);
             for i in 0..n {
-                let r = self.row(i);
-                let key = (
-                    self.time_ms[r],
-                    self.action[r],
-                    self.latency_ms[r].to_bits(),
-                    self.user[r],
-                    self.class[r],
-                    self.tz_offset_ms[r],
-                    self.outcome[r],
-                );
-                if seen.insert(key) {
-                    keep.push(r as u32);
+                if seen.insert(self.row_key(i)) {
+                    keep.push(self.row(i) as u32);
                 }
             }
             let removed = n - keep.len();
@@ -659,10 +675,12 @@ impl<'a> LogView<'a> {
         }
         // Sorted: duplicates necessarily share a timestamp, so a row is a
         // repeat iff an identical row occurs earlier within its run of
-        // equal timestamps. Each chunk decides its rows independently
-        // (backward scans may read across a chunk boundary, which is safe
-        // on the shared columns) and duplicate indices concatenate in
-        // chunk order — identical to the serial pass for any thread count.
+        // equal timestamps. A row with no equal-time predecessor reads the
+        // time column only; the backward walk stops at the first repeat.
+        // Each chunk decides its rows independently (backward scans may
+        // read across a chunk boundary, which is safe on the shared
+        // columns) and duplicate indices concatenate in chunk order —
+        // identical to the serial pass for any thread count.
         let view = self.borrowed();
         let (parts, _) = autosens_exec::run_chunks(
             "dedup_exact",
@@ -673,10 +691,14 @@ impl<'a> LogView<'a> {
                 let mut dups: Vec<usize> = Vec::new();
                 for i in range {
                     let t = view.time_at(i);
+                    if i == 0 || view.time_at(i - 1) != t {
+                        continue;
+                    }
+                    let key = view.row_key(i);
                     let mut j = i;
                     while j > 0 && view.time_at(j - 1) == t {
                         j -= 1;
-                        if view_rows_equal(&view, j, i) {
+                        if view.row_key(j) == key {
                             dups.push(i);
                             break;
                         }
@@ -735,21 +757,9 @@ impl<'a> LogView<'a> {
     }
 }
 
-/// Free-function row comparison so the dedup chunk closure (which already
-/// borrows the view) can compare without re-borrowing `self`.
-fn view_rows_equal(v: &LogView<'_>, i: usize, j: usize) -> bool {
-    let (a, b) = (v.row(i), v.row(j));
-    v.time_ms[a] == v.time_ms[b]
-        && v.action[a] == v.action[b]
-        && v.latency_ms[a].to_bits() == v.latency_ms[b].to_bits()
-        && v.user[a] == v.user[b]
-        && v.class[a] == v.class[b]
-        && v.tz_offset_ms[a] == v.tz_offset_ms[b]
-        && v.outcome[a] == v.outcome[b]
-}
-
 /// A collection of action records with a maintained time order, stored
-/// columnar.
+/// columnar. The log owns its rows; queries over them go through
+/// [`TelemetryLog::view`].
 ///
 /// ```
 /// use autosens_telemetry::log::TelemetryLog;
@@ -769,8 +779,9 @@ fn view_rows_equal(v: &LogView<'_>, i: usize, j: usize) -> bool {
 /// let log = TelemetryLog::from_records(vec![rec(2000, 5.0), rec(0, 1.0)]).unwrap();
 /// assert!(log.is_sorted());
 /// // ...enabling binary-searched range and nearest-in-time queries.
-/// assert_eq!(log.range(SimTime(0), SimTime(1000)).unwrap().len(), 1);
-/// let (lo, hi) = log.nearest_in_time(SimTime(1500)).unwrap();
+/// let view = log.view();
+/// assert_eq!(view.range(SimTime(0), SimTime(1000)).unwrap().len(), 1);
+/// let (lo, hi) = view.nearest_in_time(SimTime(1500)).unwrap();
 /// assert_eq!((lo, hi), (1, 2));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -870,57 +881,16 @@ impl TelemetryLog {
         &self.cols
     }
 
-    /// The zero-copy view of every row (storage order).
+    /// The zero-copy view of every row (storage order): the API for every
+    /// row query.
     pub fn view(&self) -> LogView<'_> {
-        LogView::full(&self.cols, self.sorted)
-    }
-
-    /// Gather record `i` (boundary use — hot loops should go through
-    /// [`TelemetryLog::view`] and read columns).
-    pub fn get(&self, i: usize) -> ActionRecord {
-        self.cols.get(i)
+        self.cols.view(self.sorted)
     }
 
     /// Materialize all records in storage order (codec/checkpoint boundary
     /// only — this copies every row). Time-ordered iff [`Self::is_sorted`].
     pub fn to_records(&self) -> Vec<ActionRecord> {
         self.cols.to_records()
-    }
-
-    /// Iterate records (materialized per row), in storage order.
-    pub fn iter(&self) -> LogIter<'_> {
-        LogIter { log: self, i: 0 }
-    }
-
-    /// The view of rows whose time lies in `[from, to)`.
-    ///
-    /// Requires a sorted log; errors otherwise (call
-    /// [`Self::ensure_sorted`] first).
-    pub fn range(&self, from: SimTime, to: SimTime) -> Result<LogView<'_>, TelemetryError> {
-        let (lo, hi) = self.range_indices(from, to)?;
-        Ok(LogView::full_range(&self.cols, lo, hi, true))
-    }
-
-    /// Index range `[lo, hi)` of records with time in `[from, to)`.
-    pub fn range_indices(
-        &self,
-        from: SimTime,
-        to: SimTime,
-    ) -> Result<(usize, usize), TelemetryError> {
-        self.require_sorted()?;
-        let lo = self.cols.time_ms.partition_point(|&t| t < from.millis());
-        let hi = self.cols.time_ms.partition_point(|&t| t < to.millis());
-        Ok((lo, hi))
-    }
-
-    /// The record(s) nearest in time to `t`: returns the index range
-    /// `[lo, hi)` of *all* records sharing the minimal |time - t|, so the
-    /// caller can break ties randomly as the paper's §2.2 prescribes.
-    ///
-    /// Errors on an empty or unsorted log.
-    pub fn nearest_in_time(&self, t: SimTime) -> Result<(usize, usize), TelemetryError> {
-        self.require_sorted()?;
-        self.view().nearest_in_time(t)
     }
 
     /// Merge another log's records into this one (e.g. shards produced by
@@ -977,106 +947,6 @@ impl TelemetryLog {
         out.extend_range(b, j, m);
         self.cols = out;
     }
-
-    /// Remove exact field-for-field duplicate records (re-delivered upload
-    /// batches), keeping the first occurrence of each. Storage order is
-    /// preserved, so sortedness is unaffected. Returns how many records
-    /// were removed.
-    pub fn dedup_exact(&mut self) -> usize {
-        let n = self.cols.len();
-        let mut seen: std::collections::HashSet<(i64, u8, u64, u64, u8, i64, u8)> =
-            std::collections::HashSet::with_capacity(n);
-        let mut keep: Vec<u32> = Vec::with_capacity(n);
-        for i in 0..n {
-            if seen.insert(self.cols.row_key(i)) {
-                keep.push(i as u32);
-            }
-        }
-        let removed = n - keep.len();
-        if removed > 0 {
-            self.cols = self.cols.gather(&keep);
-        }
-        removed
-    }
-
-    /// Data-parallel variant of [`TelemetryLog::dedup_exact`] for sorted
-    /// logs — see [`LogView::dedup_exact_par`] for the algorithm and the
-    /// determinism argument. The result is identical to `dedup_exact` for
-    /// any thread count; unsorted logs and pathological equal-timestamp
-    /// runs fall back to the serial hash-set pass (a condition on the data,
-    /// never on `threads`).
-    pub fn dedup_exact_par(&mut self, threads: usize) -> usize {
-        if !self.sorted {
-            return self.dedup_exact();
-        }
-        let (deduped, removed) = self.view().dedup_exact_par(threads);
-        if removed > 0 {
-            let keep = deduped
-                .sel
-                .as_ref()
-                .expect("a shrunk view carries a selection");
-            self.cols = self.cols.gather(keep);
-        }
-        removed
-    }
-
-    /// Retain only successful actions (the paper analyzes successes only).
-    pub fn successes_only(&self) -> TelemetryLog {
-        let keep: Vec<u32> = (0..self.cols.len() as u32)
-            .filter(|&i| self.cols.outcome[i as usize] == Outcome::Success.code())
-            .collect();
-        TelemetryLog {
-            cols: self.cols.gather(&keep),
-            sorted: self.sorted,
-        }
-    }
-
-    /// Earliest record time (requires sorted, non-empty log).
-    pub fn start_time(&self) -> Option<SimTime> {
-        if self.sorted {
-            self.cols.time_ms.first().copied().map(SimTime)
-        } else {
-            self.cols.time_ms.iter().min().copied().map(SimTime)
-        }
-    }
-
-    /// Latest record time.
-    pub fn end_time(&self) -> Option<SimTime> {
-        if self.sorted {
-            self.cols.time_ms.last().copied().map(SimTime)
-        } else {
-            self.cols.time_ms.iter().max().copied().map(SimTime)
-        }
-    }
-
-    /// The `(timestamp ms, latency)` series of the log, in time order.
-    /// Errors on an unsorted log.
-    pub fn latency_series(&self) -> Result<Vec<(i64, f64)>, TelemetryError> {
-        self.require_sorted()?;
-        Ok(self
-            .cols
-            .time_ms
-            .iter()
-            .zip(&self.cols.latency_ms)
-            .map(|(&t, &l)| (t, l))
-            .collect())
-    }
-
-    /// Error with the first violating index unless the log is sorted.
-    pub fn require_sorted(&self) -> Result<(), TelemetryError> {
-        if !self.sorted {
-            // Find the first violation for a useful message.
-            let index = self
-                .cols
-                .time_ms
-                .windows(2)
-                .position(|w| w[1] < w[0])
-                .map(|i| i + 1)
-                .unwrap_or(0);
-            return Err(TelemetryError::Unsorted { index });
-        }
-        Ok(())
-    }
 }
 
 impl ColumnStore {
@@ -1090,42 +960,6 @@ impl ColumnStore {
         self.tz_offset_ms
             .extend_from_slice(&other.tz_offset_ms[lo..hi]);
         self.outcome.extend_from_slice(&other.outcome[lo..hi]);
-    }
-}
-
-/// Iterator over a log's records, materializing one per step.
-pub struct LogIter<'a> {
-    log: &'a TelemetryLog,
-    i: usize,
-}
-
-impl Iterator for LogIter<'_> {
-    type Item = ActionRecord;
-
-    fn next(&mut self) -> Option<ActionRecord> {
-        if self.i < self.log.len() {
-            let r = self.log.get(self.i);
-            self.i += 1;
-            Some(r)
-        } else {
-            None
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.log.len() - self.i;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for LogIter<'_> {}
-
-impl<'a> IntoIterator for &'a TelemetryLog {
-    type Item = ActionRecord;
-    type IntoIter = LogIter<'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
     }
 }
 
@@ -1157,7 +991,7 @@ mod tests {
         assert!(!log.is_sorted());
         log.ensure_sorted();
         assert!(log.is_sorted());
-        let times: Vec<i64> = log.iter().map(|r| r.time.millis()).collect();
+        let times: Vec<i64> = log.view().iter().map(|r| r.time.millis()).collect();
         assert_eq!(times, vec![10, 15, 20]);
     }
 
@@ -1174,7 +1008,7 @@ mod tests {
             TelemetryLog::from_records(vec![rec(30, 1.0), rec(10, 2.0), rec(20, 3.0)]).unwrap();
         assert!(log.is_sorted());
         assert_eq!(log.len(), 3);
-        assert_eq!(log.get(0).time.millis(), 10);
+        assert_eq!(log.view().get(0).time.millis(), 10);
         assert!(TelemetryLog::from_records(vec![rec(0, f64::NAN)]).is_err());
     }
 
@@ -1193,12 +1027,13 @@ mod tests {
     fn range_selects_half_open_interval() {
         let log =
             TelemetryLog::from_records((0..10).map(|i| rec(i * 10, i as f64)).collect()).unwrap();
-        let r = log.range(SimTime(20), SimTime(50)).unwrap();
+        let view = log.view();
+        let r = view.range(SimTime(20), SimTime(50)).unwrap();
         assert_eq!(r.len(), 3);
         assert_eq!(r.get(0).time.millis(), 20);
         assert_eq!(r.get(2).time.millis(), 40);
-        assert_eq!(log.range(SimTime(95), SimTime(200)).unwrap().len(), 0);
-        let (lo, hi) = log.range_indices(SimTime(20), SimTime(50)).unwrap();
+        assert_eq!(view.range(SimTime(95), SimTime(200)).unwrap().len(), 0);
+        let (lo, hi) = view.range_indices(SimTime(20), SimTime(50)).unwrap();
         assert_eq!((lo, hi), (2, 5));
     }
 
@@ -1208,7 +1043,7 @@ mod tests {
         log.push(rec(20, 1.0)).unwrap();
         log.push(rec(10, 1.0)).unwrap();
         assert!(matches!(
-            log.range(SimTime(0), SimTime(100)),
+            log.view().range(SimTime(0), SimTime(100)),
             Err(TelemetryError::Unsorted { index: 1 })
         ));
     }
@@ -1218,16 +1053,16 @@ mod tests {
         let log =
             TelemetryLog::from_records(vec![rec(0, 0.0), rec(100, 1.0), rec(200, 2.0)]).unwrap();
         // Closest to 140 is the record at 100.
-        let (lo, hi) = log.nearest_in_time(SimTime(140)).unwrap();
+        let (lo, hi) = log.view().nearest_in_time(SimTime(140)).unwrap();
         assert_eq!((lo, hi), (1, 2));
         // Exactly between 100 and 200: both are at distance 50.
-        let (lo, hi) = log.nearest_in_time(SimTime(150)).unwrap();
+        let (lo, hi) = log.view().nearest_in_time(SimTime(150)).unwrap();
         assert_eq!((lo, hi), (1, 3));
         // Before the first record.
-        let (lo, hi) = log.nearest_in_time(SimTime(-50)).unwrap();
+        let (lo, hi) = log.view().nearest_in_time(SimTime(-50)).unwrap();
         assert_eq!((lo, hi), (0, 1));
         // After the last record.
-        let (lo, hi) = log.nearest_in_time(SimTime(10_000)).unwrap();
+        let (lo, hi) = log.view().nearest_in_time(SimTime(10_000)).unwrap();
         assert_eq!((lo, hi), (2, 3));
     }
 
@@ -1241,24 +1076,24 @@ mod tests {
         ])
         .unwrap();
         // All three records at t=100 tie for nearest.
-        let (lo, hi) = log.nearest_in_time(SimTime(120)).unwrap();
+        let (lo, hi) = log.view().nearest_in_time(SimTime(120)).unwrap();
         assert_eq!((lo, hi), (0, 3));
         // Exact hit on a timestamp includes only that run.
-        let (lo, hi) = log.nearest_in_time(SimTime(100)).unwrap();
+        let (lo, hi) = log.view().nearest_in_time(SimTime(100)).unwrap();
         assert_eq!((lo, hi), (0, 3));
         // Equidistant between the runs: both runs tie.
-        let (lo, hi) = log.nearest_in_time(SimTime(200)).unwrap();
+        let (lo, hi) = log.view().nearest_in_time(SimTime(200)).unwrap();
         assert_eq!((lo, hi), (0, 4));
     }
 
     #[test]
     fn nearest_in_time_errors() {
         let log = TelemetryLog::new();
-        assert!(log.nearest_in_time(SimTime(0)).is_err());
+        assert!(log.view().nearest_in_time(SimTime(0)).is_err());
         let mut log = TelemetryLog::new();
         log.push(rec(10, 1.0)).unwrap();
         log.push(rec(5, 1.0)).unwrap();
-        assert!(log.nearest_in_time(SimTime(0)).is_err());
+        assert!(log.view().nearest_in_time(SimTime(0)).is_err());
     }
 
     #[test]
@@ -1268,7 +1103,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 4);
         assert!(a.is_sorted());
-        let times: Vec<i64> = a.iter().map(|r| r.time.millis()).collect();
+        let times: Vec<i64> = a.view().iter().map(|r| r.time.millis()).collect();
         assert_eq!(times, vec![0, 50, 100, 150]);
         // Merging an empty log is a no-op.
         a.merge(&TelemetryLog::new());
@@ -1288,7 +1123,7 @@ mod tests {
             TelemetryLog::from_records(vec![rec(10, 1.0), rec(20, 2.0), rec(20, 3.0)]).unwrap();
         let b = TelemetryLog::from_records(vec![rec(5, 4.0), rec(20, 5.0), rec(30, 6.0)]).unwrap();
         let mut reference = TelemetryLog::new();
-        for r in a.iter().chain(b.iter()) {
+        for r in a.to_records().into_iter().chain(b.to_records()) {
             reference.push(r).unwrap();
         }
         reference.ensure_sorted();
@@ -1298,7 +1133,7 @@ mod tests {
         let mut c = TelemetryLog::from_records(vec![rec(0, 1.0), rec(1, 2.0)]).unwrap();
         let d = TelemetryLog::from_records(vec![rec(1, 3.0), rec(2, 4.0)]).unwrap();
         c.merge(&d);
-        let lat: Vec<f64> = c.iter().map(|r| r.latency_ms).collect();
+        let lat: Vec<f64> = c.view().iter().map(|r| r.latency_ms).collect();
         assert_eq!(lat, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
@@ -1311,27 +1146,18 @@ mod tests {
         let b = TelemetryLog::from_records(vec![rec(50, 3.0)]).unwrap();
         a.merge(&b);
         assert!(a.is_sorted());
-        let times: Vec<i64> = a.iter().map(|r| r.time.millis()).collect();
+        let times: Vec<i64> = a.view().iter().map(|r| r.time.millis()).collect();
         assert_eq!(times, vec![0, 50, 100]);
-    }
-
-    #[test]
-    fn successes_only_filters_errors() {
-        let mut bad = rec(50, 1.0);
-        bad.outcome = Outcome::Error;
-        let log = TelemetryLog::from_records(vec![rec(0, 1.0), bad, rec(100, 2.0)]).unwrap();
-        let ok = log.successes_only();
-        assert_eq!(ok.len(), 2);
-        assert!(ok.iter().all(|r| r.outcome == Outcome::Success));
     }
 
     #[test]
     fn start_end_and_series() {
         let log = TelemetryLog::from_records(vec![rec(5, 1.5), rec(15, 2.5)]).unwrap();
-        assert_eq!(log.start_time(), Some(SimTime(5)));
-        assert_eq!(log.end_time(), Some(SimTime(15)));
-        assert_eq!(log.latency_series().unwrap(), vec![(5, 1.5), (15, 2.5)]);
-        assert_eq!(TelemetryLog::new().start_time(), None);
+        let view = log.view();
+        assert_eq!(view.start_time(), Some(SimTime(5)));
+        assert_eq!(view.end_time(), Some(SimTime(15)));
+        assert_eq!(view.latency_series().unwrap(), vec![(5, 1.5), (15, 2.5)]);
+        assert_eq!(TelemetryLog::new().view().start_time(), None);
     }
 
     #[test]
@@ -1339,8 +1165,29 @@ mod tests {
         let mut log = TelemetryLog::new();
         log.push(rec(50, 1.0)).unwrap();
         log.push(rec(10, 1.0)).unwrap();
-        assert_eq!(log.start_time(), Some(SimTime(10)));
-        assert_eq!(log.end_time(), Some(SimTime(50)));
+        assert_eq!(log.view().start_time(), Some(SimTime(10)));
+        assert_eq!(log.view().end_time(), Some(SimTime(50)));
+    }
+
+    /// The test oracle for exact dedup: one keep-first hash-set pass over
+    /// the records in order.
+    fn keep_first(records: &[ActionRecord]) -> Vec<ActionRecord> {
+        let mut seen = std::collections::HashSet::new();
+        records
+            .iter()
+            .filter(|r| {
+                seen.insert((
+                    r.time,
+                    r.action,
+                    r.latency_ms.to_bits(),
+                    r.user,
+                    r.class,
+                    r.tz_offset_ms,
+                    r.outcome,
+                ))
+            })
+            .copied()
+            .collect()
     }
 
     #[test]
@@ -1355,25 +1202,26 @@ mod tests {
             rec(10, 1.0),
         ])
         .unwrap();
-        let mut log = log;
-        let removed = log.dedup_exact();
+        let (deduped, removed) = log.view().dedup_exact_par(1);
         assert_eq!(removed, 2);
-        assert_eq!(log.len(), 3);
-        assert!(log.is_sorted());
-        let latencies: Vec<f64> = log.iter().map(|r| r.latency_ms).collect();
+        assert_eq!(deduped.len(), 3);
+        assert!(deduped.is_sorted());
+        let latencies: Vec<f64> = deduped.iter().map(|r| r.latency_ms).collect();
         assert_eq!(latencies, vec![1.0, 2.0, 3.0]);
-        // Unsorted logs dedup too, preserving storage order.
+        // Unsorted views dedup too, preserving storage order.
         let mut unsorted = TelemetryLog::new();
         unsorted.push(rec(30, 1.0)).unwrap();
         unsorted.push(rec(10, 1.0)).unwrap();
         unsorted.push(rec(30, 1.0)).unwrap();
-        assert_eq!(unsorted.dedup_exact(), 1);
-        assert!(!unsorted.is_sorted());
-        assert_eq!(unsorted.get(0).time.millis(), 30);
+        let (deduped, removed) = unsorted.view().dedup_exact_par(1);
+        assert_eq!(removed, 1);
+        assert!(!deduped.is_sorted());
+        assert_eq!(deduped.get(0).time.millis(), 30);
         // A clean log is untouched.
-        let mut clean = TelemetryLog::from_records(vec![rec(0, 1.0), rec(5, 2.0)]).unwrap();
-        assert_eq!(clean.dedup_exact(), 0);
-        assert_eq!(clean.len(), 2);
+        let clean = TelemetryLog::from_records(vec![rec(0, 1.0), rec(5, 2.0)]).unwrap();
+        let (deduped, removed) = clean.view().dedup_exact_par(1);
+        assert_eq!(removed, 0);
+        assert_eq!(deduped.len(), 2);
     }
 
     #[test]
@@ -1387,14 +1235,17 @@ mod tests {
         for i in (0..5_000i64).step_by(10) {
             records.push(rec(i / 3, (i % 7) as f64 + 1.0));
         }
-        let mut serial = TelemetryLog::from_records(records.clone()).unwrap();
-        let removed_serial = serial.dedup_exact();
-        assert!(removed_serial > 0);
+        let log = TelemetryLog::from_records(records).unwrap();
+        let expect = keep_first(&log.to_records());
+        assert!(expect.len() < log.len());
         for threads in [1, 2, 4, 8] {
-            let mut par = TelemetryLog::from_records(records.clone()).unwrap();
-            let removed = par.dedup_exact_par(threads);
-            assert_eq!(removed, removed_serial, "threads={threads}");
-            assert_eq!(par.to_records(), serial.to_records(), "threads={threads}");
+            let (deduped, removed) = log.view().dedup_exact_par(threads);
+            assert_eq!(removed, log.len() - expect.len(), "threads={threads}");
+            assert_eq!(
+                deduped.materialize().to_records(),
+                expect,
+                "threads={threads}"
+            );
         }
     }
 
@@ -1405,18 +1256,19 @@ mod tests {
         unsorted.push(rec(30, 1.0)).unwrap();
         unsorted.push(rec(10, 1.0)).unwrap();
         unsorted.push(rec(30, 1.0)).unwrap();
-        assert_eq!(unsorted.dedup_exact_par(4), 1);
+        assert_eq!(unsorted.view().dedup_exact_par(4).1, 1);
         // One giant equal-timestamp run (beyond the run-scan cap): the
         // fallback still removes the exact duplicates.
         let mut records: Vec<ActionRecord> = (0..600).map(|i| rec(42, i as f64 + 1.0)).collect();
         records.push(rec(42, 1.0));
-        let mut log = TelemetryLog::from_records(records).unwrap();
-        assert_eq!(log.dedup_exact_par(4), 1);
-        assert_eq!(log.len(), 600);
+        let log = TelemetryLog::from_records(records).unwrap();
+        let (deduped, removed) = log.view().dedup_exact_par(4);
+        assert_eq!(removed, 1);
+        assert_eq!(deduped.len(), 600);
     }
 
     #[test]
-    fn view_dedup_matches_owned_dedup() {
+    fn view_dedup_matches_keep_first_oracle() {
         let mut records: Vec<ActionRecord> = Vec::new();
         for i in 0..1_000i64 {
             records.push(rec(i / 5, (i % 3) as f64));
@@ -1424,17 +1276,12 @@ mod tests {
         for i in (0..1_000i64).step_by(7) {
             records.push(rec(i / 5, (i % 3) as f64));
         }
-        let mut owned = TelemetryLog::from_records(records.clone()).unwrap();
-        let removed_owned = owned.dedup_exact();
         let log = TelemetryLog::from_records(records).unwrap();
+        let expect = keep_first(&log.to_records());
         for threads in [1, 2, 4, 8] {
             let (view, removed) = log.view().dedup_exact_par(threads);
-            assert_eq!(removed, removed_owned, "threads={threads}");
-            assert_eq!(
-                view.materialize().to_records(),
-                owned.to_records(),
-                "threads={threads}"
-            );
+            assert_eq!(removed, log.len() - expect.len(), "threads={threads}");
+            assert_eq!(view.materialize().to_records(), expect, "threads={threads}");
         }
     }
 
@@ -1448,13 +1295,6 @@ mod tests {
     }
 
     #[test]
-    fn into_iterator_works() {
-        let log = TelemetryLog::from_records(vec![rec(0, 1.0), rec(10, 2.0)]).unwrap();
-        let total: f64 = (&log).into_iter().map(|r| r.latency_ms).sum();
-        assert_eq!(total, 3.0);
-    }
-
-    #[test]
     fn view_selection_and_accessors() {
         let log =
             TelemetryLog::from_records((0..10).map(|i| rec(i * 10, i as f64)).collect()).unwrap();
@@ -1462,7 +1302,7 @@ mod tests {
         assert_eq!(full.len(), 10);
         assert!(full.is_sorted());
         assert_eq!(full.time_at(3), 30);
-        assert_eq!(full.get(3), log.get(3));
+        assert_eq!(full.get(3), log.to_records()[3]);
         // Select even storage rows.
         let sel: Vec<u32> = (0..10).filter(|i| i % 2 == 0).collect();
         let even = full.with_selection(sel);
@@ -1480,7 +1320,7 @@ mod tests {
         // Materialize copies exactly the selected rows.
         let owned = even.materialize();
         assert_eq!(owned.len(), 5);
-        assert_eq!(owned.get(1).time.millis(), 20);
+        assert_eq!(owned.view().get(1).time.millis(), 20);
         // Borrowed reborrow sees the same rows.
         let re = even.borrowed();
         assert_eq!(re.len(), even.len());

@@ -753,7 +753,7 @@ mod tests {
 
     fn evidence_of(records: Vec<ActionRecord>) -> LossEvidence {
         let log = TelemetryLog::from_records(records).unwrap();
-        let view = crate::query::Slice::all().select(&log);
+        let view = log.view();
         let counts = LossCounts::from_view(&view);
         assert_eq!(counts.total(), view.len() as u64);
         estimate_cell_loss(&view, &counts)
@@ -790,7 +790,7 @@ mod tests {
     fn counts_merge_matches_batch() {
         let records = steady(10);
         let log = TelemetryLog::from_records(records).unwrap();
-        let view = crate::query::Slice::all().select(&log);
+        let view = log.view();
         let whole = LossCounts::from_view(&view);
         // Split at arbitrary points; merged partials must equal the batch.
         for cut in [1usize, 57, 1234, view.len() - 1] {
@@ -988,7 +988,7 @@ mod tests {
     #[test]
     fn empty_view_yields_zero_evidence() {
         let log = TelemetryLog::new();
-        let view = crate::query::Slice::all().select(&log);
+        let view = log.view();
         let ev = estimate_cell_loss(&view, &LossCounts::from_view(&view));
         assert!(ev.is_zero());
         assert_eq!(ev.overall_rate, 0.0);
@@ -1047,7 +1047,7 @@ mod tests {
             r.tz_offset_ms = if i % 3 == 0 { 0 } else { -5 * MS_PER_HOUR };
         }
         let log = TelemetryLog::from_records(records).unwrap();
-        let view = crate::query::Slice::all().select(&log);
+        let view = log.view();
         assert!(view.len() > autosens_exec::scan_chunk_size_for(view.len()));
         let mut want: BTreeMap<(i64, u8), Vec<i64>> = BTreeMap::new();
         for i in 0..view.len() {

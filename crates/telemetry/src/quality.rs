@@ -22,7 +22,7 @@ use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
-use crate::log::TelemetryLog;
+use crate::log::{RowKey, TelemetryLog};
 use crate::loss::{estimate_cell_loss, CellLossEvidence, LossCounts};
 use crate::query::Slice;
 use crate::time::{SimTime, MS_PER_DAY, MS_PER_HOUR};
@@ -171,8 +171,8 @@ pub fn audit(log: &TelemetryLog) -> QualityReport {
 }
 
 /// Audit the records of a log matching a [`Slice`], without materializing
-/// the sub-log: every pass walks [`Slice::iter`] in storage order, so
-/// slicing an audit costs no full-log copy. `audit_slice(log,
+/// the sub-log: every pass walks the [`Slice::select`] view in storage
+/// order, so slicing an audit costs no full-log copy. `audit_slice(log,
 /// &Slice::all())` is exactly [`audit`].
 pub fn audit_slice(log: &TelemetryLog, slice: &Slice) -> QualityReport {
     let mut span = autosens_obs::Recorder::global().root("quality.audit");
@@ -182,29 +182,20 @@ pub fn audit_slice(log: &TelemetryLog, slice: &Slice) -> QualityReport {
 
     // Build the selection once — every pass below walks the view's
     // columns directly; no sub-log is materialized and no row is copied.
-    let view = slice.select(log);
+    let view = slice.select(&log.view());
     let n = view.len() as u64;
 
-    // Duplicates: exact repeats of a full record key seen earlier. This
-    // pass also counts the ordering violations (backward steps between
-    // adjacent matching rows in storage order) and tallies the per-cell
-    // loss counts over first occurrences only — a re-delivered record is
-    // not evidence of presence twice.
-    let mut seen: HashSet<(i64, u8, u64, u64, u8, i64, u8)> = HashSet::new();
+    // Duplicates: exact repeats (`RowKey`) of a row seen earlier.
+    // This pass also counts the ordering violations (backward steps
+    // between adjacent matching rows in storage order) and tallies the
+    // per-cell loss counts over first occurrences only — a re-delivered
+    // record is not evidence of presence twice.
+    let mut seen: HashSet<RowKey> = HashSet::new();
     let mut duplicates = 0u64;
     let mut monotonicity_violations = 0u64;
     let mut loss_counts = LossCounts::new();
     for i in 0..view.len() {
-        let key = (
-            view.time_at(i),
-            view.action_at(i),
-            view.latency_at(i).to_bits(),
-            view.user_at(i),
-            view.class_at(i),
-            view.tz_offset_at(i),
-            view.outcome_at(i),
-        );
-        if !seen.insert(key) {
+        if !seen.insert(view.row_key(i)) {
             duplicates += 1;
         } else {
             loss_counts.record(
@@ -383,6 +374,7 @@ mod tests {
         // time-localized outage. ~14% of total volume disappears.
         let log = steady_log();
         let kept: Vec<ActionRecord> = log
+            .view()
             .iter()
             .filter(|r| {
                 let day = r.time.millis().div_euclid(MS_PER_DAY);

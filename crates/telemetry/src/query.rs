@@ -2,8 +2,9 @@
 //!
 //! The evaluation slices data by action type (§3.2), user class (§3.3),
 //! per-user latency quartile (§3.4), local-time day period (§3.6), and
-//! calendar month (§3.7). A [`Slice`] expresses any conjunction of these,
-//! and [`Slice::apply`] materializes the matching sub-log.
+//! calendar month (§3.7). A [`Slice`] expresses any conjunction of these.
+//! [`Slice::select`] narrows a [`LogView`] to the matching rows without
+//! copying one; [`Slice::apply`] materializes the matching sub-log.
 
 use std::collections::HashSet;
 
@@ -179,34 +180,14 @@ impl Slice {
             && !self.successes_only
     }
 
-    /// The zero-copy view of the matching rows, in log order: builds a
-    /// selection vector of row indices (or no vector at all for the
-    /// match-everything slice) and copies no rows. This is the currency
-    /// the analysis pipeline computes over; [`Slice::apply`] is the
-    /// materializing escape hatch.
-    pub fn select<'a>(&self, log: &'a TelemetryLog) -> LogView<'a> {
-        self.select_view(&log.view())
-    }
-
-    /// Chunked [`Slice::select`]: build the selection vector as a
-    /// data-parallel job and concatenate the per-chunk indices in chunk
-    /// order (chunk boundaries depend only on the record count, so the
-    /// view is identical to `select` for every thread count). Returns the
-    /// view plus the scheduler's [`autosens_exec::ExecReport`] so callers
-    /// can record per-worker spans.
-    pub fn select_par<'a>(
-        &self,
-        log: &'a TelemetryLog,
-        threads: usize,
-    ) -> Result<(LogView<'a>, autosens_exec::ExecReport), autosens_exec::ExecError> {
-        self.select_par_view(&log.view(), threads)
-    }
-
     /// The zero-copy sub-view of `view`'s rows matching every predicate,
-    /// in view order. Selection indices are *storage* indices (mapped
-    /// through any existing selection), so the result composes with
-    /// further narrowing exactly like [`Slice::select`]'s output.
-    pub fn select_view<'a>(&self, view: &LogView<'a>) -> LogView<'a> {
+    /// in view order: builds a selection vector of row indices (or none at
+    /// all for the match-everything slice) and copies no rows. Selection
+    /// indices are *storage* indices (mapped through any existing
+    /// selection), so the result composes with further narrowing. This is
+    /// the currency the analysis pipeline computes over; [`Slice::apply`]
+    /// is the materializing escape hatch.
+    pub fn select<'a>(&self, view: &LogView<'a>) -> LogView<'a> {
         if self.is_unrestricted() {
             return view.clone();
         }
@@ -217,12 +198,13 @@ impl Slice {
         view.with_selection(sel)
     }
 
-    /// Chunked [`Slice::select_view`], and the engine behind
-    /// [`Slice::select_par`]: chunk boundaries depend only on the view
-    /// length and per-chunk indices concatenate in chunk order, so the
-    /// result is identical for every thread count — and, on a full view,
-    /// identical to the serial `select`.
-    pub fn select_par_view<'a>(
+    /// Chunked [`Slice::select`]: build the selection vector as a
+    /// data-parallel job and concatenate the per-chunk indices in chunk
+    /// order (chunk boundaries depend only on the view length, so the
+    /// result is identical to `select` for every thread count). Returns the
+    /// view plus the scheduler's [`autosens_exec::ExecReport`] so callers
+    /// can record per-worker spans.
+    pub fn select_par<'a>(
         &self,
         view: &LogView<'a>,
         threads: usize,
@@ -248,15 +230,7 @@ impl Slice {
     /// yields a sorted output). Copies every matching row — analyses should
     /// prefer [`Slice::select`].
     pub fn apply(&self, log: &TelemetryLog) -> TelemetryLog {
-        self.select(log).materialize()
-    }
-
-    /// Iterate the matching records (materialized per row), in log order,
-    /// without building a sub-log. Read-only consumers (quality audits,
-    /// single-pass statistics) use this; index-aware consumers should use
-    /// [`Slice::select`].
-    pub fn iter<'a>(&'a self, log: &'a TelemetryLog) -> impl Iterator<Item = ActionRecord> + 'a {
-        log.iter().filter(|r| self.matches(r))
+        self.select(&log.view()).materialize()
     }
 }
 
@@ -354,7 +328,7 @@ mod tests {
         let log = sample_log();
         let s = Slice::all().period(DayPeriod::Night2to8).apply(&log);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.get(0).action, ActionType::Search);
+        assert_eq!(s.view().get(0).action, ActionType::Search);
         let s = Slice::all().month(Month::Feb).apply(&log);
         assert_eq!(s.len(), 2);
         let s = Slice::all()
@@ -388,7 +362,7 @@ mod tests {
             .successes()
             .apply(&log);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.get(0).time.millis(), 10 * crate::time::MS_PER_HOUR);
+        assert_eq!(s.view().get(0).time.millis(), 10 * crate::time::MS_PER_HOUR);
     }
 
     #[test]
@@ -412,24 +386,15 @@ mod tests {
         let log = TelemetryLog::from_records(vec![east, west]).unwrap();
         let s = Slice::all().tz_offset_hours(-5).apply(&log);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.get(0).user.0, 1);
+        assert_eq!(s.view().get(0).user.0, 1);
         let s = Slice::all().tz_offset_hours(0).apply(&log);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.get(0).user.0, 2);
+        assert_eq!(s.view().get(0).user.0, 2);
         assert!(Slice::all().tz_offset_hours(3).apply(&log).is_empty());
     }
 
     #[test]
-    fn iter_matches_apply_without_copying() {
-        let log = sample_log();
-        let slice = Slice::all().action(ActionType::SelectMail).successes();
-        let borrowed: Vec<ActionRecord> = slice.iter(&log).collect();
-        assert_eq!(borrowed, slice.apply(&log).to_records());
-        assert_eq!(Slice::all().iter(&log).count(), log.len());
-    }
-
-    #[test]
-    fn select_view_matches_apply_and_iter() {
+    fn select_matches_apply_and_the_record_filter() {
         let log = sample_log();
         let slices = [
             Slice::all(),
@@ -440,40 +405,41 @@ mod tests {
                 .period(DayPeriod::Evening20to2),
         ];
         for slice in &slices {
-            let view = slice.select(&log);
-            let via_iter: Vec<ActionRecord> = slice.iter(&log).collect();
+            let via_filter: Vec<ActionRecord> =
+                log.view().iter().filter(|r| slice.matches(r)).collect();
+            let view = slice.select(&log.view());
             let via_view: Vec<ActionRecord> = view.iter().collect();
-            assert_eq!(via_view, via_iter);
+            assert_eq!(via_view, via_filter);
             assert_eq!(
                 view.materialize().to_records(),
                 slice.apply(&log).to_records()
             );
             for threads in [1, 2, 4, 8] {
-                let (par, report) = slice.select_par(&log, threads).unwrap();
+                let (par, report) = slice.select_par(&log.view(), threads).unwrap();
                 let via_par: Vec<ActionRecord> = par.iter().collect();
-                assert_eq!(via_par, via_iter, "threads={threads}");
+                assert_eq!(via_par, via_filter, "threads={threads}");
                 assert_eq!(report.n_items, log.len());
             }
         }
     }
 
     #[test]
-    fn select_view_composes_with_existing_selection() {
+    fn select_composes_with_existing_selection() {
         let log = sample_log();
         let full = log.view();
         let slice = Slice::all().action(ActionType::SelectMail);
         // Narrow a pre-selected view; indices stay in storage coordinates.
         let pre = full.with_selection(vec![0, 2, 3]);
         let expect: Vec<ActionRecord> = pre.iter().filter(|r| slice.matches(r)).collect();
-        let narrowed = slice.select_view(&pre);
+        let narrowed = slice.select(&pre);
         assert_eq!(narrowed.iter().collect::<Vec<_>>(), expect);
         assert_eq!(narrowed.row(0), 0);
         for threads in [1, 4] {
-            let (par, _) = slice.select_par_view(&pre, threads).unwrap();
+            let (par, _) = slice.select_par(&pre, threads).unwrap();
             assert_eq!(par.iter().collect::<Vec<_>>(), expect, "threads={threads}");
         }
         // Unrestricted slice returns the view unchanged.
-        assert_eq!(Slice::all().select_view(&pre).len(), pre.len());
+        assert_eq!(Slice::all().select(&pre).len(), pre.len());
     }
 
     #[test]
@@ -481,7 +447,7 @@ mod tests {
         let log = sample_log();
         let s = Slice::all().action(ActionType::SelectMail).apply(&log);
         assert!(s.is_sorted());
-        let times: Vec<i64> = s.iter().map(|r| r.time.millis()).collect();
+        let times: Vec<i64> = s.view().iter().map(|r| r.time.millis()).collect();
         let mut sorted = times.clone();
         sorted.sort();
         assert_eq!(times, sorted);

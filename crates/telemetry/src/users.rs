@@ -55,46 +55,6 @@ pub fn per_user_stats(log: &LogView<'_>, min_actions: usize) -> Vec<UserStats> {
     out
 }
 
-/// Like [`per_user_stats`], but with O(1) memory per user: medians come
-/// from a P² streaming estimator instead of a stored latency vector. Use
-/// for logs too large to buffer per-user samples (the paper's dataset had
-/// billions of actions); estimates are within a few percent of exact for
-/// realistic latency distributions.
-pub fn per_user_stats_streaming(log: &LogView<'_>, min_actions: usize) -> Vec<UserStats> {
-    use autosens_stats::quantile_stream::P2Quantile;
-    struct Acc {
-        median: P2Quantile,
-        sum: f64,
-        n: usize,
-    }
-    let mut accs: HashMap<UserId, Acc> = HashMap::new();
-    for i in 0..log.len() {
-        let latency = log.latency_at(i);
-        let acc = accs.entry(UserId(log.user_at(i))).or_insert_with(|| Acc {
-            median: P2Quantile::median(),
-            sum: 0.0,
-            n: 0,
-        });
-        acc.median
-            .observe(latency)
-            .expect("latencies validated finite on log entry");
-        acc.sum += latency;
-        acc.n += 1;
-    }
-    let mut out: Vec<UserStats> = accs
-        .into_iter()
-        .filter(|(_, a)| a.n >= min_actions.max(1))
-        .map(|(user, a)| UserStats {
-            user,
-            n_actions: a.n,
-            median_latency_ms: a.median.estimate().expect("n >= 1"),
-            mean_latency_ms: a.sum / a.n as f64,
-        })
-        .collect();
-    out.sort_by_key(|s| s.user);
-    out
-}
-
 /// Quartile groups of users by median latency: `groups[0]` = Q1 (fastest)
 /// through `groups[3]` = Q4 (slowest).
 #[derive(Debug, Clone)]
@@ -249,44 +209,6 @@ mod tests {
     fn quartile_labels() {
         assert_eq!(LatencyQuartiles::label(0), "Q1 (fastest)");
         assert_eq!(LatencyQuartiles::label(3), "Q4 (slowest)");
-    }
-
-    #[test]
-    fn streaming_stats_match_exact_stats() {
-        // Varied latencies per user: streaming medians should track exact
-        // ones closely, and means exactly.
-        let mut records = Vec::new();
-        let mut t = 0;
-        for u in 1..=6u64 {
-            for i in 0..400 {
-                // A skewed, user-dependent latency pattern.
-                let latency = 50.0 * u as f64 + ((i * 37 + u as usize * 11) % 200) as f64;
-                records.push(rec(t, u, latency));
-                t += 1000;
-            }
-        }
-        let log = TelemetryLog::from_records(records).unwrap();
-        let exact = per_user_stats(&log.view(), 1);
-        let streaming = per_user_stats_streaming(&log.view(), 1);
-        assert_eq!(exact.len(), streaming.len());
-        for (e, s) in exact.iter().zip(&streaming) {
-            assert_eq!(e.user, s.user);
-            assert_eq!(e.n_actions, s.n_actions);
-            assert!((e.mean_latency_ms - s.mean_latency_ms).abs() < 1e-9);
-            let rel = (e.median_latency_ms - s.median_latency_ms).abs() / e.median_latency_ms;
-            assert!(
-                rel < 0.05,
-                "user {:?}: exact {} vs stream {}",
-                e.user,
-                e.median_latency_ms,
-                s.median_latency_ms
-            );
-        }
-        // min_actions filter behaves identically.
-        assert_eq!(
-            per_user_stats_streaming(&log.view(), 401).len(),
-            per_user_stats(&log.view(), 401).len()
-        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use autosens_telemetry::codec;
 use autosens_telemetry::log::TelemetryLog;
+use autosens_telemetry::query::Slice;
 use autosens_telemetry::record::{ActionRecord, ActionType, Outcome, UserClass, UserId};
 use autosens_telemetry::time::{DayPeriod, SimTime, MS_PER_HOUR};
 use autosens_telemetry::users;
@@ -52,7 +53,7 @@ proptest! {
         prop_assert!(log.is_sorted());
         let mut orig_times: Vec<i64> = records.iter().map(|r| r.time.millis()).collect();
         orig_times.sort();
-        let log_times: Vec<i64> = log.iter().map(|r| r.time.millis()).collect();
+        let log_times: Vec<i64> = log.view().iter().map(|r| r.time.millis()).collect();
         prop_assert_eq!(orig_times, log_times);
     }
 
@@ -62,20 +63,20 @@ proptest! {
         query in -1_000_000_000i64..1_000_000_000,
     ) {
         let log = TelemetryLog::from_records(records).unwrap();
-        let (lo, hi) = log.nearest_in_time(SimTime(query)).unwrap();
+        let (lo, hi) = log.view().nearest_in_time(SimTime(query)).unwrap();
         prop_assert!(lo < hi);
-        let best = (log.get(lo).time.millis() - query).abs();
+        let best = (log.view().get(lo).time.millis() - query).abs();
         // Every record in [lo, hi) is at the same (minimal) distance...
         for i in lo..hi {
-            prop_assert_eq!((log.get(i).time.millis() - query).abs(), best);
+            prop_assert_eq!((log.view().get(i).time.millis() - query).abs(), best);
         }
         // ...and no record anywhere is closer.
-        for r in log.iter() {
+        for r in log.view().iter() {
             prop_assert!((r.time.millis() - query).abs() >= best);
         }
         // And the range covers ALL records at the minimal distance.
         let count_at_best = log
-            .iter()
+            .view().iter()
             .filter(|r| (r.time.millis() - query).abs() == best)
             .count();
         prop_assert_eq!(hi - lo, count_at_best);
@@ -89,9 +90,9 @@ proptest! {
     ) {
         let (from, to) = if a <= b { (a, b) } else { (b, a) };
         let log = TelemetryLog::from_records(records).unwrap();
-        let via_range = log.range(SimTime(from), SimTime(to)).unwrap().len();
+        let via_range = log.view().range(SimTime(from), SimTime(to)).unwrap().len();
         let via_scan = log
-            .iter()
+            .view().iter()
             .filter(|r| r.time.millis() >= from && r.time.millis() < to)
             .count();
         prop_assert_eq!(via_range, via_scan);
@@ -104,7 +105,7 @@ proptest! {
         codec::write_csv(&log, &mut buf).unwrap();
         let back = codec::read_csv(buf.as_slice()).unwrap();
         prop_assert_eq!(back.len(), log.len());
-        for (a, b) in back.iter().zip(log.iter()) {
+        for (a, b) in back.view().iter().zip(log.view().iter()) {
             prop_assert_eq!(a.time, b.time);
             prop_assert_eq!(a.action, b.action);
             prop_assert!((a.latency_ms - b.latency_ms).abs() < 1e-9);
@@ -201,10 +202,11 @@ proptest! {
     }
 
     #[test]
-    fn successes_only_removes_exactly_errors(records in prop::collection::vec(arb_record(), 0..100)) {
+    fn successes_slice_removes_exactly_errors(records in prop::collection::vec(arb_record(), 0..100)) {
         let log = TelemetryLog::from_records(records).unwrap();
-        let ok = log.successes_only();
-        let n_err = log.iter().filter(|r| r.outcome == Outcome::Error).count();
+        let view = log.view();
+        let ok = Slice::all().successes().select(&view);
+        let n_err = log.view().iter().filter(|r| r.outcome == Outcome::Error).count();
         prop_assert_eq!(ok.len() + n_err, log.len());
         prop_assert!(ok.iter().all(|r| r.outcome == Outcome::Success));
     }

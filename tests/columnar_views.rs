@@ -1,10 +1,9 @@
-//! Property test for the columnar view layer (the PR-5 refactor's core
-//! invariant): for every log and every `Slice`, the zero-copy
-//! [`Slice::select`] view is index-for-index identical to the legacy
-//! row-materializing semantics of [`Slice::iter`] — same rows, same
-//! order, same field values at the bit level — and the data-parallel
-//! [`Slice::select_par`] builds the exact same selection vector at every
-//! thread count.
+//! Property test for the columnar view layer's core invariant: for every
+//! log and every `Slice`, the zero-copy [`Slice::select`] view is
+//! index-for-index identical to filtering the log's materialized rows with
+//! the per-record [`Slice::matches`] — same rows, same order, same field
+//! values at the bit level — and the data-parallel [`Slice::select_par`]
+//! builds the exact same selection vector at every thread count.
 
 use std::collections::HashSet;
 
@@ -123,17 +122,18 @@ proptest! {
     ) {
         let log = TelemetryLog::from_records(records).expect("generated records are valid");
 
-        // Legacy semantics: scan the rows in storage order, keep matches.
+        // Record semantics: scan the rows in storage order, keep matches.
+        let full = log.view();
         let expected: Vec<(usize, ActionRecord)> = (0..log.len())
-            .map(|i| (i, log.get(i)))
+            .map(|i| (i, full.get(i)))
             .filter(|(_, r)| slice.matches(r))
             .collect();
-        let via_iter: Vec<ActionRecord> = slice.iter(&log).collect();
+        let via_iter: Vec<ActionRecord> = full.iter().filter(|r| slice.matches(r)).collect();
         prop_assert_eq!(via_iter.len(), expected.len());
 
         // The zero-copy view: same length, and index-for-index the same
         // storage row, the same record, and the same per-column values.
-        let view = slice.select(&log);
+        let view = slice.select(&full);
         prop_assert_eq!(view.len(), expected.len());
         for (k, (row, rec)) in expected.iter().enumerate() {
             prop_assert_eq!(view.row(k), *row, "selection index {} diverged", k);
@@ -162,7 +162,7 @@ proptest! {
         // The chunked selection builds the identical view at every thread
         // count — the determinism contract the whole pipeline leans on.
         for threads in [1usize, 2, 4, 8] {
-            let (par, report) = slice.select_par(&log, threads).expect("select_par");
+            let (par, report) = slice.select_par(&full, threads).expect("select_par");
             prop_assert_eq!(report.n_items, log.len());
             prop_assert_eq!(par.len(), view.len(), "threads={}", threads);
             for k in 0..par.len() {

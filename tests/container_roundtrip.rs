@@ -105,7 +105,7 @@ proptest! {
         // Row access through the zero-copy view matches record access.
         let view = mapped.view();
         for i in 0..log.len() {
-            prop_assert_eq!(view.get(i), log.get(i));
+            prop_assert_eq!(view.get(i), log.view().get(i));
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -95,7 +95,7 @@ fn error_records_are_excluded_from_analysis() {
     let (log, _) = common::data();
     // The engine analyzes successes only; a log stripped of errors must
     // give the identical curve.
-    let stripped = log.successes_only();
+    let stripped = Slice::all().successes().apply(log);
     let a = common::run_slice(log, &slice()).expect("fits");
     let b = common::run_slice(&stripped, &slice()).expect("fits");
     assert_eq!(a.n_actions, b.n_actions);

@@ -137,7 +137,7 @@ fn unsorted_log_errors_surface_through_the_pipeline() {
     log.push(rec(1000, 100.0)).unwrap();
     log.push(rec(0, 100.0)).unwrap();
     // The raw store is unsorted; direct range queries must fail loudly...
-    assert!(log.range(SimTime(0), SimTime(10_000)).is_err());
+    assert!(log.view().range(SimTime(0), SimTime(10_000)).is_err());
     // ...while the engine sorts slices internally: the analysis proceeds
     // past sortedness and fails only for lack of data (either the support
     // check or, when the alpha gate excludes the lone slot first, an empty

@@ -204,7 +204,7 @@ fn steady_log(per_hour: i64) -> TelemetryLog {
 /// merged out of order, bit for bit (the counts are unit `u64` additions,
 /// which is what lets stream shards maintain them independently).
 fn evidence_with_merge_check(log: &TelemetryLog) -> LossEvidence {
-    let view = Slice::all().select(log);
+    let view = log.view();
     let serial = LossCounts::from_view(&view);
     let n = view.len();
     let bounds = [0, n / 4, n / 2, 3 * n / 4, n];

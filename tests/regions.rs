@@ -22,7 +22,8 @@ fn multi_region_config() -> SimConfig {
 #[test]
 fn records_carry_their_region_offset() {
     let (log, truth) = generate(&multi_region_config()).expect("valid");
-    let offsets: std::collections::HashSet<i64> = log.iter().map(|r| r.tz_offset_ms).collect();
+    let offsets: std::collections::HashSet<i64> =
+        log.view().iter().map(|r| r.tz_offset_ms).collect();
     assert_eq!(offsets.len(), 2);
     assert!(offsets.contains(&0));
     assert!(offsets.contains(&(-6 * MS_PER_HOUR)));
@@ -79,7 +80,7 @@ fn regional_activity_peaks_follow_local_clocks() {
     // region follows its own clock, not the server's.
     for tz_ms in [0i64, -6 * MS_PER_HOUR] {
         let mut counts = [0usize; 24];
-        for r in log.iter() {
+        for r in log.view().iter() {
             if r.tz_offset_ms == tz_ms && r.class == UserClass::Business {
                 counts[r.time.hour_of_day_local(tz_ms) as usize] += 1;
             }

@@ -98,7 +98,7 @@ fn streamed_snapshot_equals_batch_on_clean_input() {
         autosens_telemetry::query::Slice::all(),
     )
     .expect("engine");
-    for r in log.iter() {
+    for r in log.view().iter() {
         engine.push(r);
     }
     let snap = engine.snapshot().expect("snapshot");
@@ -140,7 +140,7 @@ fn reorder_and_duplicate_injection_preserve_equivalence() {
     .expect("engine");
     let mut late = 0u64;
     let mut dups = 0u64;
-    for r in corrupted.iter() {
+    for r in corrupted.view().iter() {
         match engine.push(r) {
             Ingest::Late => late += 1,
             Ingest::Duplicate => dups += 1,
@@ -187,14 +187,14 @@ fn late_arrival_past_watermark_is_counted_and_dropped() {
         recorder.clone(),
     )
     .expect("engine");
-    for r in log.iter() {
+    for r in log.view().iter() {
         engine.push(r);
     }
     let frontier = engine.status().max_event_time_ms.expect("frontier");
 
     // One success record exactly at the watermark is still admitted
     // (low-watermark is inclusive) ...
-    let mut boundary = log.iter().next().unwrap();
+    let mut boundary = log.view().iter().next().unwrap();
     boundary.time = SimTime(frontier - 30_000);
     boundary.outcome = Outcome::Success;
     boundary.latency_ms = 123.0;
@@ -230,7 +230,7 @@ fn duplicate_event_ids_dedup_identically_to_batch_sanitize() {
     // near-duplicates (same time, different latency): streaming must keep
     // exactly what batch sanitize keeps.
     let base = small_log(0xD0D0);
-    let mut records: Vec<ActionRecord> = base.iter().collect();
+    let mut records: Vec<ActionRecord> = base.view().iter().collect();
     let mut rng = StdRng::seed_from_u64(0xEC0);
     let mut with_dups = Vec::with_capacity(records.len() + 600);
     for r in records.drain(..) {
@@ -257,7 +257,7 @@ fn duplicate_event_ids_dedup_identically_to_batch_sanitize() {
     )
     .expect("engine");
     let mut dups = 0u64;
-    for r in corrupted.iter() {
+    for r in corrupted.view().iter() {
         if engine.push(r) == Ingest::Duplicate {
             dups += 1;
         }
@@ -289,7 +289,7 @@ fn resume_rejects_checkpoint_past_source_end() {
         autosens_telemetry::query::Slice::all(),
     )
     .expect("engine");
-    for r in log.iter() {
+    for r in log.view().iter() {
         engine.push(r);
     }
     let ck = engine.checkpoint(1_000_000);
@@ -324,7 +324,7 @@ fn resume_rejects_checkpoint_past_source_end() {
 #[test]
 fn checkpoint_restore_then_drain_matches_uninterrupted_run() {
     let log = small_log(0xC4EC);
-    let records: Vec<ActionRecord> = log.iter().collect();
+    let records: Vec<ActionRecord> = log.view().iter().collect();
     let cut = 2 * records.len() / 3;
 
     let mut uninterrupted = StreamEngine::new(
