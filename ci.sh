@@ -126,6 +126,16 @@ if ! diff -u "$SMOKE_DIR/report_batch_unterminated.json" "$SMOKE_DIR/report_stre
     echo "ci.sh: watch --until-eof diverged from analyze on a file with an unterminated last line" >&2
     exit 1
 fi
+# The same in text mode, on a slice at a non-default reference: analyze
+# and watch print the header line and the table through one printer.
+./target/release/autosens analyze --in "$SMOKE_DIR/smoke.csv" --action SelectMail \
+    --class Business --reference 250 --quiet > "$SMOKE_DIR/report_batch.txt"
+./target/release/autosens watch --in "$SMOKE_DIR/smoke.csv" --until-eof --action SelectMail \
+    --class Business --reference 250 --quiet > "$SMOKE_DIR/report_stream.txt"
+if ! diff -u "$SMOKE_DIR/report_batch.txt" "$SMOKE_DIR/report_stream.txt"; then
+    echo "ci.sh: watch --until-eof text output diverged from analyze" >&2
+    exit 1
+fi
 
 echo "==> golden analyze gate (byte-identical --json on the pinned fixture)"
 # The columnar refactor (and anything after it) must be behavior-invariant:

@@ -1,6 +1,8 @@
 //! Argument parsing for the `autosens` CLI (hand-rolled: the approved
 //! dependency set has no argument parser, and the surface is small).
 
+use std::str::FromStr;
+
 use autosens_sim::Scenario;
 use autosens_telemetry::record::{ActionType, UserClass};
 use autosens_telemetry::time::{DayPeriod, Month};
@@ -76,7 +78,7 @@ pub enum Format {
     Asc,
 }
 
-/// Slice filters shared by `analyze` and `alpha`.
+/// Slice filters shared by the commands that analyze one slice.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SliceArgs {
     /// Restrict to one action type.
@@ -89,6 +91,95 @@ pub struct SliceArgs {
     pub month: Option<Month>,
     /// Restrict to one timezone region (offset in whole hours).
     pub tz_hours: Option<i64>,
+}
+
+/// Estimator options shared by `analyze`, `watch` and `serve`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AnalysisArgs {
+    /// Disable the time-confounder correction.
+    pub no_alpha: bool,
+    /// Estimate telemetry loss and reweight the curve (`--loss-correct`,
+    /// default on; `--loss-correct=off` preserves the uncorrected output
+    /// byte for byte).
+    pub loss_correct: bool,
+    /// Reference latency in ms.
+    pub reference_ms: f64,
+    /// Worker threads (0 = auto).
+    pub threads: usize,
+}
+
+/// Profiling outputs shared by `analyze` and `watch`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ProfileArgs {
+    /// Print the per-stage wall-clock profile to stderr.
+    pub profile: bool,
+    /// Write the span trace as JSONL to this path.
+    pub trace_out: Option<String>,
+    /// Write the metrics snapshot as JSON to this path.
+    pub metrics_out: Option<String>,
+}
+
+/// The `watch` options.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WatchArgs {
+    /// Input path (may still be growing).
+    pub input: String,
+    /// Input format.
+    pub format: Format,
+    /// Slice filters.
+    pub slice: SliceArgs,
+    /// Estimator options.
+    pub analysis: AnalysisArgs,
+    /// Emit JSON instead of a text table.
+    pub json: bool,
+    /// Emit a snapshot every N admitted events (None = final only).
+    pub every_events: Option<u64>,
+    /// Emit a snapshot at least every M wall-clock ms (None = final only).
+    pub every_ms: Option<u64>,
+    /// Stop at end-of-file instead of waiting for growth.
+    pub until_eof: bool,
+    /// Shard width in event-time ms.
+    pub shard_ms: i64,
+    /// Allowed lateness (watermark budget) in ms.
+    pub lateness_ms: i64,
+    /// Checkpoint file to write after each flush (and read with --resume).
+    pub checkpoint: Option<String>,
+    /// Resume from the --checkpoint file instead of starting fresh.
+    pub resume: bool,
+    /// Run online regime-shift detection at each flush.
+    pub detect: bool,
+    /// Maintain a windowed decayed curve with this half-life (event-time
+    /// ms) alongside the lifetime curve.
+    pub half_life_ms: Option<i64>,
+    /// Rewrite a JSON health document at this path on every flush.
+    pub status_out: Option<String>,
+    /// Profiling outputs, written after the run.
+    pub profile: ProfileArgs,
+}
+
+/// The `serve` options.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeArgs {
+    /// Ingest listen address (`host:port`, or a unix-socket path when it
+    /// contains `/`).
+    pub listen: String,
+    /// HTTP query-plane listen address.
+    pub http: String,
+    /// Directory for versioned fleet checkpoints (enables COMMIT
+    /// durability).
+    pub checkpoint_dir: Option<String>,
+    /// Restore the fleet from --checkpoint-dir before serving.
+    pub resume: bool,
+    /// Write `INGEST HTTP` bound addresses to this file once ready.
+    pub ready_file: Option<String>,
+    /// Shard width in event-time ms.
+    pub shard_ms: i64,
+    /// Allowed lateness (watermark budget) in ms.
+    pub lateness_ms: i64,
+    /// Estimator options; `threads` also sizes the gateway.
+    pub analysis: AnalysisArgs,
+    /// Per-tenant intake queue capacity.
+    pub capacity: usize,
 }
 
 /// A parsed command.
@@ -115,26 +206,14 @@ pub enum Command {
         format: Format,
         /// Slice filters.
         slice: SliceArgs,
-        /// Disable the time-confounder correction.
-        no_alpha: bool,
-        /// Estimate telemetry loss and reweight the curve (`--loss-correct`,
-        /// default on; `--loss-correct=off` preserves the uncorrected
-        /// output byte for byte).
-        loss_correct: bool,
-        /// Reference latency in ms.
-        reference_ms: f64,
+        /// Estimator options.
+        analysis: AnalysisArgs,
         /// Bootstrap replicates for a 95% confidence band (None = no band).
         ci_replicates: Option<usize>,
         /// Emit JSON instead of a text table.
         json: bool,
-        /// Print the per-stage wall-clock profile to stderr.
-        profile: bool,
-        /// Write the span trace as JSONL to this path.
-        trace_out: Option<String>,
-        /// Write the metrics snapshot as JSON to this path.
-        metrics_out: Option<String>,
-        /// Worker threads (0 = auto).
-        threads: usize,
+        /// Profiling outputs.
+        profile: ProfileArgs,
     },
     /// Convert a telemetry log to the `.asc` binary columnar container.
     Convert {
@@ -196,80 +275,9 @@ pub enum Command {
         format: Format,
     },
     /// Tail a growing log and emit updated curves via the streaming engine.
-    Watch {
-        /// Input path (may still be growing).
-        input: String,
-        /// Input format.
-        format: Format,
-        /// Slice filters.
-        slice: SliceArgs,
-        /// Disable the time-confounder correction.
-        no_alpha: bool,
-        /// Estimate telemetry loss and reweight the curve (default on).
-        loss_correct: bool,
-        /// Reference latency in ms.
-        reference_ms: f64,
-        /// Emit JSON instead of a text table.
-        json: bool,
-        /// Emit a snapshot every N admitted events (None = final only).
-        every_events: Option<u64>,
-        /// Emit a snapshot at least every M wall-clock ms (None = final only).
-        every_ms: Option<u64>,
-        /// Stop at end-of-file instead of waiting for growth.
-        until_eof: bool,
-        /// Shard width in event-time ms.
-        shard_ms: i64,
-        /// Allowed lateness (watermark budget) in ms.
-        lateness_ms: i64,
-        /// Checkpoint file to write after each flush (and read with --resume).
-        checkpoint: Option<String>,
-        /// Resume from the --checkpoint file instead of starting fresh.
-        resume: bool,
-        /// Run online regime-shift detection at each flush.
-        detect: bool,
-        /// Maintain a windowed decayed curve with this half-life (event-time
-        /// ms) alongside the lifetime curve.
-        half_life_ms: Option<i64>,
-        /// Rewrite a JSON health document at this path on every flush.
-        status_out: Option<String>,
-        /// Print the per-stage wall-clock profile to stderr after the run.
-        profile: bool,
-        /// Write the span trace as JSONL to this path.
-        trace_out: Option<String>,
-        /// Write the metrics snapshot as JSON to this path.
-        metrics_out: Option<String>,
-        /// Worker threads (0 = auto).
-        threads: usize,
-    },
+    Watch(WatchArgs),
     /// Run the multi-tenant ingest gateway plus its HTTP query plane.
-    Serve {
-        /// Ingest listen address (`host:port`, or a unix-socket path when
-        /// it contains `/`).
-        listen: String,
-        /// HTTP query-plane listen address.
-        http: String,
-        /// Directory for versioned fleet checkpoints (enables COMMIT
-        /// durability).
-        checkpoint_dir: Option<String>,
-        /// Restore the fleet from --checkpoint-dir before serving.
-        resume: bool,
-        /// Write `INGEST HTTP` bound addresses to this file once ready.
-        ready_file: Option<String>,
-        /// Shard width in event-time ms.
-        shard_ms: i64,
-        /// Allowed lateness (watermark budget) in ms.
-        lateness_ms: i64,
-        /// Disable the time-confounder correction.
-        no_alpha: bool,
-        /// Estimate telemetry loss and reweight curves (default on).
-        loss_correct: bool,
-        /// Reference latency in ms.
-        reference_ms: f64,
-        /// Per-tenant intake queue capacity.
-        capacity: usize,
-        /// Worker threads (0 = auto).
-        threads: usize,
-    },
+    Serve(ServeArgs),
     /// Push a telemetry log to a gateway as one tenant's agent.
     AgentPush {
         /// Gateway ingest address.
@@ -314,339 +322,281 @@ pub enum Command {
 
 /// Parse an argument vector (without the program name).
 pub fn parse(argv: &[String]) -> Result<Command, String> {
-    let mut it = argv.iter();
-    let sub = it.next().ok_or("missing subcommand")?;
-    let rest: Vec<&String> = it.collect();
-
-    let flag = |name: &str| -> Option<&str> {
-        rest.iter()
-            .position(|a| a.as_str() == name)
-            .and_then(|i| rest.get(i + 1))
-            .map(|s| s.as_str())
-    };
-    let has = |name: &str| rest.iter().any(|a| a.as_str() == name);
-    // Boolean flags take no value token.
-    let is_boolean = |a: &str| {
-        matches!(
-            a,
-            "--no-alpha"
-                | "--json"
-                | "--profile"
-                | "--until-eof"
-                | "--resume"
-                | "--detect"
-                | "--no-commit"
-                | "--loss-correct"
-        )
-    };
-    // Reject every flag the subcommand does not read, so a typo or another
-    // subcommand's flag is never silently ignored.
-    let accepted = flags_of(sub).ok_or_else(|| format!("unknown subcommand {sub:?}"))?;
-    let mut skip_next = false;
-    for a in &rest {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        let a = a.as_str();
-        let name = match a {
-            // Verbosity is valid anywhere.
-            "--quiet" | "-q" | "--verbose" | "-v" => continue,
-            // `--loss-correct` is boolean with an optional inline value.
-            "--loss-correct=on" | "--loss-correct=off" => "--loss-correct",
-            _ if a.starts_with("--loss-correct=") => {
-                return Err(format!(
-                    "bad value for --loss-correct: {a:?} (use --loss-correct[=on|off])"
-                ))
-            }
-            _ => a,
-        };
-        if !name.starts_with("--") {
-            return Err(format!("unexpected argument {a:?}"));
-        }
-        if !accepted.contains(&name) {
-            return Err(format!("flag {name} is not valid for {sub}"));
-        }
-        // Flags with values consume the next token.
-        skip_next = !is_boolean(name);
-    }
-
-    let format = match flag("--format") {
-        None => Format::Csv,
-        Some("csv") => Format::Csv,
+    let (sub, rest) = argv.split_first().ok_or("missing subcommand")?;
+    let f = Flags::read(sub, rest)?;
+    let format = match f.value("--format") {
+        None | Some("csv") => Format::Csv,
         Some("jsonl") => Format::Jsonl,
         Some("asc") => Format::Asc,
         Some(other) => return Err(format!("unknown format {other:?}")),
     };
-    let slice = || -> Result<SliceArgs, String> {
-        Ok(SliceArgs {
-            action: flag("--action")
-                .map(|s| ActionType::parse(s).ok_or(format!("unknown action {s:?}")))
-                .transpose()?,
-            class: flag("--class")
-                .map(|s| UserClass::parse(s).ok_or(format!("unknown class {s:?}")))
-                .transpose()?,
-            period: flag("--period").map(parse_period).transpose()?,
-            month: flag("--month").map(parse_month).transpose()?,
-            tz_hours: flag("--tz")
-                .map(|s| s.parse::<i64>().map_err(|_| format!("bad tz offset {s:?}")))
-                .transpose()?,
-        })
-    };
+    let shard_ms = || f.positive("--shard-ms").map(|v| v.unwrap_or(6 * 3_600_000));
+    let lateness_ms = || f.positive("--lateness-ms").map(|v| v.unwrap_or(3_600_000));
 
-    let threads = flag("--threads")
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|_| format!("bad thread count {s:?}"))
-        })
-        .transpose()?
-        .unwrap_or(0);
-
-    // Loss correction defaults on; the last occurrence wins.
-    let loss_correct = rest.iter().fold(true, |v, a| match a.as_str() {
-        "--loss-correct" | "--loss-correct=on" => true,
-        "--loss-correct=off" => false,
-        _ => v,
-    });
-
-    match sub.as_str() {
-        "generate" => {
-            let scenario = match flag("--scenario").unwrap_or("default") {
+    Ok(match sub.as_str() {
+        "generate" => Command::Generate {
+            scenario: match f.value("--scenario").unwrap_or("default") {
                 "smoke" => Scenario::Smoke,
                 "default" => Scenario::Default,
                 "paper-scale" => Scenario::PaperScale,
                 other => return Err(format!("unknown scenario {other:?}")),
-            };
-            let out = flag("--out").ok_or("generate requires --out")?.to_string();
-            let seed = flag("--seed")
-                .map(|s| s.parse::<u64>().map_err(|_| format!("bad seed {s:?}")))
-                .transpose()?;
-            Ok(Command::Generate {
-                scenario,
-                out,
-                format,
-                seed,
-                threads,
-            })
-        }
-        "analyze" => Ok(Command::Analyze {
-            input: flag("--in").ok_or("analyze requires --in")?.to_string(),
+            },
+            out: f.required("--out")?,
             format,
-            slice: slice()?,
-            no_alpha: has("--no-alpha"),
-            loss_correct,
-            reference_ms: flag("--reference")
-                .map(|s| s.parse::<f64>().map_err(|_| format!("bad reference {s:?}")))
-                .transpose()?
-                .unwrap_or(300.0),
-            ci_replicates: flag("--ci")
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| format!("bad ci replicates {s:?}"))
-                })
-                .transpose()?,
-            json: has("--json"),
-            profile: has("--profile"),
-            trace_out: flag("--trace-out").map(str::to_string),
-            metrics_out: flag("--metrics-out").map(str::to_string),
-            threads,
-        }),
-        "convert" => {
-            let shard_ms = flag("--shard-ms")
-                .map(|s| {
-                    s.parse::<i64>()
-                        .ok()
-                        .filter(|v| *v > 0)
-                        .ok_or(format!("--shard-ms must be a positive ms count, got {s:?}"))
-                })
-                .transpose()?;
-            Ok(Command::Convert {
-                input: flag("--in").ok_or("convert requires --in")?.to_string(),
-                out: flag("--out").ok_or("convert requires --out")?.to_string(),
-                format,
-                shard_ms,
-            })
-        }
-        "diagnose" => Ok(Command::Diagnose {
-            input: flag("--in").ok_or("diagnose requires --in")?.to_string(),
+            seed: f.parsed("--seed")?,
+            threads: f.parsed("--threads")?.unwrap_or(0),
+        },
+        "analyze" => Command::Analyze {
+            input: f.required("--in")?,
             format,
-        }),
-        "alpha" => Ok(Command::Alpha {
-            input: flag("--in").ok_or("alpha requires --in")?.to_string(),
+            slice: f.slice()?,
+            analysis: f.analysis()?,
+            ci_replicates: f.parsed("--ci")?,
+            json: f.has("--json"),
+            profile: f.profile(),
+        },
+        "convert" => Command::Convert {
+            input: f.required("--in")?,
+            out: f.required("--out")?,
             format,
-            slice: slice()?,
-        }),
-        "report" => Ok(Command::Report {
-            input: flag("--in").ok_or("report requires --in")?.to_string(),
+            shard_ms: f.positive("--shard-ms")?,
+        },
+        "diagnose" => Command::Diagnose {
+            input: f.required("--in")?,
             format,
-            slice: slice()?,
-        }),
-        "audit" => Ok(Command::Audit {
-            input: flag("--in").ok_or("audit requires --in")?.to_string(),
+        },
+        "alpha" => Command::Alpha {
+            input: f.required("--in")?,
             format,
-            json: has("--json"),
-            metrics_out: flag("--metrics-out").map(str::to_string),
-        }),
-        "inject" => Ok(Command::Inject {
-            input: flag("--in").ok_or("inject requires --in")?.to_string(),
-            plan: flag("--plan").ok_or("inject requires --plan")?.to_string(),
-            out: flag("--out").ok_or("inject requires --out")?.to_string(),
+            slice: f.slice()?,
+        },
+        "report" => Command::Report {
+            input: f.required("--in")?,
             format,
-        }),
+            slice: f.slice()?,
+        },
+        "audit" => Command::Audit {
+            input: f.required("--in")?,
+            format,
+            json: f.has("--json"),
+            metrics_out: f.string("--metrics-out"),
+        },
+        "inject" => Command::Inject {
+            input: f.required("--in")?,
+            plan: f.required("--plan")?,
+            out: f.required("--out")?,
+            format,
+        },
         "watch" => {
-            let parse_u64 = |name: &str| {
-                flag(name)
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|_| format!("bad value for {name}: {s:?}"))
-                    })
-                    .transpose()
-            };
-            let parse_ms = |name: &str, default: i64| -> Result<i64, String> {
-                let v = flag(name)
-                    .map(|s| {
-                        s.parse::<i64>()
-                            .map_err(|_| format!("bad value for {name}: {s:?}"))
-                    })
-                    .transpose()?
-                    .unwrap_or(default);
-                if v <= 0 {
-                    return Err(format!("{name} must be > 0, got {v}"));
-                }
-                Ok(v)
-            };
-            let checkpoint = flag("--checkpoint").map(str::to_string);
-            let resume = has("--resume");
+            let checkpoint = f.string("--checkpoint");
+            let resume = f.has("--resume");
             if resume && checkpoint.is_none() {
                 return Err("--resume requires --checkpoint".into());
             }
-            Ok(Command::Watch {
-                input: flag("--in").ok_or("watch requires --in")?.to_string(),
+            Command::Watch(WatchArgs {
+                input: f.required("--in")?,
                 format,
-                slice: slice()?,
-                no_alpha: has("--no-alpha"),
-                loss_correct,
-                reference_ms: flag("--reference")
-                    .map(|s| s.parse::<f64>().map_err(|_| format!("bad reference {s:?}")))
-                    .transpose()?
-                    .unwrap_or(300.0),
-                json: has("--json"),
-                every_events: parse_u64("--every-events")?,
-                every_ms: parse_u64("--every-ms")?,
-                until_eof: has("--until-eof"),
-                shard_ms: parse_ms("--shard-ms", 6 * 3_600_000)?,
-                lateness_ms: parse_ms("--lateness-ms", 3_600_000)?,
+                slice: f.slice()?,
+                analysis: f.analysis()?,
+                json: f.has("--json"),
+                every_events: f.parsed("--every-events")?,
+                every_ms: f.parsed("--every-ms")?,
+                until_eof: f.has("--until-eof"),
+                shard_ms: shard_ms()?,
+                lateness_ms: lateness_ms()?,
                 checkpoint,
                 resume,
-                detect: has("--detect"),
-                half_life_ms: flag("--half-life")
-                    .map(|s| {
-                        s.parse::<i64>().ok().filter(|v| *v > 0).ok_or(format!(
-                            "--half-life must be a positive ms count, got {s:?}"
-                        ))
-                    })
-                    .transpose()?,
-                status_out: flag("--status-out").map(str::to_string),
-                profile: has("--profile"),
-                trace_out: flag("--trace-out").map(str::to_string),
-                metrics_out: flag("--metrics-out").map(str::to_string),
-                threads,
+                detect: f.has("--detect"),
+                half_life_ms: f.positive("--half-life")?,
+                status_out: f.string("--status-out"),
+                profile: f.profile(),
             })
         }
         "serve" => {
-            let parse_ms = |name: &str, default: i64| -> Result<i64, String> {
-                let v = flag(name)
-                    .map(|s| {
-                        s.parse::<i64>()
-                            .map_err(|_| format!("bad value for {name}: {s:?}"))
-                    })
-                    .transpose()?
-                    .unwrap_or(default);
-                if v <= 0 {
-                    return Err(format!("{name} must be > 0, got {v}"));
-                }
-                Ok(v)
-            };
-            let checkpoint_dir = flag("--checkpoint-dir").map(str::to_string);
-            let resume = has("--resume");
+            let checkpoint_dir = f.string("--checkpoint-dir");
+            let resume = f.has("--resume");
             if resume && checkpoint_dir.is_none() {
                 return Err("--resume requires --checkpoint-dir".into());
             }
-            Ok(Command::Serve {
-                listen: flag("--listen").unwrap_or("127.0.0.1:7341").to_string(),
-                http: flag("--http").unwrap_or("127.0.0.1:7342").to_string(),
+            Command::Serve(ServeArgs {
+                listen: f.value("--listen").unwrap_or("127.0.0.1:7341").to_string(),
+                http: f.value("--http").unwrap_or("127.0.0.1:7342").to_string(),
                 checkpoint_dir,
                 resume,
-                ready_file: flag("--ready-file").map(str::to_string),
-                shard_ms: parse_ms("--shard-ms", 6 * 3_600_000)?,
-                lateness_ms: parse_ms("--lateness-ms", 3_600_000)?,
-                no_alpha: has("--no-alpha"),
-                loss_correct,
-                reference_ms: flag("--reference")
-                    .map(|s| s.parse::<f64>().map_err(|_| format!("bad reference {s:?}")))
-                    .transpose()?
-                    .unwrap_or(300.0),
-                capacity: flag("--capacity")
-                    .map(|s| {
-                        s.parse::<usize>()
-                            .ok()
-                            .filter(|v| *v > 0)
-                            .ok_or(format!("--capacity must be a positive count, got {s:?}"))
-                    })
-                    .transpose()?
-                    .unwrap_or(65_536),
-                threads,
+                ready_file: f.string("--ready-file"),
+                shard_ms: shard_ms()?,
+                lateness_ms: lateness_ms()?,
+                analysis: f.analysis()?,
+                capacity: f.positive("--capacity")?.unwrap_or(65_536),
             })
         }
-        "agent" => Ok(Command::AgentPush {
-            to: flag("--to").ok_or("agent requires --to")?.to_string(),
-            input: flag("--in").ok_or("agent requires --in")?.to_string(),
+        "agent" => Command::AgentPush {
+            to: f.required("--to")?,
+            input: f.required("--in")?,
             format,
-            service: flag("--service")
-                .ok_or("agent requires --service")?
-                .to_string(),
-            region: flag("--region")
-                .ok_or("agent requires --region")?
-                .to_string(),
-            batch: flag("--batch")
-                .map(|s| {
-                    s.parse::<usize>()
-                        .ok()
-                        .filter(|v| *v > 0)
-                        .ok_or(format!("--batch must be a positive count, got {s:?}"))
-                })
-                .transpose()?
-                .unwrap_or(4096),
-            retries: flag("--retries")
-                .map(|s| {
-                    s.parse::<u32>()
-                        .map_err(|_| format!("bad value for --retries: {s:?}"))
-                })
-                .transpose()?
-                .unwrap_or(5),
-            backoff_ms: flag("--backoff-ms")
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| format!("bad value for --backoff-ms: {s:?}"))
-                })
-                .transpose()?
-                .unwrap_or(100),
-            commit: !has("--no-commit"),
-        }),
-        "query" => Ok(Command::Query {
-            addr: flag("--addr").ok_or("query requires --addr")?.to_string(),
-            path: flag("--path").ok_or("query requires --path")?.to_string(),
-        }),
-        "abandonment" => Ok(Command::Abandonment {
-            input: flag("--in").ok_or("abandonment requires --in")?.to_string(),
+            service: f.required("--service")?,
+            region: f.required("--region")?,
+            batch: f.positive("--batch")?.unwrap_or(4096),
+            retries: f.parsed("--retries")?.unwrap_or(5),
+            backoff_ms: f.parsed("--backoff-ms")?.unwrap_or(100),
+            commit: !f.has("--no-commit"),
+        },
+        "query" => Command::Query {
+            addr: f.required("--addr")?,
+            path: f.required("--path")?,
+        },
+        "abandonment" => Command::Abandonment {
+            input: f.required("--in")?,
             format,
-            slice: slice()?,
-            gap_ms: flag("--gap")
-                .map(|s| s.parse::<i64>().map_err(|_| format!("bad gap {s:?}")))
-                .transpose()?
-                .unwrap_or(10 * 60_000),
-        }),
-        other => Err(format!("unknown subcommand {other:?}")),
+            slice: f.slice()?,
+            gap_ms: f.parsed("--gap")?.unwrap_or(10 * 60_000),
+        },
+        other => return Err(format!("unknown subcommand {other:?}")),
+    })
+}
+
+/// Flags that take no value token.
+const BOOLEAN: &[&str] = &[
+    "--no-alpha",
+    "--json",
+    "--profile",
+    "--until-eof",
+    "--resume",
+    "--detect",
+    "--no-commit",
+    "--loss-correct",
+];
+
+/// The flags after a subcommand, read in one pass into (flag, value)
+/// pairs. Every lookup reads these pairs, and the last occurrence of a
+/// repeated flag wins.
+struct Flags<'a> {
+    /// The subcommand, for error messages.
+    sub: &'a str,
+    /// Each flag with its value (`""` for a boolean flag; `on` or `off`
+    /// for `--loss-correct`).
+    pairs: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Validate `rest` against the flags `sub` accepts: a flag the
+    /// subcommand does not read is an error, so a typo or another
+    /// subcommand's flag is never silently ignored, and a value flag with
+    /// nothing after it, or with another flag after it, is an error
+    /// rather than a silent default.
+    fn read(sub: &'a str, rest: &'a [String]) -> Result<Self, String> {
+        let accepted = flags_of(sub).ok_or_else(|| format!("unknown subcommand {sub:?}"))?;
+        let mut pairs = Vec::new();
+        let mut tokens = rest.iter().map(String::as_str);
+        while let Some(token) = tokens.next() {
+            let (name, value) = match token {
+                // Verbosity is valid anywhere; `verbosity` reads it.
+                "--quiet" | "-q" | "--verbose" | "-v" => continue,
+                // `--loss-correct` is boolean with an optional inline value.
+                "--loss-correct" | "--loss-correct=on" => ("--loss-correct", "on"),
+                "--loss-correct=off" => ("--loss-correct", "off"),
+                _ if token.starts_with("--loss-correct=") => {
+                    return Err(format!(
+                        "bad value for --loss-correct: {token:?} (use --loss-correct[=on|off])"
+                    ))
+                }
+                _ if !token.starts_with("--") => {
+                    return Err(format!("unexpected argument {token:?}"))
+                }
+                _ => (token, ""),
+            };
+            if !accepted.contains(&name) {
+                return Err(format!("flag {name} is not valid for {sub}"));
+            }
+            let value = if BOOLEAN.contains(&name) {
+                value
+            } else {
+                // A value may start with a single `-` (`--tz -5`).
+                match tokens.next() {
+                    Some(v) if !v.starts_with("--") => v,
+                    _ => return Err(format!("flag {name} needs a value")),
+                }
+            };
+            pairs.push((name, value));
+        }
+        Ok(Flags { sub, pairs })
+    }
+
+    /// The value of the last occurrence of `name`.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.pairs
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| *v)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+
+    fn string(&self, name: &str) -> Option<String> {
+        self.value(name).map(str::to_string)
+    }
+
+    fn required(&self, name: &str) -> Result<String, String> {
+        self.string(name)
+            .ok_or_else(|| format!("{} requires {name}", self.sub))
+    }
+
+    /// The value of `name` parsed as a `T`.
+    fn parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| format!("bad value for {name}: {s:?}"))
+            })
+            .transpose()
+    }
+
+    /// The value of `name` parsed as a count greater than zero.
+    fn positive<T: FromStr + PartialOrd + Default>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|s| {
+                s.parse()
+                    .ok()
+                    .filter(|v| *v > T::default())
+                    .ok_or_else(|| format!("{name} must be a positive integer, got {s:?}"))
+            })
+            .transpose()
+    }
+
+    fn slice(&self) -> Result<SliceArgs, String> {
+        Ok(SliceArgs {
+            action: self
+                .value("--action")
+                .map(|s| ActionType::parse(s).ok_or(format!("unknown action {s:?}")))
+                .transpose()?,
+            class: self
+                .value("--class")
+                .map(|s| UserClass::parse(s).ok_or(format!("unknown class {s:?}")))
+                .transpose()?,
+            period: self.value("--period").map(parse_period).transpose()?,
+            month: self.value("--month").map(parse_month).transpose()?,
+            tz_hours: self.parsed("--tz")?,
+        })
+    }
+
+    fn analysis(&self) -> Result<AnalysisArgs, String> {
+        Ok(AnalysisArgs {
+            no_alpha: self.has("--no-alpha"),
+            loss_correct: self.value("--loss-correct") != Some("off"),
+            reference_ms: self.parsed("--reference")?.unwrap_or(300.0),
+            threads: self.parsed("--threads")?.unwrap_or(0),
+        })
+    }
+
+    fn profile(&self) -> ProfileArgs {
+        ProfileArgs {
+            profile: self.has("--profile"),
+            trace_out: self.string("--trace-out"),
+            metrics_out: self.string("--metrics-out"),
+        }
     }
 }
 
@@ -802,8 +752,7 @@ mod tests {
             Command::Analyze {
                 input,
                 slice,
-                no_alpha,
-                reference_ms,
+                analysis,
                 json,
                 ..
             } => {
@@ -812,8 +761,8 @@ mod tests {
                 assert_eq!(slice.class, Some(UserClass::Business));
                 assert_eq!(slice.period, Some(DayPeriod::Morning8to14));
                 assert_eq!(slice.month, Some(Month::Feb));
-                assert!(no_alpha);
-                assert_eq!(reference_ms, 250.0);
+                assert!(analysis.no_alpha);
+                assert_eq!(analysis.reference_ms, 250.0);
                 assert!(json);
             }
             other => panic!("{other:?}"),
@@ -884,7 +833,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match parse(&sv(&["watch", "--in", "x.asc", "--format", "asc"])).unwrap() {
-            Command::Watch { format, .. } => assert_eq!(format, Format::Asc),
+            Command::Watch(w) => assert_eq!(w.format, Format::Asc),
             other => panic!("{other:?}"),
         }
     }
@@ -942,27 +891,16 @@ mod tests {
     fn parses_watch() {
         let cmd = parse(&sv(&["watch", "--in", "x.csv", "--until-eof", "--json"])).unwrap();
         match cmd {
-            Command::Watch {
-                input,
-                until_eof,
-                json,
-                every_events,
-                every_ms,
-                shard_ms,
-                lateness_ms,
-                checkpoint,
-                resume,
-                ..
-            } => {
-                assert_eq!(input, "x.csv");
-                assert!(until_eof);
-                assert!(json);
-                assert_eq!(every_events, None);
-                assert_eq!(every_ms, None);
-                assert_eq!(shard_ms, 6 * 3_600_000);
-                assert_eq!(lateness_ms, 3_600_000);
-                assert_eq!(checkpoint, None);
-                assert!(!resume);
+            Command::Watch(w) => {
+                assert_eq!(w.input, "x.csv");
+                assert!(w.until_eof);
+                assert!(w.json);
+                assert_eq!(w.every_events, None);
+                assert_eq!(w.every_ms, None);
+                assert_eq!(w.shard_ms, 6 * 3_600_000);
+                assert_eq!(w.lateness_ms, 3_600_000);
+                assert_eq!(w.checkpoint, None);
+                assert!(!w.resume);
             }
             other => panic!("{other:?}"),
         }
@@ -986,23 +924,14 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Watch {
-                every_events,
-                every_ms,
-                shard_ms,
-                lateness_ms,
-                checkpoint,
-                resume,
-                slice,
-                ..
-            } => {
-                assert_eq!(every_events, Some(5000));
-                assert_eq!(every_ms, Some(2000));
-                assert_eq!(shard_ms, 3_600_000);
-                assert_eq!(lateness_ms, 60_000);
-                assert_eq!(checkpoint.as_deref(), Some("ck.json"));
-                assert!(resume);
-                assert_eq!(slice.action, Some(ActionType::Search));
+            Command::Watch(w) => {
+                assert_eq!(w.every_events, Some(5000));
+                assert_eq!(w.every_ms, Some(2000));
+                assert_eq!(w.shard_ms, 3_600_000);
+                assert_eq!(w.lateness_ms, 60_000);
+                assert_eq!(w.checkpoint.as_deref(), Some("ck.json"));
+                assert!(w.resume);
+                assert_eq!(w.slice.action, Some(ActionType::Search));
             }
             other => panic!("{other:?}"),
         }
@@ -1016,17 +945,11 @@ mod tests {
     fn parses_watch_observability_flags() {
         // Defaults: detection off, no windowed curve, no status document.
         match parse(&sv(&["watch", "--in", "x.csv", "--until-eof"])).unwrap() {
-            Command::Watch {
-                detect,
-                half_life_ms,
-                status_out,
-                profile,
-                ..
-            } => {
-                assert!(!detect);
-                assert_eq!(half_life_ms, None);
-                assert_eq!(status_out, None);
-                assert!(!profile);
+            Command::Watch(w) => {
+                assert!(!w.detect);
+                assert_eq!(w.half_life_ms, None);
+                assert_eq!(w.status_out, None);
+                assert!(!w.profile.profile);
             }
             other => panic!("{other:?}"),
         }
@@ -1045,27 +968,20 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Watch {
-                detect,
-                half_life_ms,
-                status_out,
-                profile,
-                trace_out,
-                ..
-            } => {
-                assert!(detect);
-                assert_eq!(half_life_ms, Some(172_800_000));
-                assert_eq!(status_out.as_deref(), Some("status.json"));
-                assert!(profile);
-                assert_eq!(trace_out.as_deref(), Some("trace.jsonl"));
+            Command::Watch(w) => {
+                assert!(w.detect);
+                assert_eq!(w.half_life_ms, Some(172_800_000));
+                assert_eq!(w.status_out.as_deref(), Some("status.json"));
+                assert!(w.profile.profile);
+                assert_eq!(w.profile.trace_out.as_deref(), Some("trace.jsonl"));
             }
             other => panic!("{other:?}"),
         }
         // --detect is boolean: it must not swallow the next token.
         match parse(&sv(&["watch", "--detect", "--in", "x.csv"])).unwrap() {
-            Command::Watch { input, detect, .. } => {
-                assert_eq!(input, "x.csv");
-                assert!(detect);
+            Command::Watch(w) => {
+                assert_eq!(w.input, "x.csv");
+                assert!(w.detect);
             }
             other => panic!("{other:?}"),
         }
@@ -1076,27 +992,16 @@ mod tests {
     #[test]
     fn parses_serve() {
         match parse(&sv(&["serve"])).unwrap() {
-            Command::Serve {
-                listen,
-                http,
-                checkpoint_dir,
-                resume,
-                ready_file,
-                shard_ms,
-                lateness_ms,
-                loss_correct,
-                capacity,
-                ..
-            } => {
-                assert_eq!(listen, "127.0.0.1:7341");
-                assert_eq!(http, "127.0.0.1:7342");
-                assert_eq!(checkpoint_dir, None);
-                assert!(!resume);
-                assert_eq!(ready_file, None);
-                assert_eq!(shard_ms, 6 * 3_600_000);
-                assert_eq!(lateness_ms, 3_600_000);
-                assert!(loss_correct);
-                assert_eq!(capacity, 65_536);
+            Command::Serve(s) => {
+                assert_eq!(s.listen, "127.0.0.1:7341");
+                assert_eq!(s.http, "127.0.0.1:7342");
+                assert_eq!(s.checkpoint_dir, None);
+                assert!(!s.resume);
+                assert_eq!(s.ready_file, None);
+                assert_eq!(s.shard_ms, 6 * 3_600_000);
+                assert_eq!(s.lateness_ms, 3_600_000);
+                assert!(s.analysis.loss_correct);
+                assert_eq!(s.capacity, 65_536);
             }
             other => panic!("{other:?}"),
         }
@@ -1116,19 +1021,12 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Serve {
-                listen,
-                checkpoint_dir,
-                resume,
-                ready_file,
-                capacity,
-                ..
-            } => {
-                assert_eq!(listen, "127.0.0.1:0");
-                assert_eq!(checkpoint_dir.as_deref(), Some("ckpts"));
-                assert!(resume);
-                assert_eq!(ready_file.as_deref(), Some("ready.txt"));
-                assert_eq!(capacity, 1024);
+            Command::Serve(s) => {
+                assert_eq!(s.listen, "127.0.0.1:0");
+                assert_eq!(s.checkpoint_dir.as_deref(), Some("ckpts"));
+                assert!(s.resume);
+                assert_eq!(s.ready_file.as_deref(), Some("ready.txt"));
+                assert_eq!(s.capacity, 1024);
             }
             other => panic!("{other:?}"),
         }
@@ -1266,6 +1164,74 @@ mod tests {
     }
 
     #[test]
+    fn value_flag_without_a_value_is_an_error() {
+        for line in [
+            &["generate", "--out", "x.csv", "--seed"][..],
+            &["analyze", "--in", "x.csv", "--json", "--reference"],
+            &["analyze", "--in", "x.csv", "--metrics-out"],
+            &["audit", "--in", "x.csv", "--metrics-out"],
+            &["convert", "--in", "x.csv", "--out", "x.asc", "--shard-ms"],
+            &["watch", "--in", "x.csv", "--shard-ms"],
+            &["serve", "--shard-ms"],
+            &["analyze", "--in"],
+            &["analyze", "--in", "--json"],
+        ] {
+            let err = parse(&sv(line)).unwrap_err();
+            let flag = line.iter().rev().find(|t| **t != "--json").unwrap();
+            assert_eq!(err, format!("flag {flag} needs a value"), "{line:?}");
+        }
+        // The next flag is not taken as the value.
+        let err = parse(&sv(&["analyze", "--in", "x.csv", "--trace-out", "--json"])).unwrap_err();
+        assert_eq!(err, "flag --trace-out needs a value");
+        // A negative number is a value.
+        match parse(&sv(&["analyze", "--in", "x.csv", "--tz", "-5"])).unwrap() {
+            Command::Analyze { slice, .. } => assert_eq!(slice.tz_hours, Some(-5)),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn repeated_flag_takes_its_last_value() {
+        let cmd = parse(&sv(&[
+            "analyze",
+            "--in",
+            "a.csv",
+            "--reference",
+            "250",
+            "--in",
+            "b.csv",
+            "--reference",
+            "400",
+            "--metrics-out",
+            "m1.json",
+            "--metrics-out",
+            "m2.json",
+        ]))
+        .unwrap();
+        match cmd {
+            Command::Analyze {
+                input,
+                analysis,
+                profile,
+                ..
+            } => {
+                assert_eq!(input, "b.csv");
+                assert_eq!(analysis.reference_ms, 400.0);
+                assert_eq!(profile.metrics_out.as_deref(), Some("m2.json"));
+            }
+            other => panic!("{other:?}"),
+        }
+        match parse(&sv(&[
+            "generate", "--out", "x", "--seed", "1", "--seed", "2",
+        ]))
+        .unwrap()
+        {
+            Command::Generate { seed, .. } => assert_eq!(seed, Some(2)),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn usage_lists_exactly_the_flags_each_subcommand_accepts() {
         let usage = USAGE.split("global:").next().unwrap();
         for block in usage.split("  autosens ").skip(1) {
@@ -1286,11 +1252,11 @@ mod tests {
     fn parses_threads() {
         // Default is 0 (auto); explicit values pass through on both commands.
         match parse(&sv(&["analyze", "--in", "x.csv"])).unwrap() {
-            Command::Analyze { threads, .. } => assert_eq!(threads, 0),
+            Command::Analyze { analysis, .. } => assert_eq!(analysis.threads, 0),
             other => panic!("{other:?}"),
         }
         match parse(&sv(&["analyze", "--in", "x.csv", "--threads", "4"])).unwrap() {
-            Command::Analyze { threads, .. } => assert_eq!(threads, 4),
+            Command::Analyze { analysis, .. } => assert_eq!(analysis.threads, 4),
             other => panic!("{other:?}"),
         }
         match parse(&sv(&["generate", "--out", "x.csv", "--threads", "2"])).unwrap() {
@@ -1303,21 +1269,21 @@ mod tests {
     fn parses_loss_correct() {
         // Default on.
         match parse(&sv(&["analyze", "--in", "x.csv"])).unwrap() {
-            Command::Analyze { loss_correct, .. } => assert!(loss_correct),
+            Command::Analyze { analysis, .. } => assert!(analysis.loss_correct),
             other => panic!("{other:?}"),
         }
         // Bare flag and =on are explicit on.
         match parse(&sv(&["analyze", "--in", "x.csv", "--loss-correct"])).unwrap() {
-            Command::Analyze { loss_correct, .. } => assert!(loss_correct),
+            Command::Analyze { analysis, .. } => assert!(analysis.loss_correct),
             other => panic!("{other:?}"),
         }
         match parse(&sv(&["analyze", "--in", "x.csv", "--loss-correct=on"])).unwrap() {
-            Command::Analyze { loss_correct, .. } => assert!(loss_correct),
+            Command::Analyze { analysis, .. } => assert!(analysis.loss_correct),
             other => panic!("{other:?}"),
         }
         // =off disables the correction.
         match parse(&sv(&["analyze", "--in", "x.csv", "--loss-correct=off"])).unwrap() {
-            Command::Analyze { loss_correct, .. } => assert!(!loss_correct),
+            Command::Analyze { analysis, .. } => assert!(!analysis.loss_correct),
             other => panic!("{other:?}"),
         }
         // Watch takes the same flag; last occurrence wins.
@@ -1330,7 +1296,7 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Watch { loss_correct, .. } => assert!(loss_correct),
+            Command::Watch(w) => assert!(w.analysis.loss_correct),
             other => panic!("{other:?}"),
         }
         // The flag is boolean: it must not swallow the next token.
@@ -1357,15 +1323,10 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Analyze {
-                profile,
-                trace_out,
-                metrics_out,
-                ..
-            } => {
-                assert!(profile);
-                assert_eq!(trace_out.as_deref(), Some("trace.jsonl"));
-                assert_eq!(metrics_out.as_deref(), Some("metrics.json"));
+            Command::Analyze { profile, .. } => {
+                assert!(profile.profile);
+                assert_eq!(profile.trace_out.as_deref(), Some("trace.jsonl"));
+                assert_eq!(profile.metrics_out.as_deref(), Some("metrics.json"));
             }
             other => panic!("{other:?}"),
         }

@@ -3,10 +3,13 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
+use autosens_core::ci::PreferenceCi;
 use autosens_core::locality::{decorrelation_report, density_latency_correlation, locality_report};
+use autosens_core::pipeline::AnalysisReport;
 use autosens_core::report::{f3, text_table, PreferenceSummary};
 use autosens_core::{AnalysisPlan, AutoSensConfig, PlanInput, RunOptions};
 use autosens_faults::FaultPlan;
+use autosens_obs::{MetricsRegistry, Recorder};
 use autosens_serve::{serve_http, Agent, AgentConfig, Gateway, GatewayConfig, TenantKey};
 use autosens_sim::{generate_with_threads, SimConfig};
 use autosens_stream::{
@@ -21,7 +24,7 @@ use autosens_telemetry::{ContainerTailReader, LogView, TailFormat, TailReader, T
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::args::{Command, Format, SliceArgs};
+use crate::args::{AnalysisArgs, Command, Format, ProfileArgs, ServeArgs, SliceArgs, WatchArgs};
 
 /// Execute a parsed command.
 pub fn run(cmd: Command) -> Result<(), String> {
@@ -52,38 +55,19 @@ pub fn run(cmd: Command) -> Result<(), String> {
             input,
             format,
             slice,
-            no_alpha,
-            loss_correct,
-            reference_ms,
+            analysis,
             ci_replicates,
             json,
             profile,
-            trace_out,
-            metrics_out,
-            threads,
         } => {
-            let profiling = profile || trace_out.is_some() || metrics_out.is_some();
-            // One recorder for the whole run — the global one, so the codec
-            // spans emitted while reading the log land in the same trace as
-            // the pipeline stages, and every counter shares one registry.
-            let recorder = autosens_obs::Recorder::global().clone();
-            if profiling {
-                recorder.set_collecting(true);
-            }
+            let recorder = profile.start();
             // Containers analyze straight off the mapped columns — no parse,
             // no copy; text formats parse into an owned log first. Both
             // shapes expose the same `LogView`, so the reports (and the JSON
             // bytes) are identical across formats.
             let source = open_log(&input, format)?;
             let view = source.view();
-            let config = AutoSensConfig {
-                alpha_correction: !no_alpha,
-                loss_correct,
-                reference_latency_ms: reference_ms,
-                threads,
-                ..AutoSensConfig::default()
-            };
-            let plan = AnalysisPlan::with_recorder(config, recorder.clone());
+            let plan = AnalysisPlan::with_recorder(analysis.config(), recorder.clone());
             let opts = match ci_replicates {
                 Some(replicates) => RunOptions::with_ci(replicates, 0.95),
                 None => RunOptions::default(),
@@ -91,84 +75,19 @@ pub fn run(cmd: Command) -> Result<(), String> {
             let out = plan
                 .run(PlanInput::view(&view, &to_slice(&slice)), opts)
                 .map_err(|e| e.to_string())?;
-            let (report, ci) = (out.report, out.ci);
             // Surface survived data-quality problems on stderr so they are
             // visible in both output modes without contaminating the JSON.
-            for d in &report.degradations {
+            for d in &out.report.degradations {
                 autosens_obs::warn!("degraded input: {d}");
             }
-            if profiling {
-                let tree = recorder.finish();
-                if profile {
-                    eprint!("{}", tree.render());
-                }
-                if let Some(path) = &trace_out {
-                    std::fs::write(path, tree.to_jsonl())
-                        .map_err(|e| format!("write {path}: {e}"))?;
-                }
-                if let Some(path) = &metrics_out {
-                    let snapshot = recorder.metrics().snapshot();
-                    snapshot
-                        .validate_finite()
-                        .map_err(|e| format!("non-finite metric: {e}"))?;
-                    std::fs::write(path, snapshot.to_json())
-                        .map_err(|e| format!("write {path}: {e}"))?;
-                }
-            }
-            if json {
-                let summary = PreferenceSummary::from_report(
-                    slice_label(&slice),
-                    &report,
-                    &autosens_core::report::default_grid(),
-                );
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
-                );
-            } else {
-                println!(
-                    "slice: {} — {} actions, span {:.0}..{:.0} ms, reference {reference_ms} ms\n",
-                    slice_label(&slice),
-                    report.n_actions,
-                    report.preference.span_ms().0,
-                    report.preference.span_ms().1
-                );
-                match &ci {
-                    Some(ci) => {
-                        let rows: Vec<Vec<String>> = autosens_core::report::default_grid()
-                            .iter()
-                            .filter_map(|&l| {
-                                let v = report.preference.at(l)?;
-                                let (lo, hi) = ci.band_at(l)?;
-                                Some(vec![format!("{l:.0}"), f3(v), f3(lo), f3(hi)])
-                            })
-                            .collect();
-                        println!(
-                            "{}",
-                            text_table(
-                                &["latency (ms)", "preference", "ci lo (95%)", "ci hi (95%)"],
-                                &rows
-                            )
-                        );
-                    }
-                    None => {
-                        let rows: Vec<Vec<String>> = autosens_core::report::default_grid()
-                            .iter()
-                            .filter_map(|&l| {
-                                report
-                                    .preference
-                                    .at(l)
-                                    .map(|v| vec![format!("{l:.0}"), f3(v)])
-                            })
-                            .collect();
-                        println!(
-                            "{}",
-                            text_table(&["latency (ms)", "normalized preference"], &rows)
-                        );
-                    }
-                }
-            }
-            Ok(())
+            profile.finish(&recorder)?;
+            print_curve(
+                &out.report,
+                &slice_label(&slice),
+                analysis.reference_ms,
+                json,
+                out.ci.as_ref(),
+            )
         }
         Command::Convert {
             input,
@@ -325,12 +244,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             // The audit records its per-cell loss evidence (and every other
             // quality counter) in the global registry; export it on request.
             if let Some(path) = &metrics_out {
-                let snapshot = autosens_obs::MetricsRegistry::global().snapshot();
-                snapshot
-                    .validate_finite()
-                    .map_err(|e| format!("non-finite metric: {e}"))?;
-                std::fs::write(path, snapshot.to_json())
-                    .map_err(|e| format!("write {path}: {e}"))?;
+                write_metrics(path, MetricsRegistry::global())?;
             }
             Ok(())
         }
@@ -358,78 +272,8 @@ pub fn run(cmd: Command) -> Result<(), String> {
             }
             Ok(())
         }
-        Command::Watch {
-            input,
-            format,
-            slice,
-            no_alpha,
-            loss_correct,
-            reference_ms,
-            json,
-            every_events,
-            every_ms,
-            until_eof,
-            shard_ms,
-            lateness_ms,
-            checkpoint,
-            resume,
-            detect,
-            half_life_ms,
-            status_out,
-            profile,
-            trace_out,
-            metrics_out,
-            threads,
-        } => run_watch(WatchArgs {
-            input,
-            format,
-            slice,
-            no_alpha,
-            loss_correct,
-            reference_ms,
-            json,
-            every_events,
-            every_ms,
-            until_eof,
-            shard_ms,
-            lateness_ms,
-            checkpoint,
-            resume,
-            detect,
-            half_life_ms,
-            status_out,
-            profile,
-            trace_out,
-            metrics_out,
-            threads,
-        }),
-        Command::Serve {
-            listen,
-            http,
-            checkpoint_dir,
-            resume,
-            ready_file,
-            shard_ms,
-            lateness_ms,
-            no_alpha,
-            loss_correct,
-            reference_ms,
-            capacity,
-            threads,
-        } => run_serve(ServeArgs {
-            listen,
-            http,
-            checkpoint_dir,
-            resume,
-            ready_file,
-            shard_ms,
-            lateness_ms,
-            no_alpha,
-            loss_correct,
-            reference_ms,
-            capacity,
-            threads,
-        }),
+        Command::Watch(args) => run_watch(args),
+        Command::Serve(args) => run_serve(args),
         Command::AgentPush {
             to,
             input,
@@ -502,31 +346,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
     }
 }
 
-/// The `watch` parameters, bundled so the run function stays callable.
-struct WatchArgs {
-    input: String,
-    format: Format,
-    slice: SliceArgs,
-    no_alpha: bool,
-    loss_correct: bool,
-    reference_ms: f64,
-    json: bool,
-    every_events: Option<u64>,
-    every_ms: Option<u64>,
-    until_eof: bool,
-    shard_ms: i64,
-    lateness_ms: i64,
-    checkpoint: Option<String>,
-    resume: bool,
-    detect: bool,
-    half_life_ms: Option<i64>,
-    status_out: Option<String>,
-    profile: bool,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    threads: usize,
-}
-
 /// The tailed source: text files advance by byte offset, binary containers
 /// by row count (a container grows by atomic whole-file replacement, so
 /// byte positions of old rows are not stable — row indices are).
@@ -570,11 +389,7 @@ impl SourceReader {
 /// single final snapshot is byte-identical to batch `analyze` over the
 /// same file (the CI equivalence gate depends on this).
 fn run_watch(args: WatchArgs) -> Result<(), String> {
-    let profiling = args.profile || args.trace_out.is_some() || args.metrics_out.is_some();
-    let recorder = autosens_obs::Recorder::global().clone();
-    if profiling {
-        recorder.set_collecting(true);
-    }
+    let recorder = args.profile.start();
     // A container source is detected by magic (or forced with --format asc
     // before the file exists); everything else tails as text lines.
     let binary =
@@ -622,13 +437,7 @@ fn run_watch(args: WatchArgs) -> Result<(), String> {
         }
         _ => {
             let config = StreamConfig {
-                analysis: AutoSensConfig {
-                    alpha_correction: !args.no_alpha,
-                    loss_correct: args.loss_correct,
-                    reference_latency_ms: args.reference_ms,
-                    threads: args.threads,
-                    ..AutoSensConfig::default()
-                },
+                analysis: args.analysis.config(),
                 shard_ms: args.shard_ms,
                 allowed_lateness_ms: args.lateness_ms,
                 retain_ms: None,
@@ -697,7 +506,13 @@ fn run_watch(args: WatchArgs) -> Result<(), String> {
                     );
                 }
             }
-            let report = emit_snapshot(&engine, &label, args.json, args.reference_ms, false)?;
+            let report = emit_snapshot(
+                &engine,
+                &label,
+                args.json,
+                args.analysis.reference_ms,
+                false,
+            )?;
             if let (Some(path), Some(report)) = (&args.status_out, report.as_ref()) {
                 StatusDocument::collect(&engine, report, 0)
                     .save(std::path::Path::new(path))
@@ -727,7 +542,7 @@ fn run_watch(args: WatchArgs) -> Result<(), String> {
         if args.detect {
             engine.run_detection().map_err(|e| e.to_string())?;
         }
-        let report = emit_snapshot(&engine, &label, args.json, args.reference_ms, true)?;
+        let report = emit_snapshot(&engine, &label, args.json, args.analysis.reference_ms, true)?;
         if let (Some(path), Some(report)) = (&args.status_out, report.as_ref()) {
             StatusDocument::collect(&engine, report, 0)
                 .save(std::path::Path::new(path))
@@ -735,40 +550,7 @@ fn run_watch(args: WatchArgs) -> Result<(), String> {
         }
     }
     save_checkpoint(&engine, &reader)?;
-
-    if profiling {
-        let tree = recorder.finish();
-        if args.profile {
-            eprint!("{}", tree.render());
-        }
-        if let Some(path) = &args.trace_out {
-            std::fs::write(path, tree.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
-        }
-        if let Some(path) = &args.metrics_out {
-            let snapshot = recorder.metrics().snapshot();
-            snapshot
-                .validate_finite()
-                .map_err(|e| format!("non-finite metric: {e}"))?;
-            std::fs::write(path, snapshot.to_json()).map_err(|e| format!("write {path}: {e}"))?;
-        }
-    }
-    Ok(())
-}
-
-/// The `serve` parameters, bundled so the run function stays callable.
-struct ServeArgs {
-    listen: String,
-    http: String,
-    checkpoint_dir: Option<String>,
-    resume: bool,
-    ready_file: Option<String>,
-    shard_ms: i64,
-    lateness_ms: i64,
-    no_alpha: bool,
-    loss_correct: bool,
-    reference_ms: f64,
-    capacity: usize,
-    threads: usize,
+    args.profile.finish(&recorder)
 }
 
 /// Run the multi-tenant ingest gateway plus its HTTP query plane until
@@ -777,16 +559,10 @@ struct ServeArgs {
 /// addresses are written out once both listeners are up, so scripts can
 /// bind port 0 and discover where the gateway landed.
 fn run_serve(args: ServeArgs) -> Result<(), String> {
-    let recorder = autosens_obs::Recorder::global().clone();
+    let recorder = Recorder::global().clone();
     let config = GatewayConfig {
         stream: StreamConfig {
-            analysis: AutoSensConfig {
-                alpha_correction: !args.no_alpha,
-                loss_correct: args.loss_correct,
-                reference_latency_ms: args.reference_ms,
-                threads: args.threads,
-                ..AutoSensConfig::default()
-            },
+            analysis: args.analysis.config(),
             shard_ms: args.shard_ms,
             allowed_lateness_ms: args.lateness_ms,
             retain_ms: None,
@@ -796,7 +572,7 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
         ingest_capacity: args.capacity,
         checkpoint_dir: args.checkpoint_dir.map(std::path::PathBuf::from),
         resume: args.resume,
-        threads: args.threads,
+        threads: args.analysis.threads,
     };
     let gateway = Gateway::new(config, recorder).map_err(|e| e.to_string())?;
     if !gateway.registry().is_empty() {
@@ -828,7 +604,7 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
 
     #[cfg(unix)]
     let unix_listener = if unix {
-        let _ = std::fs::remove_file(&args.listen);
+        remove_stale_socket(&args.listen)?;
         Some(
             std::os::unix::net::UnixListener::bind(&args.listen)
                 .map_err(|e| format!("bind ingest {}: {e}", args.listen))?,
@@ -877,7 +653,7 @@ fn emit_snapshot(
     json: bool,
     reference_ms: f64,
     final_emit: bool,
-) -> Result<Option<std::sync::Arc<autosens_core::pipeline::AnalysisReport>>, String> {
+) -> Result<Option<std::sync::Arc<AnalysisReport>>, String> {
     let report = match engine.snapshot() {
         Ok(report) => report,
         // An empty window is not fatal mid-stream (records may simply not
@@ -902,39 +678,133 @@ fn emit_snapshot(
             status.duplicates
         );
     }
+    print_curve(&report, label, reference_ms, json, None)?;
+    Ok(Some(report))
+}
+
+/// Print a curve as `analyze` does: the JSON summary, or a header line and
+/// a table over the default grid, with the confidence band's columns when
+/// `ci` is given. `watch` prints through the same function, so its final
+/// snapshot diffs clean against `analyze`.
+fn print_curve(
+    report: &AnalysisReport,
+    label: &str,
+    reference_ms: f64,
+    json: bool,
+    ci: Option<&PreferenceCi>,
+) -> Result<(), String> {
+    let grid = autosens_core::report::default_grid();
     if json {
-        let summary = PreferenceSummary::from_report(
-            label.to_string(),
-            &report,
-            &autosens_core::report::default_grid(),
-        );
+        let summary = PreferenceSummary::from_report(label, report, &grid);
         println!(
             "{}",
             serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
         );
-    } else {
-        println!(
-            "slice: {} — {} actions, span {:.0}..{:.0} ms, reference {reference_ms} ms\n",
-            label,
-            report.n_actions,
-            report.preference.span_ms().0,
-            report.preference.span_ms().1
-        );
-        let rows: Vec<Vec<String>> = autosens_core::report::default_grid()
-            .iter()
-            .filter_map(|&l| {
-                report
-                    .preference
-                    .at(l)
-                    .map(|v| vec![format!("{l:.0}"), f3(v)])
-            })
-            .collect();
-        println!(
-            "{}",
-            text_table(&["latency (ms)", "normalized preference"], &rows)
-        );
+        return Ok(());
     }
-    Ok(Some(report))
+    let (lo, hi) = report.preference.span_ms();
+    println!(
+        "slice: {label} — {} actions, span {lo:.0}..{hi:.0} ms, reference {reference_ms} ms\n",
+        report.n_actions
+    );
+    let (headers, rows): (&[&str], Vec<Vec<String>>) = match ci {
+        Some(ci) => (
+            &["latency (ms)", "preference", "ci lo (95%)", "ci hi (95%)"],
+            grid.iter()
+                .filter_map(|&l| {
+                    let v = report.preference.at(l)?;
+                    let (lo, hi) = ci.band_at(l)?;
+                    Some(vec![format!("{l:.0}"), f3(v), f3(lo), f3(hi)])
+                })
+                .collect(),
+        ),
+        None => (
+            &["latency (ms)", "normalized preference"],
+            grid.iter()
+                .filter_map(|&l| {
+                    report
+                        .preference
+                        .at(l)
+                        .map(|v| vec![format!("{l:.0}"), f3(v)])
+                })
+                .collect(),
+        ),
+    };
+    println!("{}", text_table(headers, &rows));
+    Ok(())
+}
+
+impl AnalysisArgs {
+    /// The estimator configuration these options select.
+    fn config(&self) -> AutoSensConfig {
+        AutoSensConfig {
+            alpha_correction: !self.no_alpha,
+            loss_correct: self.loss_correct,
+            reference_latency_ms: self.reference_ms,
+            threads: self.threads,
+            ..AutoSensConfig::default()
+        }
+    }
+}
+
+impl ProfileArgs {
+    /// The global recorder, collecting spans when any profiling output is
+    /// asked for. It is the global one so the codec spans emitted while
+    /// reading the log land in the same trace as the pipeline stages, and
+    /// every counter shares one registry.
+    fn start(&self) -> Recorder {
+        let recorder = Recorder::global().clone();
+        if self.profile || self.trace_out.is_some() || self.metrics_out.is_some() {
+            recorder.set_collecting(true);
+        }
+        recorder
+    }
+
+    /// Write the requested outputs: the stage tree to stderr, the span
+    /// trace as JSONL, the metrics snapshot as JSON.
+    fn finish(&self, recorder: &Recorder) -> Result<(), String> {
+        let tree = recorder.finish();
+        if self.profile {
+            eprint!("{}", tree.render());
+        }
+        if let Some(path) = &self.trace_out {
+            std::fs::write(path, tree.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
+        }
+        if let Some(path) = &self.metrics_out {
+            write_metrics(path, recorder.metrics())?;
+        }
+        Ok(())
+    }
+}
+
+/// Write a metrics snapshot as JSON, refusing one with a non-finite value.
+fn write_metrics(path: &str, metrics: &MetricsRegistry) -> Result<(), String> {
+    let snapshot = metrics.snapshot();
+    snapshot
+        .validate_finite()
+        .map_err(|e| format!("non-finite metric: {e}"))?;
+    std::fs::write(path, snapshot.to_json()).map_err(|e| format!("write {path}: {e}"))
+}
+
+/// Clear the way for a unix-socket listener at `path`: remove the socket a
+/// killed gateway left there, and refuse anything else rather than delete
+/// it, a socket that a running gateway still answers on included.
+#[cfg(unix)]
+fn remove_stale_socket(path: &str) -> Result<(), String> {
+    use std::os::unix::fs::FileTypeExt;
+    match std::fs::symlink_metadata(path) {
+        Ok(meta) if meta.file_type().is_socket() => {
+            if std::os::unix::net::UnixStream::connect(path).is_ok() {
+                return Err(format!("bind ingest {path}: a gateway is listening there"));
+            }
+            std::fs::remove_file(path).map_err(|e| format!("remove stale socket {path}: {e}"))
+        }
+        Ok(_) => Err(format!(
+            "bind ingest {path}: a file that is not a socket is in the way"
+        )),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(format!("bind ingest {path}: {e}")),
+    }
 }
 
 /// An opened telemetry input: either a memory-mapped binary container or a
@@ -1098,6 +968,33 @@ mod tests {
         let mut other = r;
         other.action = ActionType::SelectMail;
         assert!(!s.matches(&other));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn stale_socket_is_replaced_and_a_regular_file_is_not() {
+        let dir = std::env::temp_dir().join(format!("autosens-sock-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("ingest.sock");
+        // A killed gateway leaves its socket file behind.
+        drop(std::os::unix::net::UnixListener::bind(&sock).unwrap());
+        assert!(sock.exists());
+        remove_stale_socket(sock.to_str().unwrap()).unwrap();
+        let live = std::os::unix::net::UnixListener::bind(&sock).expect("rebinds after removal");
+        // A socket something still listens on is not stale.
+        let err = remove_stale_socket(sock.to_str().unwrap()).unwrap_err();
+        assert!(err.contains("listening"), "{err}");
+        assert!(sock.exists());
+        drop(live);
+
+        let file = dir.join("precious.csv");
+        std::fs::write(&file, "keep me").unwrap();
+        let err = remove_stale_socket(file.to_str().unwrap()).unwrap_err();
+        assert!(err.contains("precious.csv"), "{err}");
+        assert_eq!(std::fs::read_to_string(&file).unwrap(), "keep me");
+        // Nothing at the path is no obstacle.
+        remove_stale_socket(dir.join("absent.sock").to_str().unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

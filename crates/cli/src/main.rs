@@ -1,28 +1,9 @@
 //! `autosens` — the end-user command line.
 //!
-//! ```text
-//! autosens generate --scenario default --out logs.csv [--format csv|jsonl]
-//! autosens analyze --in logs.csv [--action SelectMail] [--class Business]
-//!                  [--period 8am-2pm] [--month Feb] [--no-alpha]
-//!                  [--reference 300] [--json]
-//! autosens diagnose --in logs.csv
-//! autosens alpha --in logs.csv [--action SelectMail] [--class Business]
-//! autosens audit --in logs.csv [--format csv|jsonl] [--json]
-//! autosens inject --in logs.csv --plan plan.json --out corrupted.csv
-//! autosens watch --in logs.csv [--every-events 5000] [--every-ms 2000]
-//!                [--until-eof] [--checkpoint ck.json] [--resume] [--json]
-//! ```
-//!
-//! `analyze` prints the normalized latency preference curve for the
-//! requested slice of the given telemetry; `diagnose` checks the
-//! natural-experiment preconditions (latency locality); `alpha` prints the
-//! time-based activity factors per day period; `audit` grades the data
-//! quality of a log (loss, duplication, ordering, heaping, metadata
-//! nulls); `inject` applies a seeded [`autosens_faults::FaultPlan`] to a
-//! log, producing a reproducibly corrupted copy for robustness testing;
-//! `watch` tails a growing log through the streaming engine
-//! ([`autosens_stream`]) and re-emits the curve as new telemetry arrives,
-//! with `--checkpoint`/`--resume` surviving process restarts.
+//! [`args::USAGE`] lists every subcommand and the flags each accepts; it
+//! is printed with any usage error. [`args::parse`] reads the command line
+//! in one pass into a [`args::Command`], and [`commands::run`] executes it.
+//! Usage errors exit 2, run errors exit 1.
 
 use std::process::ExitCode;
 

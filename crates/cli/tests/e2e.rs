@@ -299,3 +299,51 @@ fn bad_usage_exits_nonzero_with_usage_text() {
     assert!(!out.status.success());
     assert_eq!(out.status.code(), Some(1));
 }
+
+#[test]
+fn value_flag_without_a_value_exits_with_usage() {
+    let path = tmp_path("noref.csv");
+    generate_csv(&path);
+    let out = bin()
+        .args(["analyze", "--in", path.to_str().unwrap(), "--reference"])
+        .output()
+        .expect("runs");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--reference"), "{err}");
+    assert!(err.contains("usage:"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn serve_refuses_to_replace_a_regular_file_with_its_socket() {
+    let dir = tmp_path("listen-dir");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let precious = dir.join("precious.csv");
+    std::fs::write(&precious, "keep me\n").expect("write file");
+    let mut child = bin()
+        .args(["serve", "--listen", precious.to_str().unwrap()])
+        .args(["--http", "127.0.0.1:0", "--quiet"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break Some(status);
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    };
+    let contents = std::fs::read_to_string(&precious);
+    let _ = std::fs::remove_dir_all(&dir);
+    let status = status.expect("serve kept running on a path that holds a regular file");
+    assert!(!status.success());
+    assert_eq!(contents.expect("file still there"), "keep me\n");
+}

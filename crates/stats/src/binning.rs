@@ -149,16 +149,6 @@ impl Binner {
         self.lo + (i as f64 + 0.5) * self.width
     }
 
-    /// Lower edge of bin `i`.
-    pub fn left_edge(&self, i: usize) -> f64 {
-        assert!(
-            i < self.n_bins,
-            "bin index {i} out of range ({})",
-            self.n_bins
-        );
-        self.lo + i as f64 * self.width
-    }
-
     /// All bin centers, in order.
     pub fn centers(&self) -> Vec<f64> {
         (0..self.n_bins).map(|i| self.center(i)).collect()
@@ -230,7 +220,6 @@ mod tests {
         let b = binner();
         assert_eq!(b.center(0), 5.0);
         assert_eq!(b.center(9), 95.0);
-        assert_eq!(b.left_edge(3), 30.0);
         assert_eq!(b.centers().len(), 10);
     }
 

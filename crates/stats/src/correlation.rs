@@ -7,16 +7,6 @@
 
 use crate::error::StatsError;
 
-/// Sample covariance (n-1 denominator).
-pub fn covariance(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
-    check_pair(x, y)?;
-    let n = x.len();
-    let mx = x.iter().sum::<f64>() / n as f64;
-    let my = y.iter().sum::<f64>() / n as f64;
-    let s: f64 = x.iter().zip(y).map(|(a, b)| (a - mx) * (b - my)).sum();
-    Ok(s / (n - 1) as f64)
-}
-
 /// Pearson product-moment correlation coefficient.
 ///
 /// Errors when either series is constant (undefined correlation).
@@ -42,41 +32,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
         ));
     }
     Ok(sxy / (sxx * syy).sqrt())
-}
-
-/// Spearman rank correlation: Pearson correlation of the mid-ranks
-/// (ties receive the average of the ranks they span).
-pub fn spearman(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
-    check_pair(x, y)?;
-    let rx = ranks(x);
-    let ry = ranks(y);
-    pearson(&rx, &ry)
-}
-
-/// Mid-ranks of a series (1-based; ties averaged).
-pub fn ranks(data: &[f64]) -> Vec<f64> {
-    let n = data.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| {
-        data[a]
-            .partial_cmp(&data[b])
-            .expect("caller ensures finite")
-    });
-    let mut out = vec![0.0; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && data[idx[j + 1]] == data[idx[i]] {
-            j += 1;
-        }
-        // Positions i..=j (0-based) share the average 1-based rank.
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for k in i..=j {
-            out[idx[k]] = avg;
-        }
-        i = j + 1;
-    }
-    out
 }
 
 fn check_pair(x: &[f64], y: &[f64]) -> Result<(), StatsError> {
@@ -118,37 +73,11 @@ mod tests {
     }
 
     #[test]
-    fn covariance_hand_computed() {
-        let x = [1.0, 2.0, 3.0];
-        let y = [2.0, 4.0, 6.0];
-        assert!((covariance(&x, &y).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_monotone_nonlinear_is_one() {
-        let x: [f64; 5] = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y: Vec<f64> = x.iter().map(|v| v.exp()).collect();
-        assert!((spearman(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-        let inv: Vec<f64> = x.iter().map(|v| 1.0 / v).collect();
-        assert!((spearman(&x, &inv).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ranks_handle_ties() {
-        let r = ranks(&[10.0, 20.0, 20.0, 30.0]);
-        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
-        let r = ranks(&[5.0, 5.0, 5.0]);
-        assert_eq!(r, vec![2.0, 2.0, 2.0]);
-    }
-
-    #[test]
     fn error_cases() {
         assert!(pearson(&[1.0], &[2.0]).is_err());
         assert!(pearson(&[1.0, 2.0], &[1.0]).is_err());
         assert!(pearson(&[1.0, 2.0], &[5.0, 5.0]).is_err());
         assert!(pearson(&[1.0, f64::NAN], &[1.0, 2.0]).is_err());
-        assert!(covariance(&[], &[]).is_err());
-        assert!(spearman(&[1.0, 2.0], &[f64::INFINITY, 0.0]).is_err());
     }
 
     #[test]

@@ -99,43 +99,6 @@ fn fold_extreme(
     Ok(data.iter().copied().fold(data[0], op))
 }
 
-/// Weighted arithmetic mean. Errors when weights are all zero, negative,
-/// or lengths mismatch.
-pub fn weighted_mean(data: &[f64], weights: &[f64]) -> Result<f64, StatsError> {
-    if data.is_empty() {
-        return Err(StatsError::EmptyInput("weighted_mean"));
-    }
-    if data.len() != weights.len() {
-        return Err(crate::error::invalid(
-            "weights",
-            format!("length {} != data length {}", weights.len(), data.len()),
-        ));
-    }
-    if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-        return Err(StatsError::NonFinite("weights"));
-    }
-    let wsum: f64 = weights.iter().sum();
-    if wsum == 0.0 {
-        return Err(crate::error::invalid("weights", "sum to zero"));
-    }
-    Ok(data.iter().zip(weights).map(|(x, w)| x * w).sum::<f64>() / wsum)
-}
-
-/// Geometric mean of strictly positive data.
-pub fn geometric_mean(data: &[f64]) -> Result<f64, StatsError> {
-    if data.is_empty() {
-        return Err(StatsError::EmptyInput("geometric_mean"));
-    }
-    if data.iter().any(|x| !x.is_finite() || *x <= 0.0) {
-        return Err(crate::error::invalid(
-            "data",
-            "geometric mean requires strictly positive values",
-        ));
-    }
-    let log_mean = data.iter().map(|x| x.ln()).sum::<f64>() / data.len() as f64;
-    Ok(log_mean.exp())
-}
-
 /// A one-pass summary of a data set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
@@ -233,25 +196,6 @@ mod tests {
         assert_eq!(min(&data).unwrap(), -1.0);
         assert_eq!(max(&data).unwrap(), 7.0);
         assert!(min(&[1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn weighted_mean_basic_and_errors() {
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[1.0, 1.0]).unwrap(), 2.0);
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[3.0, 1.0]).unwrap(), 1.5);
-        assert!(weighted_mean(&[], &[]).is_err());
-        assert!(weighted_mean(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(weighted_mean(&[1.0, 2.0], &[0.0, 0.0]).is_err());
-        assert!(weighted_mean(&[1.0, 2.0], &[-1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn geometric_mean_closed_form() {
-        assert!((geometric_mean(&[1.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
-        assert!((geometric_mean(&[2.0, 8.0]).unwrap() - 4.0).abs() < 1e-12);
-        assert!(geometric_mean(&[0.0, 1.0]).is_err());
-        assert!(geometric_mean(&[-1.0, 1.0]).is_err());
-        assert!(geometric_mean(&[]).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! classical statistical primitives that have no mature, self-contained Rust
 //! implementation: fixed-width histograms and the PDFs derived from them,
 //! Savitzky–Golay least-squares smoothing, the von Neumann successive
-//! difference test, rank correlation, and a handful of distribution samplers.
+//! difference test, Pearson correlation, and a handful of distribution samplers.
 //! This crate implements all of them from first principles so the rest of the
 //! workspace depends only on `rand` and `serde`.
 //!
@@ -16,12 +16,12 @@
 //! * [`descriptive`] — means, variances, medians, quantiles.
 //! * [`succdiff`] — mean successive difference vs. mean absolute difference
 //!   (the Figure 1 locality diagnostic) and the von Neumann ratio.
-//! * [`correlation`] — Pearson and Spearman correlation.
+//! * [`correlation`] — Pearson correlation.
 //! * [`linalg`] — small dense matrices and linear solves (used by `savgol`).
 //! * [`savgol`] — Savitzky–Golay filters computed from first principles.
 //! * [`smoothing`] — moving-average and median filters (ablation baselines).
 //! * [`dist`] — seeded samplers for Normal/LogNormal/Exponential/Pareto/Poisson.
-//! * [`sampling`] — shuffles, bootstrap resampling, reservoir sampling.
+//! * [`sampling`] — the Fisher–Yates shuffle (Figure 1 baseline).
 //! * [`timeseries`] — fixed-window aggregation of timestamped values.
 //!
 //! All stochastic routines take an explicit `&mut impl Rng`; nothing in this

@@ -143,21 +143,6 @@ impl Pdf {
         }
         Ok((xs, rs))
     }
-
-    /// Kolmogorov–Smirnov distance between two PDFs on the same grid:
-    /// the maximum absolute difference between their CDFs.
-    pub fn ks_distance(&self, other: &Pdf) -> Result<f64, StatsError> {
-        if !self.binner.same_grid(&other.binner) {
-            return Err(StatsError::BinnerMismatch);
-        }
-        let a = self.cdf();
-        let b = other.cdf();
-        Ok(a.cumulative
-            .iter()
-            .zip(&b.cumulative)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max))
-    }
 }
 
 /// A cumulative distribution function derived from a [`Pdf`].
@@ -298,18 +283,5 @@ mod tests {
         )
         .unwrap();
         assert!(p.ratio(&other, RatioPolicy::NaN).is_err());
-    }
-
-    #[test]
-    fn ks_distance_zero_for_identical_and_positive_for_shifted() {
-        let a = Histogram::from_values(binner(), &[5.0, 15.0, 25.0])
-            .to_pdf()
-            .unwrap();
-        let b = Histogram::from_values(binner(), &[15.0, 25.0, 35.0])
-            .to_pdf()
-            .unwrap();
-        assert_eq!(a.ks_distance(&a).unwrap(), 0.0);
-        let d = a.ks_distance(&b).unwrap();
-        assert!(d > 0.3 && d <= 1.0, "d = {d}");
     }
 }

@@ -1,10 +1,7 @@
-//! Randomized resampling utilities: shuffles (for the Figure 1 baseline),
-//! bootstrap resampling (for confidence intervals on preference curves), and
-//! reservoir sampling (for bounded-memory subsampling of huge logs).
+//! Randomized resampling: the Fisher–Yates shuffle behind the Figure 1
+//! shuffled-order baseline.
 
 use rand::Rng;
-
-use crate::error::StatsError;
 
 /// Return a uniformly shuffled copy of the input (Fisher–Yates).
 pub fn shuffled<T: Clone, R: Rng>(data: &[T], rng: &mut R) -> Vec<T> {
@@ -22,109 +19,6 @@ pub fn shuffle_in_place<T, R: Rng>(data: &mut [T], rng: &mut R) {
         let j = rng.gen_range(0..=i);
         data.swap(i, j);
     }
-}
-
-/// Draw `n` indices uniformly with replacement from `0..len`.
-pub fn bootstrap_indices<R: Rng>(
-    rng: &mut R,
-    len: usize,
-    n: usize,
-) -> Result<Vec<usize>, StatsError> {
-    if len == 0 {
-        return Err(StatsError::EmptyInput("bootstrap population"));
-    }
-    Ok((0..n).map(|_| rng.gen_range(0..len)).collect())
-}
-
-/// A basic percentile-bootstrap confidence interval for a statistic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BootstrapCi {
-    /// Point estimate on the original data.
-    pub estimate: f64,
-    /// Lower bound of the interval.
-    pub lo: f64,
-    /// Upper bound of the interval.
-    pub hi: f64,
-    /// Number of bootstrap replicates used.
-    pub replicates: usize,
-}
-
-/// Percentile-bootstrap confidence interval for an arbitrary statistic.
-///
-/// `level` is the two-sided confidence level, e.g. `0.95`. The statistic may
-/// return `None` for degenerate resamples; those replicates are skipped (but
-/// at least half must succeed or an error is returned).
-pub fn bootstrap_ci<R: Rng>(
-    rng: &mut R,
-    data: &[f64],
-    replicates: usize,
-    level: f64,
-    statistic: impl Fn(&[f64]) -> Option<f64>,
-) -> Result<BootstrapCi, StatsError> {
-    if data.is_empty() {
-        return Err(StatsError::EmptyInput("bootstrap data"));
-    }
-    if !(0.0 < level && level < 1.0) {
-        return Err(crate::error::invalid(
-            "level",
-            format!("must be in (0,1), got {level}"),
-        ));
-    }
-    if replicates == 0 {
-        return Err(crate::error::invalid("replicates", "must be > 0"));
-    }
-    let estimate = statistic(data).ok_or(StatsError::EmptyInput("statistic on original data"))?;
-    let mut stats = Vec::with_capacity(replicates);
-    let mut resample = vec![0.0; data.len()];
-    for _ in 0..replicates {
-        for slot in resample.iter_mut() {
-            *slot = data[rng.gen_range(0..data.len())];
-        }
-        if let Some(s) = statistic(&resample) {
-            stats.push(s);
-        }
-    }
-    if stats.len() < replicates / 2 {
-        return Err(crate::error::invalid(
-            "statistic",
-            "failed on more than half of the bootstrap replicates",
-        ));
-    }
-    stats.sort_by(|a, b| a.partial_cmp(b).expect("statistics must be comparable"));
-    let alpha = (1.0 - level) / 2.0;
-    let lo = crate::descriptive::quantile_sorted(&stats, alpha);
-    let hi = crate::descriptive::quantile_sorted(&stats, 1.0 - alpha);
-    Ok(BootstrapCi {
-        estimate,
-        lo,
-        hi,
-        replicates: stats.len(),
-    })
-}
-
-/// Reservoir-sample `k` items from an iterator (Algorithm R).
-///
-/// Returns fewer than `k` items when the iterator is shorter than `k`.
-pub fn reservoir_sample<T, I, R>(rng: &mut R, iter: I, k: usize) -> Vec<T>
-where
-    I: IntoIterator<Item = T>,
-    R: Rng,
-{
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut reservoir: Vec<T> = Vec::with_capacity(k);
-    for (i, item) in iter.into_iter().enumerate() {
-        if i < k {
-            reservoir.push(item);
-        } else {
-            let j = rng.gen_range(0..=i);
-            if j < k {
-                reservoir[j] = item;
-            }
-        }
-    }
-    reservoir
 }
 
 #[cfg(test)]
@@ -156,61 +50,6 @@ mod tests {
         }
         for c in counts {
             assert!((c as f64 - 2000.0).abs() < 250.0, "counts = {counts:?}");
-        }
-    }
-
-    #[test]
-    fn bootstrap_indices_in_range() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let idx = bootstrap_indices(&mut rng, 10, 1000).unwrap();
-        assert_eq!(idx.len(), 1000);
-        assert!(idx.iter().all(|&i| i < 10));
-        assert!(bootstrap_indices(&mut rng, 0, 5).is_err());
-    }
-
-    #[test]
-    fn bootstrap_ci_covers_the_mean() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let data: Vec<f64> = (0..200)
-            .map(|_| 5.0 + crate::dist::standard_normal(&mut rng))
-            .collect();
-        let ci = bootstrap_ci(&mut rng, &data, 500, 0.95, |d| {
-            crate::descriptive::mean(d).ok()
-        })
-        .unwrap();
-        assert!(ci.lo < ci.estimate && ci.estimate < ci.hi);
-        assert!(ci.lo < 5.0 && 5.0 < ci.hi, "ci = {ci:?}");
-        assert!(ci.hi - ci.lo < 0.5, "interval too wide: {ci:?}");
-    }
-
-    #[test]
-    fn bootstrap_ci_validates_inputs() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let ok = |d: &[f64]| crate::descriptive::mean(d).ok();
-        assert!(bootstrap_ci(&mut rng, &[], 100, 0.95, ok).is_err());
-        assert!(bootstrap_ci(&mut rng, &[1.0], 0, 0.95, ok).is_err());
-        assert!(bootstrap_ci(&mut rng, &[1.0], 100, 1.5, ok).is_err());
-        assert!(bootstrap_ci(&mut rng, &[1.0], 100, 0.95, |_| None).is_err());
-    }
-
-    #[test]
-    fn reservoir_sample_sizes() {
-        let mut rng = StdRng::seed_from_u64(6);
-        assert_eq!(reservoir_sample(&mut rng, 0..100, 0).len(), 0);
-        assert_eq!(reservoir_sample(&mut rng, 0..100, 10).len(), 10);
-        assert_eq!(reservoir_sample(&mut rng, 0..5, 10).len(), 5);
-    }
-
-    #[test]
-    fn reservoir_sample_is_roughly_uniform() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut hit = [0usize; 10];
-        for _ in 0..20_000 {
-            let picked = reservoir_sample(&mut rng, 0..10usize, 1);
-            hit[picked[0]] += 1;
-        }
-        for h in hit {
-            assert!((h as f64 - 2000.0).abs() < 300.0, "hit = {hit:?}");
         }
     }
 }

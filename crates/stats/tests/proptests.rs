@@ -202,17 +202,4 @@ proptest! {
         prop_assert_eq!(shuf, orig);
     }
 
-    #[test]
-    fn reservoir_sample_items_come_from_input(
-        values in prop::collection::vec(0i64..1000, 0..200),
-        k in 0usize..50,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let picked = sampling::reservoir_sample(&mut rng, values.iter().copied(), k);
-        prop_assert_eq!(picked.len(), k.min(values.len()));
-        for p in picked {
-            prop_assert!(values.contains(&p));
-        }
-    }
 }

@@ -296,12 +296,16 @@ fn parse_csv_row(line: &str, lineno: usize) -> Result<ActionRecord, TelemetryErr
         line: lineno,
         reason,
     };
-    let fields: Vec<&str> = line.split(',').collect();
-    if fields.len() != 7 {
-        return Err(malformed(format!(
-            "expected 7 fields, got {}",
-            fields.len()
-        )));
+    let mut fields = [""; 7];
+    let mut n = 0;
+    for field in line.split(',') {
+        if let Some(slot) = fields.get_mut(n) {
+            *slot = field;
+        }
+        n += 1;
+    }
+    if n != 7 {
+        return Err(malformed(format!("expected 7 fields, got {n}")));
     }
     let time_ms: i64 = fields[0]
         .trim()
@@ -515,7 +519,6 @@ mod tests {
     #[test]
     fn csv_rejects_wrong_field_count_and_bad_enums() {
         let rows = [
-            "1000,SelectMail,1.0,1,Business,0",            // 6 fields
             "1000,Click,1.0,1,Business,0,Success",         // bad action
             "1000,SelectMail,1.0,1,Premium,0,Success",     // bad class
             "1000,SelectMail,1.0,1,Business,0,Maybe",      // bad outcome
@@ -526,6 +529,20 @@ mod tests {
         for row in rows {
             let data = format!("{CSV_HEADER}\n{row}\n");
             assert!(read_csv(data.as_bytes()).is_err(), "row should fail: {row}");
+        }
+        // The field-count error reports the real count, short or long.
+        for (row, n) in [
+            ("1000,SelectMail,1.0,1,Business,0", 6),
+            ("1000,SelectMail,1.0,1,Business,0,Success,x", 8),
+            ("1000,SelectMail,1.0,1,Business,0,Success,x,y", 9),
+        ] {
+            let data = format!("{CSV_HEADER}\n{row}\n");
+            match read_csv(data.as_bytes()) {
+                Err(TelemetryError::Malformed { line: 2, reason }) => {
+                    assert_eq!(reason, format!("expected 7 fields, got {n}"), "{row}");
+                }
+                other => panic!("row should fail with a field count: {row}: {other:?}"),
+            }
         }
     }
 
