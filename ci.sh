@@ -287,6 +287,26 @@ for region in eu us; do
     fi
 done
 
+echo "==> serve gate over a unix socket (agent push through --listen PATH, served = batch)"
+# `serve --listen PATH` takes agent pushes on a unix socket, through the
+# same accept loop as TCP. Push the golden fixture through one and diff
+# the served curve against batch analyze.
+rm -f "$SMOKE_DIR/ready.txt"
+./target/release/autosens serve --listen "$SMOKE_DIR/ingest.sock" --http 127.0.0.1:0 \
+    --loss-correct=off --ready-file "$SMOKE_DIR/ready.txt" --quiet & SERVE_PID=$!
+for _ in $(seq 1 100); do test -s "$SMOKE_DIR/ready.txt" && break; sleep 0.1; done
+test -s "$SMOKE_DIR/ready.txt" || { echo "ci.sh: unix-socket gateway never became ready" >&2; exit 1; }
+HTTP_ADDR=$(awk '/^HTTP/{print $2}' "$SMOKE_DIR/ready.txt")
+./target/release/autosens agent --to "$SMOKE_DIR/ingest.sock" --in "$SMOKE_DIR/golden.csv" \
+    --service mail --region eu --quiet
+./target/release/autosens query --addr "$HTTP_ADDR" --path /tenant/mail/eu/curve \
+    > "$SMOKE_DIR/served_curve_unix.json"
+kill "$SERVE_PID"; wait "$SERVE_PID" 2>/dev/null || true
+if ! diff -u "$SMOKE_DIR/golden_report.json" "$SMOKE_DIR/served_curve_unix.json"; then
+    echo "ci.sh: curve served after a unix-socket push diverged from batch analyze" >&2
+    exit 1
+fi
+
 echo "==> robustness frontier gate (corrected beats naive under planted loss)"
 # Fixed-seed bias-vs-loss-rate frontier: the artifact plants uniform and
 # bursty drop mechanisms, analyzes with correction on and off, and its

@@ -37,8 +37,7 @@ usage:
                     [--profile] [--trace-out PATH] [--metrics-out PATH]
   autosens serve    [--listen ADDR] [--http ADDR] [--checkpoint-dir DIR] [--resume]
                     [--ready-file PATH] [--shard-ms MS] [--lateness-ms MS]
-                    [--no-alpha] [--loss-correct[=on|off]] [--reference MS]
-                    [--capacity N] [--threads N]
+                    [--no-alpha] [--loss-correct[=on|off]] [--reference MS] [--threads N]
   autosens agent    --to ADDR --in <path> --service S --region R
                     [--format csv|jsonl] [--batch N] [--retries N]
                     [--backoff-ms MS] [--no-commit]
@@ -178,8 +177,6 @@ pub struct ServeArgs {
     pub lateness_ms: i64,
     /// Estimator options; `threads` also sizes the gateway.
     pub analysis: AnalysisArgs,
-    /// Per-tenant intake queue capacity.
-    pub capacity: usize,
 }
 
 /// A parsed command.
@@ -427,7 +424,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 shard_ms: shard_ms()?,
                 lateness_ms: lateness_ms()?,
                 analysis: f.analysis()?,
-                capacity: f.positive("--capacity")?.unwrap_or(65_536),
             })
         }
         "agent" => Command::AgentPush {
@@ -628,7 +624,7 @@ fn flags_of(sub: &str) -> Option<Vec<&'static str>> {
         "serve" => &[
             ANALYSIS,
             &["--listen", "--http", "--checkpoint-dir", "--resume"],
-            &["--ready-file", "--shard-ms", "--lateness-ms", "--capacity"],
+            &["--ready-file", "--shard-ms", "--lateness-ms"],
         ],
         "agent" => &[
             INPUT,
@@ -1001,7 +997,6 @@ mod tests {
                 assert_eq!(s.shard_ms, 6 * 3_600_000);
                 assert_eq!(s.lateness_ms, 3_600_000);
                 assert!(s.analysis.loss_correct);
-                assert_eq!(s.capacity, 65_536);
             }
             other => panic!("{other:?}"),
         }
@@ -1016,8 +1011,6 @@ mod tests {
             "--resume",
             "--ready-file",
             "ready.txt",
-            "--capacity",
-            "1024",
         ]))
         .unwrap()
         {
@@ -1026,12 +1019,11 @@ mod tests {
                 assert_eq!(s.checkpoint_dir.as_deref(), Some("ckpts"));
                 assert!(s.resume);
                 assert_eq!(s.ready_file.as_deref(), Some("ready.txt"));
-                assert_eq!(s.capacity, 1024);
             }
             other => panic!("{other:?}"),
         }
         assert!(parse(&sv(&["serve", "--resume"])).is_err()); // no --checkpoint-dir
-        assert!(parse(&sv(&["serve", "--capacity", "0"])).is_err());
+        assert!(parse(&sv(&["serve", "--capacity", "1024"])).is_err()); // one queue size
         assert!(parse(&sv(&["serve", "--shard-ms", "0"])).is_err());
     }
 

@@ -507,7 +507,7 @@ fn run_watch(args: WatchArgs) -> Result<(), String> {
                 }
             }
             let report = emit_snapshot(
-                &engine,
+                &mut engine,
                 &label,
                 args.json,
                 args.analysis.reference_ms,
@@ -542,7 +542,13 @@ fn run_watch(args: WatchArgs) -> Result<(), String> {
         if args.detect {
             engine.run_detection().map_err(|e| e.to_string())?;
         }
-        let report = emit_snapshot(&engine, &label, args.json, args.analysis.reference_ms, true)?;
+        let report = emit_snapshot(
+            &mut engine,
+            &label,
+            args.json,
+            args.analysis.reference_ms,
+            true,
+        )?;
         if let (Some(path), Some(report)) = (&args.status_out, report.as_ref()) {
             StatusDocument::collect(&engine, report, 0)
                 .save(std::path::Path::new(path))
@@ -569,10 +575,10 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
             detector: Some(DetectorConfig::default()),
             decay_half_life_ms: None,
         },
-        ingest_capacity: args.capacity,
         checkpoint_dir: args.checkpoint_dir.map(std::path::PathBuf::from),
         resume: args.resume,
         threads: args.analysis.threads,
+        ..GatewayConfig::default()
     };
     let gateway = Gateway::new(config, recorder).map_err(|e| e.to_string())?;
     if !gateway.registry().is_empty() {
@@ -624,23 +630,18 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
     autosens_obs::info!("gateway ready: ingest {ingest_addr}, http {http_addr}");
 
     let http_gateway = gateway.clone();
-    std::thread::spawn(move || {
-        let _ = serve_http(&http_gateway, http_listener);
-    });
+    std::thread::spawn(move || serve_http(&http_gateway, http_listener));
 
     match tcp_listener {
-        Some(l) => gateway.serve_tcp(l).map_err(|e| e.to_string()),
+        Some(l) => gateway.serve_tcp(l),
         None => {
             #[cfg(unix)]
-            {
-                gateway
-                    .serve_unix(unix_listener.expect("unix listener bound above"))
-                    .map_err(|e| e.to_string())
-            }
+            gateway.serve_unix(unix_listener.expect("unix listener bound above"));
             #[cfg(not(unix))]
             unreachable!("rejected above")
         }
     }
+    Ok(())
 }
 
 /// Print one streaming snapshot in the same shape `analyze` uses, so the
@@ -648,7 +649,7 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
 /// Returns the report so the caller can derive the status document from
 /// the same snapshot instead of recomputing it.
 fn emit_snapshot(
-    engine: &StreamEngine,
+    engine: &mut StreamEngine,
     label: &str,
     json: bool,
     reference_ms: f64,
@@ -683,9 +684,11 @@ fn emit_snapshot(
 }
 
 /// Print a curve as `analyze` does: the JSON summary, or a header line and
-/// a table over the default grid, with the confidence band's columns when
-/// `ci` is given. `watch` prints through the same function, so its final
-/// snapshot diffs clean against `analyze`.
+/// a table over the default grid. Given a confidence band `ci`, the table
+/// gains its columns and the JSON a final `"ci"` member ([`CiMember`]),
+/// both over the grid points where the curve and the band have a value.
+/// `watch` prints through the same function, so its final snapshot diffs
+/// clean against `analyze`.
 fn print_curve(
     report: &AnalysisReport,
     label: &str,
@@ -694,11 +697,30 @@ fn print_curve(
     ci: Option<&PreferenceCi>,
 ) -> Result<(), String> {
     let grid = autosens_core::report::default_grid();
+    // `(latency, preference, lo, hi)` where the band covers the curve.
+    let band = ci.map(|ci| -> Vec<(f64, f64, f64, f64)> {
+        grid.iter()
+            .filter_map(|&l| {
+                let v = report.preference.at(l)?;
+                let (lo, hi) = ci.band_at(l)?;
+                Some((l, v, lo, hi))
+            })
+            .collect()
+    });
     if json {
         let summary = PreferenceSummary::from_report(label, report, &grid);
+        let mut value = serde::Serialize::to_value(&summary);
+        if let (Some(ci), Some(band), serde::Value::Object(members)) = (ci, &band, &mut value) {
+            let member = CiMember {
+                level: ci.level,
+                replicates: ci.replicates,
+                band: band.iter().map(|&(l, _, lo, hi)| (l, lo, hi)).collect(),
+            };
+            members.push(("ci".into(), serde::Serialize::to_value(&member)));
+        }
         println!(
             "{}",
-            serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
+            serde_json::to_string_pretty(&value).map_err(|e| e.to_string())?
         );
         return Ok(());
     }
@@ -707,15 +729,11 @@ fn print_curve(
         "slice: {label} — {} actions, span {lo:.0}..{hi:.0} ms, reference {reference_ms} ms\n",
         report.n_actions
     );
-    let (headers, rows): (&[&str], Vec<Vec<String>>) = match ci {
-        Some(ci) => (
+    let (headers, rows): (&[&str], Vec<Vec<String>>) = match band {
+        Some(band) => (
             &["latency (ms)", "preference", "ci lo (95%)", "ci hi (95%)"],
-            grid.iter()
-                .filter_map(|&l| {
-                    let v = report.preference.at(l)?;
-                    let (lo, hi) = ci.band_at(l)?;
-                    Some(vec![format!("{l:.0}"), f3(v), f3(lo), f3(hi)])
-                })
+            band.iter()
+                .map(|&(l, v, lo, hi)| vec![format!("{l:.0}"), f3(v), f3(lo), f3(hi)])
                 .collect(),
         ),
         None => (
@@ -732,6 +750,16 @@ fn print_curve(
     };
     println!("{}", text_table(headers, &rows));
     Ok(())
+}
+
+/// The `"ci"` member `analyze --ci N --json` appends to the summary: the
+/// bootstrap band's confidence level, its replicate count, and
+/// `[latency_ms, lo, hi]` rows on the grid points the text table prints.
+#[derive(serde::Serialize)]
+struct CiMember {
+    level: f64,
+    replicates: usize,
+    band: Vec<(f64, f64, f64)>,
 }
 
 impl AnalysisArgs {

@@ -347,3 +347,141 @@ fn serve_refuses_to_replace_a_regular_file_with_its_socket() {
     assert!(!status.success());
     assert_eq!(contents.expect("file still there"), "keep me\n");
 }
+
+#[test]
+fn analyze_json_with_ci_appends_the_band_as_its_last_member() {
+    let path = tmp_path("ci-json.csv");
+    generate_csv(&path);
+    let analyze = |extra: &[&str]| {
+        let mut cmd = bin();
+        cmd.args(["analyze", "--in", path.to_str().unwrap()])
+            .args(["--action", "SelectMail", "--class", "Business", "--json"])
+            .args(extra);
+        String::from_utf8(run_ok(&mut cmd).stdout).expect("utf8 JSON")
+    };
+    let plain = analyze(&[]);
+    let with_ci = analyze(&["--ci", "20"]);
+    let _ = std::fs::remove_file(&path);
+
+    let parsed: serde_json::Value = serde_json::from_str(&with_ci).expect("valid JSON");
+    let ci = &parsed["ci"];
+    assert_eq!(ci["level"], 0.95);
+    let replicates = ci["replicates"].as_u64().expect("replicate count");
+    assert!((1..=20).contains(&replicates), "{replicates}");
+    let band = ci["band"].as_array().expect("band rows");
+    assert!(!band.is_empty(), "{with_ci}");
+    for row in band {
+        let row: Vec<f64> = row
+            .as_array()
+            .expect("a [latency_ms, lo, hi] row")
+            .iter()
+            .map(|v| v.as_f64().expect("number"))
+            .collect();
+        assert_eq!(row.len(), 3);
+        assert!(row[1] <= row[2], "lo above hi: {row:?}");
+    }
+    // The member is the object's last: cutting it leaves the plain bytes.
+    let at = with_ci
+        .rfind(",\n  \"ci\": {")
+        .expect("a top-level ci member");
+    assert!(with_ci.ends_with("\n  }\n}\n"), "{with_ci}");
+    assert_eq!(format!("{}\n}}\n", &with_ci[..at]), plain);
+}
+
+/// Kills the child process when dropped, so a failing assertion never
+/// leaves a gateway running.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn serve_outlives_running_out_of_file_descriptors() {
+    use std::time::{Duration, Instant};
+    let dir = tmp_path("fd-limit");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let log = dir.join("smoke.csv");
+    generate_csv(&log);
+    let log = log.to_str().unwrap();
+    let ready = dir.join("ready.txt");
+    // The limit is set in the shell that execs the gateway, so it binds
+    // only that process.
+    let mut gateway = KillOnDrop(
+        Command::new("sh")
+            .args(["-c", "ulimit -n 40 && exec \"$0\" \"$@\""])
+            .arg(env!("CARGO_BIN_EXE_autosens"))
+            .args(["serve", "--listen", "127.0.0.1:0", "--http", "127.0.0.1:0"])
+            .args(["--loss-correct=off", "--quiet", "--ready-file"])
+            .arg(&ready)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("gateway starts"),
+    );
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let text = loop {
+        match std::fs::read_to_string(&ready) {
+            Ok(text) if text.lines().count() == 2 => break text,
+            _ if Instant::now() > deadline => panic!("gateway never became ready"),
+            _ => std::thread::sleep(Duration::from_millis(50)),
+        }
+    };
+    let addr = |tag: &str| {
+        text.lines()
+            .find_map(|l| l.strip_prefix(tag))
+            .expect("ready line")
+            .trim()
+            .to_string()
+    };
+    let (ingest, http) = (addr("INGEST"), addr("HTTP"));
+
+    // Sixty idle connections: more than 40 descriptors can accept. (A
+    // gateway that exits on the failed accept refuses the later ones.)
+    let idle: Vec<std::net::TcpStream> = (0..60)
+        .filter_map(|_| std::net::TcpStream::connect(&ingest).ok())
+        .collect();
+    std::thread::sleep(Duration::from_millis(500));
+    drop(idle);
+    std::thread::sleep(Duration::from_millis(300));
+    let exited = gateway.0.try_wait().expect("wait");
+    assert!(exited.is_none(), "the gateway exited: {exited:?}");
+
+    let query = |path: &str| {
+        bin()
+            .args(["query", "--addr", &http, "--path", path])
+            .output()
+    };
+    let health = query("/healthz").expect("query runs");
+    assert!(health.status.success(), "/healthz: {health:?}");
+    // The limit was really hit: the failed accepts were counted.
+    let metrics = String::from_utf8(query("/metrics").expect("query runs").stdout).unwrap();
+    let errors: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("autosens_serve_accept_errors_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("an accept error counter");
+    assert!(errors > 0, "{metrics}");
+    run_ok(
+        bin()
+            .args(["agent", "--to", &ingest, "--in", log, "--quiet"])
+            .args(["--service", "mail", "--region", "eu"]),
+    );
+    let served = query("/tenant/mail/eu/curve").expect("query runs");
+    let batch = run_ok(
+        bin()
+            .args(["analyze", "--in", log, "--json"])
+            .args(["--loss-correct=off", "--quiet"]),
+    );
+    drop(gateway);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(served.status.success(), "/curve: {served:?}");
+    assert!(
+        served.stdout == batch.stdout,
+        "served curve differs from batch"
+    );
+}

@@ -14,7 +14,7 @@
 //!   a recovery), four labeled boundaries total. Every boundary must be
 //!   reported by the pooled level detector, in the right direction,
 //!   within the documented lateness bound of [`BOUND_BUCKETS`] detector
-//!   buckets (2 h at the default 15-minute bucket) — see DESIGN.md §6g.
+//!   buckets (2 h at the detector's 15-minute bucket) — see DESIGN.md §6g.
 //!
 //! `results/regime_detection.csv` carries one row per planted boundary
 //! with its detection latency; ci.sh runs this artifact at bench scale
@@ -23,6 +23,7 @@
 use autosens_core::report::text_table;
 use autosens_sim::config::{Scenario, SimConfig};
 use autosens_sim::{generate, RegimeWindow};
+use autosens_stream::detector::BUCKET_MS;
 use autosens_stream::{DetectorConfig, RegimeShift, StreamConfig, StreamEngine};
 use autosens_telemetry::query::Slice;
 
@@ -30,8 +31,8 @@ use super::{Artifact, ShapeCheck};
 
 const DAY_MS: i64 = 86_400_000;
 
-/// The documented detection-latency bound, in detector buckets. With the
-/// default 15-minute bucket this is 2 hours of event time.
+/// The documented detection-latency bound, in detector buckets. At the
+/// detector's 15-minute bucket this is 2 hours of event time.
 pub const BOUND_BUCKETS: i64 = 8;
 
 /// Planted log-space shift: e^1.1 ≈ 3× latency while the regime holds —
@@ -41,9 +42,9 @@ const SHIFT_LOG: f64 = 1.1;
 
 /// The planted schedule: two regimes, all four boundaries aligned to the
 /// detector's bucket lattice and placed in *busy* hours (sparse night
-/// buckets fail `min_bucket_n` and would stall detection), with ≥ 2 clean
+/// buckets fail `MIN_BUCKET_N` and would stall detection), with ≥ 2 clean
 /// warm-up days before the first boundary (the seasonal reference needs
-/// `min_ref_days` days of history).
+/// `MIN_REF_DAYS` days of history).
 fn planted_windows() -> Vec<RegimeWindow> {
     let hour = DAY_MS / 24;
     vec![
@@ -84,7 +85,6 @@ fn sim_config(windows: Vec<RegimeWindow>) -> SimConfig {
 fn detector_config() -> DetectorConfig {
     DetectorConfig {
         threshold_scale: 2.5,
-        ..DetectorConfig::default()
     }
 }
 
@@ -115,8 +115,7 @@ fn fail(reason: String) -> Artifact {
 /// Score the detector against planted boundaries (regenerates two
 /// smoke-scale datasets: one planted, one clean).
 pub fn generate_regime() -> Artifact {
-    let cfg = detector_config();
-    let bound_ms = BOUND_BUCKETS * cfg.bucket_ms;
+    let bound_ms = BOUND_BUCKETS * BUCKET_MS;
 
     let clean = match detect(Vec::new()) {
         Ok(s) => s,

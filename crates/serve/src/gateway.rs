@@ -3,17 +3,25 @@
 //!
 //! One [`Gateway`] wraps a shared [`Registry`]. Each accepted connection
 //! gets its own OS thread speaking the frame protocol (see
-//! [`crate::frame`]); tenants are lock-striped in the registry, so
+//! [`crate::frame`]); each tenant has its own lock in the registry, so
 //! connections feeding different tenants ingest concurrently. A COMMIT
 //! frame is acknowledged only after [`Registry::checkpoint_all`] has
 //! renamed the new generation into place, which is the durability
 //! contract agents rely on.
+//!
+//! Every listener — TCP and unix-socket ingest, and the HTTP query plane
+//! — runs the one accept loop, `Gateway::accept_loop`. A failed `accept`
+//! (the process out of file descriptors, a peer that reset before it was
+//! accepted) never ends it: the error is counted in
+//! `autosens_serve_accept_errors_total`, the loop sleeps 10 ms
+//! (`ACCEPT_RETRY`), and accepting goes on.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use autosens_obs::Recorder;
 use autosens_stream::StreamConfig;
@@ -21,6 +29,11 @@ use autosens_stream::StreamConfig;
 use crate::error::ServeError;
 use crate::frame::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
 use crate::registry::Registry;
+
+/// How long an accept loop sleeps after a failed `accept` before it
+/// tries again (long enough not to spin while file descriptors are
+/// exhausted, short enough that a freed one is used at once).
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Gateway construction parameters.
 #[derive(Debug, Clone)]
@@ -128,21 +141,47 @@ impl Gateway {
         }
     }
 
-    /// Accept agent connections until [`Gateway::request_stop`]. Each
-    /// connection runs on its own thread; the accept loop itself blocks,
-    /// so a stopper should dial the address once after requesting stop
-    /// to unblock it.
-    pub fn serve_tcp(&self, listener: TcpListener) -> Result<(), ServeError> {
+    /// Accept connections from `accept` until [`Gateway::request_stop`],
+    /// serving each with `serve` on its own thread (a connection's error
+    /// ends that connection only). The accept call blocks, so a stopper
+    /// should dial the address once after requesting stop to unblock it.
+    /// An `accept` error is counted in
+    /// `autosens_serve_accept_errors_total` and retried after
+    /// [`ACCEPT_RETRY`]: no error ends the loop.
+    pub(crate) fn accept_loop<C: Send + 'static>(
+        &self,
+        mut accept: impl FnMut() -> std::io::Result<C>,
+        serve: fn(&Gateway, C) -> Result<(), ServeError>,
+    ) {
+        let errors = self
+            .inner
+            .recorder
+            .metrics()
+            .counter("autosens_serve_accept_errors_total");
         loop {
-            let (stream, _) = listener.accept()?;
+            let accepted = accept();
             if self.stopping() {
-                return Ok(());
+                return;
             }
-            let gw = self.clone();
-            std::thread::spawn(move || {
-                let _ = gw.handle_tcp(stream);
-            });
+            match accepted {
+                Ok(conn) => {
+                    let gw = self.clone();
+                    std::thread::spawn(move || {
+                        let _ = serve(&gw, conn);
+                    });
+                }
+                Err(_) => {
+                    errors.inc();
+                    std::thread::sleep(ACCEPT_RETRY);
+                }
+            }
         }
+    }
+
+    /// Accept agent connections over TCP until [`Gateway::request_stop`],
+    /// through the gateway's one accept loop (see the module docs).
+    pub fn serve_tcp(&self, listener: TcpListener) {
+        self.accept_loop(|| listener.accept().map(|(s, _)| s), Gateway::handle_tcp);
     }
 
     /// Serve one TCP connection (nodelay so small ACK frames are not
@@ -154,23 +193,14 @@ impl Gateway {
         self.handle_connection(reader, writer)
     }
 
-    /// Accept connections on a unix socket until stop is requested.
+    /// Accept agent connections on a unix socket until stop is requested,
+    /// through the gateway's one accept loop (see the module docs).
     #[cfg(unix)]
-    pub fn serve_unix(&self, listener: std::os::unix::net::UnixListener) -> Result<(), ServeError> {
-        loop {
-            let (stream, _) = listener.accept()?;
-            if self.stopping() {
-                return Ok(());
-            }
-            let gw = self.clone();
-            std::thread::spawn(move || {
-                let reader = match stream.try_clone() {
-                    Ok(s) => BufReader::new(s),
-                    Err(_) => return,
-                };
-                let _ = gw.handle_connection(reader, BufWriter::new(stream));
-            });
-        }
+    pub fn serve_unix(&self, listener: std::os::unix::net::UnixListener) {
+        self.accept_loop(
+            || listener.accept().map(|(s, _)| s),
+            |gw, s| gw.handle_connection(BufReader::new(s.try_clone()?), BufWriter::new(s)),
+        );
     }
 
     /// The framed request/response loop for one agent connection. Every
@@ -362,5 +392,48 @@ mod tests {
         let gw = Gateway::new(GatewayConfig::default(), Recorder::disabled()).unwrap();
         let replies = roundtrip(&gw, &[Frame::Ack { records: 1 }]);
         assert!(matches!(replies.as_slice(), [Frame::Error { .. }]));
+    }
+
+    #[test]
+    fn accept_errors_are_counted_and_the_loop_goes_on() {
+        let gw = Gateway::new(GatewayConfig::default(), Recorder::new()).unwrap();
+        let (served, seen) = std::sync::mpsc::channel::<u32>();
+        let stopper = gw.clone();
+        let mut calls = 0;
+        // Two failed accepts, then connection 3, then a stop: the loop
+        // must outlive the failures and serve the connection.
+        gw.accept_loop(
+            move || {
+                calls += 1;
+                match calls {
+                    1 | 2 => Err(std::io::Error::other("injected accept failure")),
+                    3 => Ok((calls, served.clone())),
+                    _ => {
+                        stopper.request_stop();
+                        Ok((calls, served.clone()))
+                    }
+                }
+            },
+            |_, (id, served)| {
+                served.send(id).unwrap();
+                Ok(())
+            },
+        );
+        let first = seen.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(
+            first,
+            Ok(3),
+            "the connection after two failures was not served"
+        );
+        assert!(
+            seen.recv().is_err(),
+            "a connection was served after the stop"
+        );
+        let errors = gw
+            .recorder()
+            .metrics()
+            .snapshot()
+            .counter("autosens_serve_accept_errors_total");
+        assert_eq!(errors, Some(2));
     }
 }

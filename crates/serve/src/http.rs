@@ -1,9 +1,9 @@
 //! The hand-rolled HTTP/1.1 query plane.
 //!
-//! Dependency-free, like the rest of the workspace: a blocking accept
-//! loop, one thread per connection, `Connection: close` on every
-//! response. Only `GET` is spoken — the plane is a read-only window onto
-//! the gateway's registry.
+//! Dependency-free, like the rest of the workspace: the gateway's one
+//! blocking accept loop (see [`crate::gateway`]), one thread per
+//! connection, `Connection: close` on every response. Only `GET` is
+//! spoken — the plane is a read-only window onto the gateway's registry.
 //!
 //! # Endpoints
 //!
@@ -114,19 +114,12 @@ struct FleetSummary {
     fleet: Vec<FleetTenant>,
 }
 
-/// Serve the query plane until [`Gateway::request_stop`]; same unblock
-/// contract as the ingest accept loop (dial once after stopping).
-pub fn serve_http(gateway: &Gateway, listener: TcpListener) -> Result<(), ServeError> {
-    loop {
-        let (stream, _) = listener.accept()?;
-        if gateway.stopping() {
-            return Ok(());
-        }
-        let gw = gateway.clone();
-        std::thread::spawn(move || {
-            let _ = handle_http(&gw, stream);
-        });
-    }
+/// Serve the query plane until [`Gateway::request_stop`] through the
+/// gateway's one accept loop (see [`crate::gateway`]): same unblock
+/// contract (dial once after stopping) and same rule for accept errors
+/// (counted, never fatal).
+pub fn serve_http(gateway: &Gateway, listener: TcpListener) {
+    gateway.accept_loop(|| listener.accept().map(|(s, _)| s), handle_http);
 }
 
 /// Serve one HTTP connection: parse the request line, drain headers,
@@ -281,15 +274,12 @@ fn tenants(gateway: &Gateway) -> Response {
 fn fleet(gateway: &Gateway) -> Response {
     let registry = gateway.registry();
     let mut fleet = Vec::new();
-    for key in registry.keys() {
-        let Some(tenant) = registry.get(&key) else {
-            continue;
-        };
+    for (key, tenant) in registry.tenants() {
         let t = tenant.lock();
         let status = t.engine.status();
         fleet.push(FleetTenant {
-            service: key.service.clone(),
-            region: key.region.clone(),
+            service: key.service,
+            region: key.region,
             events: status.events,
             live_records: status.live_records,
             filtered: status.filtered,

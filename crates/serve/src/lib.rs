@@ -12,10 +12,11 @@
 //!   batch to a per-tenant (`service × region`) [`StreamEngine`], so
 //!   each tenant gets the exact backpressure, watermark, dedup, and
 //!   loss-counting machinery the single-tenant `watch` path uses.
-//! * **[`registry`]** — the sharded tenant map plus atomic fleet
-//!   checkpointing: every tenant's engine checkpoint lands in one
-//!   versioned generation directory, manifest-switched so a crash
-//!   leaves either the old fleet or the new fleet, never a mix.
+//! * **[`registry`]** — the tenant map (one map lock, one lock per
+//!   tenant) plus atomic fleet checkpointing: every tenant's engine
+//!   checkpoint lands in one versioned generation directory,
+//!   manifest-switched so a crash leaves either the old fleet or the new
+//!   fleet, never a mix.
 //! * **[`http`]** — a hand-rolled HTTP/1.1 query plane serving the
 //!   current normalized preference curve, status document, regime-shift
 //!   history, fleet summary, and Prometheus metrics as JSON/text.
@@ -73,15 +74,11 @@ mod tests {
         let http_addr = http.local_addr().unwrap().to_string();
         {
             let gw = gw.clone();
-            std::thread::spawn(move || {
-                let _ = gw.serve_tcp(ingest);
-            });
+            std::thread::spawn(move || gw.serve_tcp(ingest));
         }
         {
             let gw = gw.clone();
-            std::thread::spawn(move || {
-                let _ = serve_http(&gw, http);
-            });
+            std::thread::spawn(move || serve_http(&gw, http));
         }
         (gw, ingest_addr, http_addr)
     }
@@ -296,6 +293,18 @@ mod tests {
             .find(|c| c.name == "autosens_serve_records_total")
             .map(|c| c.value);
         assert_eq!(counted, Some(12 * n));
+        // The tenant gauge is set under the map lock on every insert, so
+        // twelve concurrent creations leave it at the map's length.
+        let gauge = metrics.gauge("autosens_serve_tenants");
+        assert_eq!(gauge, Some(registry.len() as f64));
+        assert_eq!(registry.len(), 12);
+        let (status, body) = http_get(&http_addr, "/tenants").unwrap();
+        assert_eq!(status, 200);
+        let listed: Vec<TenantKey> =
+            serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(listed, sorted);
         stop_gateway(&gw, &ingest_addr, &http_addr);
     }
 }

@@ -1,12 +1,22 @@
-//! Sharded per-tenant engine registry with atomic fleet checkpointing.
+//! The per-tenant engine registry with atomic fleet checkpointing.
 //!
 //! The gateway owns one [`Registry`]. Each tenant (`service × region`,
 //! see [`TenantKey`]) maps to its own [`StreamEngine`] + [`Ingestor`]
 //! pair, so backpressure, watermarking, dedup, and loss counting all
 //! happen per tenant with the exact machinery the single-tenant `watch`
-//! path uses. Tenants live in a fixed number of hash shards so
-//! concurrent agent connections touching different tenants rarely
-//! contend on a lock.
+//! path uses.
+//!
+//! # Locking
+//!
+//! Tenants live in one `HashMap` under one map lock, and each tenant
+//! behind a lock of its own. The map lock is held only to look a tenant
+//! up, to create one, or to copy out a sorted list of `(key, tenant)`
+//! pairs, and it is always released before a tenant is locked: no path
+//! takes the map lock while it holds a tenant lock. Work on a tenant —
+//! draining its queue into its engine and then snapshotting or
+//! checkpointing it — happens under that tenant's lock alone, in one
+//! place ([`Registry::with_tenant`]'s lock-and-drain), so connections
+//! feeding different tenants ingest concurrently.
 //!
 //! # Checkpoint directory layout
 //!
@@ -20,15 +30,15 @@
 //! Checkpoint passes are serialized on a dedicated lock. A pass fills
 //! `gen-<N+1>.tmp/` — a tenant unchanged since it wrote its file into the
 //! live `gen-<N>/` gets a hard link to that file, every other tenant is
-//! serialized and fsynced — fsyncs the directory once, renames it to
-//! `gen-<N+1>/`, then fsyncs and tmp+renames the manifest to point at it,
-//! and only then deletes the previous generation (a linked file lives on
-//! through its new name). A crash at any point leaves either the old
-//! generation (manifest untouched) or the new one (manifest renamed)
-//! fully intact — never a mix. Directory-entry fsyncs are best-effort, so
-//! on filesystems that refuse them durability of the *rename itself* is
-//! process-kill-safe rather than power-loss-safe; file contents are
-//! always fsynced.
+//! serialized and written with [`write_synced`] — fsyncs the directory
+//! once, renames it to `gen-<N+1>/`, then writes the manifest pointing at
+//! it with [`write_durable`], and only then deletes the previous
+//! generation (a linked file lives on through its new name). A crash at
+//! any point leaves either the old generation (manifest untouched) or the
+//! new one (manifest renamed) fully intact — never a mix. Directory-entry
+//! fsyncs are best-effort, so on filesystems that refuse them durability
+//! of the *rename itself* is process-kill-safe rather than
+//! power-loss-safe; file contents are always fsynced.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -40,9 +50,10 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use autosens_core::pipeline::AnalysisReport;
-use autosens_obs::Recorder;
+use autosens_obs::{Gauge, Recorder};
 use autosens_stats::binning::OutOfRange;
 use autosens_stats::Binner;
+use autosens_stream::checkpoint::{fsync_dir, write_durable, write_synced};
 use autosens_stream::{
     Checkpoint, Ingestor, Offer, OverflowPolicy, StatusDocument, StreamConfig, StreamEngine,
 };
@@ -52,10 +63,6 @@ use autosens_telemetry::record::ActionRecord;
 use crate::error::ServeError;
 use crate::tenant::TenantKey;
 
-/// Fixed registry shard count (lock striping, not data partitioning —
-/// tenant state never moves between shards).
-pub const REGISTRY_SHARDS: usize = 16;
-
 /// Manifest schema version.
 pub const MANIFEST_VERSION: u32 = 1;
 
@@ -63,8 +70,6 @@ pub const MANIFEST_VERSION: u32 = 1;
 /// of its rows and of its latest report; the checkpoint it last wrote
 /// stays on disk, remembered here by event count and generation.
 pub struct Tenant {
-    /// The tenant's key (also recorded in the manifest).
-    pub key: TenantKey,
     /// The per-tenant streaming engine.
     pub engine: StreamEngine,
     /// The per-tenant bounded intake queue (Block policy: the gateway
@@ -85,6 +90,9 @@ impl Tenant {
         Ok(())
     }
 }
+
+/// A tenant as the registry shares it.
+type Shared = Arc<Mutex<Tenant>>;
 
 /// Wall-clock and reuse accounting for the most recent fleet-wide
 /// snapshot pass ([`Registry::snapshot_all`]).
@@ -124,9 +132,11 @@ pub struct ManifestEntry {
     pub file: String,
 }
 
-/// The sharded tenant registry. See the module docs.
+/// The tenant registry. See the module docs.
 pub struct Registry {
-    shards: Vec<Mutex<HashMap<TenantKey, Arc<Mutex<Tenant>>>>>,
+    tenants: Mutex<HashMap<TenantKey, Shared>>,
+    /// `autosens_serve_tenants`, set under the map lock on every insert.
+    tenant_gauge: Gauge,
     config: StreamConfig,
     ingest_capacity: usize,
     recorder: Recorder,
@@ -143,9 +153,8 @@ impl Registry {
     /// An empty registry creating tenants on demand under `config`.
     pub fn new(config: StreamConfig, ingest_capacity: usize, recorder: Recorder) -> Registry {
         Registry {
-            shards: (0..REGISTRY_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            tenants: Mutex::new(HashMap::new()),
+            tenant_gauge: recorder.metrics().gauge("autosens_serve_tenants"),
             config,
             ingest_capacity: ingest_capacity.max(1),
             recorder,
@@ -173,7 +182,7 @@ impl Registry {
 
     /// Tenants currently registered.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.tenants.lock().len()
     }
 
     /// Whether no tenant exists yet.
@@ -181,54 +190,67 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Every tenant key, sorted (deterministic iteration order for
-    /// checkpoints, fleet summaries, and snapshot fan-out).
-    pub fn keys(&self) -> Vec<TenantKey> {
-        let mut keys: Vec<TenantKey> = self
-            .shards
+    /// Every tenant with its key, sorted by key: one copy of the map,
+    /// taken under the map lock and released before the caller locks any
+    /// tenant. The deterministic order of checkpoints, fleet summaries,
+    /// and snapshot fan-out.
+    pub(crate) fn tenants(&self) -> Vec<(TenantKey, Shared)> {
+        let mut pairs: Vec<(TenantKey, Shared)> = self
+            .tenants
+            .lock()
             .iter()
-            .flat_map(|s| s.lock().keys().cloned().collect::<Vec<_>>())
+            .map(|(k, t)| (k.clone(), Arc::clone(t)))
             .collect();
-        keys.sort();
-        keys
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        pairs
+    }
+
+    /// Every tenant key, sorted.
+    pub fn keys(&self) -> Vec<TenantKey> {
+        self.tenants().into_iter().map(|(k, _)| k).collect()
     }
 
     /// Look up a tenant without creating it.
-    pub fn get(&self, key: &TenantKey) -> Option<Arc<Mutex<Tenant>>> {
-        self.shards[key.shard(REGISTRY_SHARDS)]
-            .lock()
-            .get(key)
-            .cloned()
+    pub fn get(&self, key: &TenantKey) -> Option<Shared> {
+        self.tenants.lock().get(key).cloned()
     }
 
     /// Look up or create the tenant for `key`. Every tenant analyzes the
     /// unrestricted slice (label `all`), matching what batch
     /// `analyze` computes per input file.
-    pub fn get_or_create(&self, key: &TenantKey) -> Result<Arc<Mutex<Tenant>>, ServeError> {
+    pub fn get_or_create(&self, key: &TenantKey) -> Result<Shared, ServeError> {
         key.validate()?;
-        let mut shard = self.shards[key.shard(REGISTRY_SHARDS)].lock();
-        if let Some(t) = shard.get(key) {
-            return Ok(t.clone());
+        let mut tenants = self.tenants.lock();
+        if let Some(t) = tenants.get(key) {
+            return Ok(Arc::clone(t));
         }
         let engine =
             StreamEngine::with_recorder(self.config.clone(), Slice::all(), self.recorder.clone())?;
+        Ok(self.insert(&mut tenants, key.clone(), engine, None))
+    }
+
+    /// Build a tenant around `engine` and insert it under `key`, with the
+    /// map lock held by the caller: the one place a tenant is made, for
+    /// [`Registry::get_or_create`] and [`Registry::restore`] alike.
+    fn insert(
+        &self,
+        tenants: &mut HashMap<TenantKey, Shared>,
+        key: TenantKey,
+        engine: StreamEngine,
+        ckpt_file: Option<(u64, u64)>,
+    ) -> Shared {
         let tenant = Arc::new(Mutex::new(Tenant {
-            key: key.clone(),
             engine,
             ingestor: Ingestor::new(
                 self.ingest_capacity,
                 OverflowPolicy::Block,
                 self.recorder.clone(),
             ),
-            ckpt_file: None,
+            ckpt_file,
         }));
-        shard.insert(key.clone(), tenant.clone());
-        drop(shard);
-        self.recorder
-            .metrics()
-            .gauge("autosens_serve_tenants")
-            .set(self.len() as f64);
-        Ok(tenant)
+        tenants.insert(key, Arc::clone(&tenant));
+        self.tenant_gauge.set(tenants.len() as f64);
+        tenant
     }
 
     /// Route one batch to its tenant through the bounded queue. A full
@@ -255,37 +277,40 @@ impl Registry {
     /// Drain the tenant's queue and run a full deterministic snapshot.
     /// The report is shared with the engine's snapshot cache.
     pub fn snapshot(&self, key: &TenantKey) -> Result<Arc<AnalysisReport>, ServeError> {
-        self.snapshot_with(key, |_, report| report)
+        self.snapshot_with(key, &self.known(key)?, |_, report| report)
     }
 
     /// Drain, snapshot, and assemble the tenant's [`StatusDocument`]
     /// under one tenant lock, so the report, queue depth, and engine
     /// counters in the document describe a single consistent instant.
     pub fn status_document(&self, key: &TenantKey) -> Result<StatusDocument, ServeError> {
-        self.snapshot_with(key, |t, report| {
+        self.snapshot_with(key, &self.known(key)?, |t, report| {
             StatusDocument::collect(&t.engine, &report, t.ingestor.queue_depth() as u64)
         })
     }
 
-    /// Drain and snapshot the tenant, then hand it and the report to `f`,
+    /// An existing tenant, or the `unknown tenant` error.
+    fn known(&self, key: &TenantKey) -> Result<Shared, ServeError> {
+        self.get(key)
+            .ok_or_else(|| ServeError::BadTenant(format!("unknown tenant {}", key.label())))
+    }
+
+    /// Drain and snapshot `tenant`, then hand it and the report to `f`,
     /// all under one tenant lock. One `serve_snapshot` span and one
     /// `autosens_serve_snapshot_ms` sample per call.
     fn snapshot_with<R>(
         &self,
         key: &TenantKey,
+        tenant: &Shared,
         f: impl FnOnce(&Tenant, Arc<AnalysisReport>) -> R,
     ) -> Result<R, ServeError> {
-        let tenant = self
-            .get(key)
-            .ok_or_else(|| ServeError::BadTenant(format!("unknown tenant {}", key.label())))?;
         let started = Instant::now();
         let mut span = self.recorder.root("serve_snapshot");
         span.field("tenant", key.label());
-        let mut t = tenant.lock();
-        t.drain()?;
-        let report = t.engine.snapshot()?;
-        let out = f(&t, report);
-        drop(t);
+        let out = drained(tenant, |t| {
+            let report = t.engine.snapshot()?;
+            Ok(f(t, report))
+        })?;
         span.finish();
         self.recorder
             .metrics()
@@ -301,52 +326,48 @@ impl Registry {
         key: &TenantKey,
         f: impl FnOnce(&mut Tenant) -> R,
     ) -> Result<R, ServeError> {
-        let tenant = self
-            .get(key)
-            .ok_or_else(|| ServeError::BadTenant(format!("unknown tenant {}", key.label())))?;
-        let mut t = tenant.lock();
-        t.drain()?;
-        Ok(f(&mut t))
+        drained(&self.known(key)?, |t| Ok(f(t)))
     }
 
-    /// Snapshot every tenant through the exec scheduler (chunked
-    /// fan-out; on a multi-core host shards snapshot concurrently).
-    /// Returns `(key, report)` pairs in sorted key order. Tenants with no
-    /// new events since their last snapshot are served from the engine's
-    /// snapshot cache; the split, read under the same tenant lock as the
-    /// snapshot, is recorded in [`Registry::last_fleet_snapshot`].
+    /// Snapshot every tenant through the exec scheduler, one tenant per
+    /// chunk, so on a multi-core host `threads` tenants snapshot
+    /// concurrently. Returns `(key, report)` pairs in sorted key order.
+    /// Tenants with no new events since their last snapshot are served
+    /// from the engine's snapshot cache; the split, read under the same
+    /// tenant lock as the snapshot, is recorded in
+    /// [`Registry::last_fleet_snapshot`].
     pub fn snapshot_all(
         &self,
         threads: usize,
     ) -> Result<Vec<(TenantKey, Arc<AnalysisReport>)>, ServeError> {
-        let keys = self.keys();
-        let n = keys.len();
+        let tenants = self.tenants();
+        let n = tenants.len();
         if n == 0 {
             return Ok(Vec::new());
         }
         let started = Instant::now();
-        let chunk = autosens_exec::scan_chunk_size_for(n);
         let (results, _) =
-            autosens_exec::run_chunks("serve_snapshot_all", n, chunk, threads, |_, range| {
-                range
-                    .map(|i| {
-                        self.snapshot_with(&keys[i], |t, report| {
-                            (keys[i].clone(), report, t.engine.last_snapshot_reused())
-                        })
-                    })
-                    .collect::<Vec<_>>()
+            autosens_exec::run_chunks("serve_snapshot_all", n, 1, threads, |i, _| {
+                let (key, tenant) = &tenants[i];
+                self.snapshot_with(key, tenant, |t, report| {
+                    (report, t.engine.last_snapshot_reused())
+                })
             })
             .map_err(|e| ServeError::Checkpoint(format!("snapshot fan-out failed: {e}")))?;
-        let flat: Vec<(TenantKey, Arc<AnalysisReport>, bool)> =
-            results.into_iter().flatten().collect::<Result<_, _>>()?;
-        let reused = flat.iter().filter(|(_, _, r)| *r).count();
+        let reports: Vec<(Arc<AnalysisReport>, bool)> =
+            results.into_iter().collect::<Result<_, _>>()?;
+        let reused = reports.iter().filter(|(_, r)| *r).count();
         *self.fleet_stats.lock() = Some(FleetSnapshotStats {
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
             tenants: n,
             reused,
             computed: n - reused,
         });
-        Ok(flat.into_iter().map(|(k, r, _)| (k, r)).collect())
+        Ok(tenants
+            .into_iter()
+            .zip(reports)
+            .map(|((key, _), (report, _))| (key, report))
+            .collect())
     }
 
     /// Checkpoint every tenant atomically into `dir` (see the module
@@ -371,33 +392,29 @@ impl Registry {
             std::fs::remove_dir_all(&tmp)?;
         }
         std::fs::create_dir_all(&tmp)?;
-        let keys = self.keys();
-        let mut entries = Vec::with_capacity(keys.len());
-        for key in &keys {
-            let tenant = match self.get(key) {
-                Some(t) => t,
-                None => continue,
-            };
+        let tenants = self.tenants();
+        let mut entries = Vec::with_capacity(tenants.len());
+        for (key, tenant) in &tenants {
             let file = format!("{}.ckpt.json", key.file_stem());
             let path = tmp.join(&file);
-            let mut t = tenant.lock();
-            t.drain()?;
-            // Serialization is the expensive half of a checkpoint pass;
-            // an unchanged tenant (the same dirty key the snapshot cache
-            // uses) links the file it already wrote into the live
-            // generation instead.
-            let events = t.engine.events();
-            let linked = t.ckpt_file == Some((events, live_gen))
-                && std::fs::hard_link(live_dir.join(&file), &path).is_ok();
             let fail =
                 |e: &dyn std::fmt::Display| ServeError::Checkpoint(format!("{}: {e}", key.label()));
-            let json = if linked {
-                None
-            } else {
-                Some(t.engine.checkpoint(0).to_json().map_err(|e| fail(&e))?)
-            };
-            t.ckpt_file = Some((events, next));
-            drop(t);
+            let json = drained(tenant, |t| {
+                // Serialization is the expensive half of a checkpoint
+                // pass; an unchanged tenant (the same dirty key the
+                // snapshot cache uses) links the file it already wrote
+                // into the live generation instead.
+                let events = t.engine.events();
+                let linked = t.ckpt_file == Some((events, live_gen))
+                    && std::fs::hard_link(live_dir.join(&file), &path).is_ok();
+                let json = if linked {
+                    None
+                } else {
+                    Some(t.engine.checkpoint(0).to_json().map_err(|e| fail(&e))?)
+                };
+                t.ckpt_file = Some((events, next));
+                Ok(json)
+            })?;
             if let Some(json) = json {
                 write_synced(&path, json.as_bytes()).map_err(|e| fail(&e))?;
             }
@@ -421,16 +438,13 @@ impl Registry {
         };
         let json = serde_json::to_string_pretty(&manifest)
             .map_err(|e| ServeError::Checkpoint(format!("manifest serialization failed: {e}")))?;
-        let manifest_tmp = dir.join("MANIFEST.json.tmp");
-        write_synced(&manifest_tmp, json.as_bytes())?;
-        std::fs::rename(&manifest_tmp, dir.join("MANIFEST.json"))?;
-        fsync_dir(dir);
+        write_durable(&manifest_path(dir), json.as_bytes())?;
         self.generation.store(next, Ordering::Release);
         if live_gen > 0 && live_dir.exists() {
             let _ = std::fs::remove_dir_all(&live_dir);
         }
         span.field("generation", format!("{next}"));
-        span.field("tenants", format!("{}", keys.len()));
+        span.field("tenants", format!("{}", tenants.len()));
         span.finish();
         self.recorder
             .metrics()
@@ -449,8 +463,7 @@ impl Registry {
         ingest_capacity: usize,
         recorder: Recorder,
     ) -> Result<Registry, ServeError> {
-        let manifest_path = dir.join("MANIFEST.json");
-        let text = std::fs::read_to_string(&manifest_path)?;
+        let text = std::fs::read_to_string(manifest_path(dir))?;
         let manifest: Manifest = serde_json::from_str(&text)
             .map_err(|e| ServeError::Checkpoint(format!("corrupt manifest: {e}")))?;
         if manifest.version != MANIFEST_VERSION {
@@ -461,6 +474,7 @@ impl Registry {
         }
         let registry = Registry::new(config, ingest_capacity, recorder.clone());
         let gen_dir = dir.join(format!("gen-{}", manifest.generation));
+        let mut tenants = registry.tenants.lock();
         for entry in &manifest.tenants {
             let key = TenantKey::new(entry.service.clone(), entry.region.clone())?;
             let ck = Checkpoint::load(&gen_dir.join(&entry.file))
@@ -469,57 +483,31 @@ impl Registry {
             // The file just loaded is this engine's checkpoint at its
             // restored event count, so the first pass can link it.
             let ckpt_file = Some((engine.events(), manifest.generation));
-            let tenant = Arc::new(Mutex::new(Tenant {
-                key: key.clone(),
-                engine,
-                ingestor: Ingestor::new(
-                    registry.ingest_capacity,
-                    OverflowPolicy::Block,
-                    recorder.clone(),
-                ),
-                ckpt_file,
-            }));
-            registry.shards[key.shard(REGISTRY_SHARDS)]
-                .lock()
-                .insert(key, tenant);
+            registry.insert(&mut tenants, key, engine, ckpt_file);
         }
+        drop(tenants);
         registry
             .generation
             .store(manifest.generation, Ordering::Release);
-        recorder
-            .metrics()
-            .gauge("autosens_serve_tenants")
-            .set(registry.len() as f64);
         Ok(registry)
     }
 
     /// Whether a restorable manifest exists under `dir`.
     pub fn can_restore(dir: &Path) -> bool {
-        dir.join("MANIFEST.json").is_file()
+        manifest_path(dir).is_file()
     }
 }
 
-/// Write `bytes` to a fresh file at `path` and fsync it. An existing
-/// name is unlinked first, so the write can never land in a file that is
-/// hard-linked into the live generation.
-fn write_synced(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    match std::fs::remove_file(path) {
-        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
-        _ => {}
-    }
-    let mut f = std::fs::File::create(path)?;
-    std::io::Write::write_all(&mut f, bytes)?;
-    f.sync_all()
-}
-
-/// Flush a directory's entry table so a just-completed rename survives
-/// power loss, not only process death. Best-effort: opening a directory
-/// for fsync is not portable, and on filesystems where it fails the
-/// rename is still process-kill-safe.
-fn fsync_dir(dir: &Path) {
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+/// Lock `tenant`, drain its intake queue into its engine, and run `f` on
+/// it under that same lock: the registry's one lock-and-drain, shared by
+/// snapshots, [`Registry::with_tenant`] and checkpoints.
+fn drained<R>(
+    tenant: &Shared,
+    f: impl FnOnce(&mut Tenant) -> Result<R, ServeError>,
+) -> Result<R, ServeError> {
+    let mut t = tenant.lock();
+    t.drain()?;
+    f(&mut t)
 }
 
 /// Latency binner for `autosens_serve_snapshot_ms` (clamped so a slow
@@ -878,5 +866,53 @@ mod tests {
             let other = serde_json::to_string(&report.preference.series().to_vec()).unwrap();
             assert_eq!(first, other);
         }
+    }
+
+    #[test]
+    fn checkpoint_with_the_eleven_field_detector_restores() {
+        // Before the detector's settings became constants, checkpoints
+        // carried all eleven of them. The parser looks members up by name:
+        // it reads `threshold_scale` and ignores the other ten.
+        let eleven = r#""bucket_ms": 900000, "min_bucket_n": 8, "min_ref_days": 2,
+            "max_ref_days": 7, "drift": 0.75, "threshold": 0.0, "threshold_scale": 1.5,
+            "calibration_reps": 64, "reanchor": 8, "min_scale": 0.02, "seed": 0"#;
+        let dir =
+            std::env::temp_dir().join(format!("autosens-serve-detector-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StreamConfig {
+            detector: Some(autosens_stream::DetectorConfig::default()),
+            ..small_config()
+        };
+        let mut cfg = autosens_sim::config::SimConfig::scenario(autosens_sim::Scenario::Smoke);
+        cfg.seed = 42;
+        let (log, _) = autosens_sim::generate(&cfg).unwrap();
+        let reg = Registry::new(config.clone(), 1024, Recorder::disabled());
+        let key = TenantKey::new("mail", "eu").unwrap();
+        reg.ingest(&key, &log.to_records()[..1200]).unwrap();
+        let curve = |reg: &Registry| {
+            let report = reg.snapshot(&key).unwrap();
+            serde_json::to_string_pretty(&autosens_core::report::PreferenceSummary::from_report(
+                "all",
+                &report,
+                &autosens_core::report::default_grid(),
+            ))
+            .unwrap()
+        };
+        let before = curve(&reg);
+        assert_eq!(reg.checkpoint_all(&dir).unwrap(), 1);
+
+        let file = dir
+            .join("gen-1")
+            .join(format!("{}.ckpt.json", key.file_stem()));
+        let text = std::fs::read_to_string(&file).unwrap();
+        let old = text.replacen(r#""threshold_scale": 1.5"#, eleven, 1);
+        assert_ne!(old, text, "the eleven fields were not planted");
+        std::fs::write(&file, old).unwrap();
+
+        let restored = Registry::restore(&dir, config.clone(), 1024, Recorder::disabled()).unwrap();
+        let detector = restored.with_tenant(&key, |t| t.engine.config().detector.clone());
+        assert_eq!(detector.unwrap(), config.detector);
+        assert_eq!(curve(&restored), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

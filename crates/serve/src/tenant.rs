@@ -62,23 +62,6 @@ impl TenantKey {
     pub fn file_stem(&self) -> String {
         format!("{}+{}", self.service, self.region)
     }
-
-    /// Which of `n` registry shards owns this key (FNV-1a over both
-    /// labels — stable across runs, so shard assignment is deterministic).
-    pub fn shard(&self, n: usize) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self
-            .service
-            .as_bytes()
-            .iter()
-            .chain([0u8].iter())
-            .chain(self.region.as_bytes())
-        {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % n.max(1) as u64) as usize
-    }
 }
 
 #[cfg(test)]
@@ -93,15 +76,6 @@ mod tests {
         assert!(TenantKey::new("a/b", "r").is_err());
         assert!(TenantKey::new("a b", "r").is_err());
         assert!(TenantKey::new("a".repeat(MAX_LABEL_LEN + 1), "r").is_err());
-    }
-
-    #[test]
-    fn shard_is_stable_and_in_range() {
-        let k = TenantKey::new("mail", "eu-west1").unwrap();
-        assert_eq!(k.shard(16), k.shard(16));
-        for n in 1..32 {
-            assert!(k.shard(n) < n);
-        }
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! for text files, a row count for binary `.asc` containers (which grow by
 //! atomic whole-file replacement, so only row indices are stable) — so a
 //! resumed `watch` continues reading exactly where the checkpoint was cut.
+//!
+//! Every checkpoint byte on disk — `watch --checkpoint` files and the
+//! gateway's fleet generations alike — is written by [`write_synced`]
+//! (unlink, write, fsync) and made visible by [`write_durable`] (a synced
+//! `.tmp` sibling renamed over the target, then [`fsync_dir`]).
 
 use std::path::Path;
 
@@ -126,24 +131,10 @@ impl Checkpoint {
         Ok(ck)
     }
 
-    /// Write the checkpoint atomically: to a `.tmp` sibling first,
-    /// fsynced, then rename over the target, so a crash mid-write never
-    /// leaves a truncated checkpoint under the real name. The parent
-    /// directory is fsynced best-effort after the rename so the new
-    /// entry also survives power loss where the platform supports it.
+    /// Write the checkpoint atomically with [`write_durable`], so a crash
+    /// mid-write never leaves a truncated checkpoint under the real name.
     pub fn save(&self, path: &Path) -> Result<(), StreamError> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, self.to_json()?.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(parent) = path.parent() {
-            if let Ok(d) = std::fs::File::open(parent) {
-                let _ = d.sync_all();
-            }
-        }
+        write_durable(path, self.to_json()?.as_bytes())?;
         Ok(())
     }
 
@@ -151,5 +142,43 @@ impl Checkpoint {
     pub fn load(path: &Path) -> Result<Checkpoint, StreamError> {
         let json = std::fs::read_to_string(path)?;
         Checkpoint::from_json(&json)
+    }
+}
+
+/// Write `bytes` to a fresh file at `path` and fsync it. An existing name
+/// is unlinked first, so the write never lands in a file that is
+/// hard-linked under another name (the gateway links unchanged tenants'
+/// files from its live checkpoint generation into the next one).
+pub fn write_synced(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
+    let mut f = std::fs::File::create(path)?;
+    std::io::Write::write_all(&mut f, bytes)?;
+    f.sync_all()
+}
+
+/// Replace the file at `path` atomically: [`write_synced`] to a `.tmp`
+/// sibling, rename it over `path`, then [`fsync_dir`] the parent, so a
+/// crash leaves the old file or the new one under the name, never a torn
+/// one.
+pub fn write_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    write_synced(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)?;
+    if let Some(parent) = path.parent() {
+        fsync_dir(parent);
+    }
+    Ok(())
+}
+
+/// Flush a directory's entry table so a just-completed rename survives
+/// power loss, not only process death. Best-effort: opening a directory
+/// for fsync is not portable, and on filesystems where it fails the
+/// rename is still process-kill-safe.
+pub fn fsync_dir(dir: &Path) {
+    if let Ok(d) = std::fs::File::open(dir) {
+        let _ = d.sync_all();
     }
 }

@@ -10,24 +10,26 @@
 //!
 //! ## Detector math (DESIGN.md §6g)
 //!
-//! * Bucket `b` of width `bucket_ms` collects the latencies of its
-//!   records; buckets with fewer than `min_bucket_n` samples are skipped.
+//! The detector has one setting, [`DetectorConfig::threshold_scale`];
+//! everything else is a constant of this module.
+//!
+//! * Bucket `b` of width [`BUCKET_MS`] (15 min) collects the latencies of
+//!   its records; buckets with fewer than 8 samples are skipped.
 //! * The seasonal reference of bucket `b` is the median of the same
-//!   time-of-day bucket on the previous `min_ref_days..=max_ref_days`
-//!   days, so the diurnal cycle cancels instead of alarming every rush
-//!   hour. Residual `r_b = stat_b - reference_b`.
+//!   time-of-day bucket on the previous 2..=7 days, so the diurnal cycle
+//!   cancels instead of alarming every rush hour. Residual
+//!   `r_b = stat_b - reference_b`.
 //! * Residuals are standardized by a single robust scale per stream and
-//!   signal: `s = 1.4826 · MAD(r)`. `z_b = (r_b - offset) / s`, where
-//!   `offset` re-anchors after each confirmed shift (median residual of
-//!   the trailing `reanchor` buckets), so a persistent level change alarms
-//!   once per boundary, not once per bucket.
+//!   signal: `s = max(1.4826 · MAD(r), 0.02)`. `z_b = (r_b - offset) / s`,
+//!   where `offset` re-anchors after each confirmed shift (median residual
+//!   of the trailing 8 buckets), so a persistent level change alarms once
+//!   per boundary, not once per bucket.
 //! * Two-sided CUSUM: `S⁺ ← max(0, S⁺ + z - k)`, `S⁻ ← max(0, S⁻ - z -
-//!   k)` with drift `k`; an alarm fires when either side exceeds the
-//!   threshold `h`.
-//! * `h` is deterministic and seedable: when `threshold` is 0, it is
-//!   calibrated by Monte Carlo — `calibration_reps` null runs of i.i.d.
-//!   standard normal z-series of the same length (Box–Muller over
-//!   `StdRng::seed_from_u64(seed ⊕ mix(rep))`), taking the largest null
+//!   k)` with drift `k = 0.75`; an alarm fires when either side exceeds
+//!   the threshold `h`.
+//! * `h` is deterministic: it is calibrated by Monte Carlo — 64 null runs
+//!   of i.i.d. standard normal z-series of the same length (Box–Muller
+//!   over `StdRng::seed_from_u64(mix(rep))`), taking the largest null
 //!   CUSUM excursion seen and scaling it by `threshold_scale` to absorb
 //!   the residual autocorrelation a real stream carries.
 //!
@@ -51,99 +53,55 @@ use crate::error::StreamError;
 
 const DAY_MS: i64 = 86_400_000;
 
-fn default_bucket_ms() -> i64 {
-    15 * 60_000
-}
-fn default_min_bucket_n() -> usize {
-    8
-}
-fn default_min_ref_days() -> usize {
-    2
-}
-fn default_max_ref_days() -> usize {
-    7
-}
-fn default_drift() -> f64 {
-    0.75
-}
+/// Event-time bucket width, ms (15 minutes). Divides a day, so the
+/// seasonal reference aligns buckets across days.
+pub const BUCKET_MS: i64 = 15 * 60_000;
+/// Minimum samples for a bucket to be scored.
+const MIN_BUCKET_N: usize = 8;
+/// Minimum prior same-time-of-day buckets required before a bucket is
+/// scored (warm-up: the first `MIN_REF_DAYS` days never alarm).
+const MIN_REF_DAYS: usize = 2;
+/// How many prior days the seasonal reference may look back.
+const MAX_REF_DAYS: usize = 7;
+/// CUSUM drift `k`, in robust-z units; shifts smaller than `k·σ` per
+/// bucket are ignored by design.
+const DRIFT: f64 = 0.75;
+/// Null Monte Carlo replicates calibrating the CUSUM threshold.
+const CALIBRATION_REPS: usize = 64;
+/// Post-alarm cooldown, in buckets: after an alarm the detector skips
+/// this many buckets, then re-anchors the level to their median — so one
+/// boundary alarms once instead of ringing while the statistics settle.
+const REANCHOR: usize = 8;
+/// Floor on the robust scale `s` (in the statistic's own units —
+/// log-latency for `level`): shifts smaller than this are noise by
+/// definition, and a near-constant stream cannot manufacture huge
+/// z-scores out of a microscopic MAD.
+const MIN_SCALE: f64 = 0.02;
+
 fn default_threshold_scale() -> f64 {
     1.5
 }
-fn default_calibration_reps() -> usize {
-    64
-}
-fn default_reanchor() -> usize {
-    8
-}
-fn default_min_scale() -> f64 {
-    0.02
-}
 
-/// Configuration of the regime-shift detector. Defaults are tuned so a
-/// clean simulated stream (diurnal cycle + AR(1) noise, no incidents)
-/// produces zero alarms while a planted congestion regime is caught within
-/// a few buckets — the `regime` experiment scores exactly that.
+/// Configuration of the regime-shift detector: the one setting callers
+/// vary. Everything else is a constant of this module. Defaults are tuned
+/// so a clean simulated stream (diurnal cycle + AR(1) noise, no
+/// incidents) produces zero alarms while a planted congestion regime is
+/// caught within a few buckets — the `regime` experiment scores exactly
+/// that, with its own `threshold_scale`.
+///
+/// Checkpoints written when the detector had eleven settings still
+/// parse: members other than `threshold_scale` are ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DetectorConfig {
-    /// Event-time bucket width, ms. Must divide a day (the seasonal
-    /// reference aligns buckets across days).
-    #[serde(default = "default_bucket_ms")]
-    pub bucket_ms: i64,
-    /// Minimum samples for a bucket to be scored.
-    #[serde(default = "default_min_bucket_n")]
-    pub min_bucket_n: usize,
-    /// Minimum prior same-time-of-day buckets required before a bucket is
-    /// scored (warm-up: the first `min_ref_days` days never alarm).
-    #[serde(default = "default_min_ref_days")]
-    pub min_ref_days: usize,
-    /// How many prior days the seasonal reference may look back.
-    #[serde(default = "default_max_ref_days")]
-    pub max_ref_days: usize,
-    /// CUSUM drift `k`, in robust-z units; shifts smaller than `k·σ` per
-    /// bucket are ignored by design.
-    #[serde(default = "default_drift")]
-    pub drift: f64,
-    /// CUSUM threshold `h`; 0 (the default) calibrates it from
-    /// `calibration_reps` seeded null runs.
-    #[serde(default)]
-    pub threshold: f64,
-    /// Safety multiplier applied to the calibrated threshold.
+    /// Safety multiplier applied to the calibrated CUSUM threshold.
     #[serde(default = "default_threshold_scale")]
     pub threshold_scale: f64,
-    /// Null Monte Carlo replicates for calibration.
-    #[serde(default = "default_calibration_reps")]
-    pub calibration_reps: usize,
-    /// Post-alarm cooldown, in buckets: after an alarm the detector skips
-    /// this many buckets, then re-anchors the level to their median — so
-    /// one boundary alarms once instead of ringing while the statistics
-    /// settle.
-    #[serde(default = "default_reanchor")]
-    pub reanchor: usize,
-    /// Floor on the robust scale `s` (in the statistic's own units —
-    /// log-latency for `level`): shifts smaller than this are noise by
-    /// definition, and a near-constant stream cannot manufacture huge
-    /// z-scores out of a microscopic MAD.
-    #[serde(default = "default_min_scale")]
-    pub min_scale: f64,
-    /// Seed for threshold calibration (independent of the analysis seed).
-    #[serde(default)]
-    pub seed: u64,
 }
 
 impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
-            bucket_ms: default_bucket_ms(),
-            min_bucket_n: default_min_bucket_n(),
-            min_ref_days: default_min_ref_days(),
-            max_ref_days: default_max_ref_days(),
-            drift: default_drift(),
-            threshold: 0.0,
             threshold_scale: default_threshold_scale(),
-            calibration_reps: default_calibration_reps(),
-            reanchor: default_reanchor(),
-            min_scale: default_min_scale(),
-            seed: 0,
         }
     }
 }
@@ -151,42 +109,11 @@ impl Default for DetectorConfig {
 impl DetectorConfig {
     /// Structural validation.
     pub fn validate(&self) -> Result<(), StreamError> {
-        if self.bucket_ms <= 0 || DAY_MS % self.bucket_ms != 0 {
-            return Err(StreamError::Corrupt(format!(
-                "detector bucket_ms must be > 0 and divide a day, got {}",
-                self.bucket_ms
-            )));
-        }
-        if self.min_ref_days == 0 || self.min_ref_days > self.max_ref_days {
-            return Err(StreamError::Corrupt(format!(
-                "detector needs 1 <= min_ref_days <= max_ref_days, got {}..{}",
-                self.min_ref_days, self.max_ref_days
-            )));
-        }
         // NaN-rejecting: a NaN fails every comparison, so it must be
         // checked explicitly rather than via a negated comparison.
-        if self.drift.is_nan()
-            || self.drift < 0.0
-            || self.threshold.is_nan()
-            || self.threshold < 0.0
-            || self.threshold_scale.is_nan()
-            || self.threshold_scale <= 0.0
-        {
+        if self.threshold_scale.is_nan() || self.threshold_scale <= 0.0 {
             return Err(StreamError::Corrupt(
-                "detector drift/threshold must be >= 0 and threshold_scale > 0".into(),
-            ));
-        }
-        if self.threshold == 0.0 && self.calibration_reps == 0 {
-            return Err(StreamError::Corrupt(
-                "detector threshold 0 requires calibration_reps > 0".into(),
-            ));
-        }
-        if self.reanchor == 0 {
-            return Err(StreamError::Corrupt("detector reanchor must be > 0".into()));
-        }
-        if self.min_scale.is_nan() || self.min_scale < 0.0 {
-            return Err(StreamError::Corrupt(
-                "detector min_scale must be >= 0".into(),
+                "detector threshold_scale must be > 0".into(),
             ));
         }
         Ok(())
@@ -227,23 +154,23 @@ fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// The largest null CUSUM excursion over `reps` seeded standard-normal
-/// series of length `len`, times `threshold_scale`.
+/// The largest null CUSUM excursion over `CALIBRATION_REPS` seeded
+/// standard-normal series of length `len`, times `threshold_scale`.
 fn calibrated_threshold(cfg: &DetectorConfig, len: usize) -> f64 {
     let mut worst = 0.0f64;
-    for rep in 0..cfg.calibration_reps {
+    for rep in 0..CALIBRATION_REPS {
         let mix = (rep as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(0xD1B5_4A32_D192_ED03);
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ mix);
+        let mut rng = StdRng::seed_from_u64(mix);
         let (mut sp, mut sm) = (0.0f64, 0.0f64);
         for _ in 0..len {
             // Box–Muller: one standard normal per pair of uniforms.
             let u1: f64 = 1.0 - rng.gen::<f64>();
             let u2: f64 = rng.gen::<f64>();
             let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            sp = (sp + z - cfg.drift).max(0.0);
-            sm = (sm - z - cfg.drift).max(0.0);
+            sp = (sp + z - DRIFT).max(0.0);
+            sm = (sm - z - DRIFT).max(0.0);
             worst = worst.max(sp).max(sm);
         }
     }
@@ -264,10 +191,10 @@ fn score_series(
     let by_bucket: BTreeMap<i64, f64> = series.iter().copied().collect();
     let mut residuals: Vec<(i64, f64)> = Vec::new();
     for &(b, v) in series {
-        let refs: Vec<f64> = (1..=cfg.max_ref_days as i64)
+        let refs: Vec<f64> = (1..=MAX_REF_DAYS as i64)
             .filter_map(|d| by_bucket.get(&(b - d * slots_per_day)).copied())
             .collect();
-        if refs.len() >= cfg.min_ref_days {
+        if refs.len() >= MIN_REF_DAYS {
             residuals.push((b, v - median(&refs)));
         }
     }
@@ -277,38 +204,34 @@ fn score_series(
     let rs: Vec<f64> = residuals.iter().map(|&(_, r)| r).collect();
     let med = median(&rs);
     let devs: Vec<f64> = rs.iter().map(|r| (r - med).abs()).collect();
-    let scale = (1.4826 * median(&devs)).max(cfg.min_scale);
+    let scale = (1.4826 * median(&devs)).max(MIN_SCALE);
     if scale.is_nan() || scale <= 1e-12 {
         return; // a constant statistic has no regimes to detect
     }
-    let h = if cfg.threshold > 0.0 {
-        cfg.threshold
-    } else {
-        calibrated_threshold(cfg, residuals.len())
-    };
+    let h = calibrated_threshold(cfg, residuals.len());
     let (mut sp, mut sm) = (0.0f64, 0.0f64);
     let mut offset = 0.0f64;
     let mut i = 0usize;
     while i < residuals.len() {
         let (b, r) = residuals[i];
         let z = (r - offset) / scale;
-        sp = (sp + z - cfg.drift).max(0.0);
-        sm = (sm - z - cfg.drift).max(0.0);
+        sp = (sp + z - DRIFT).max(0.0);
+        sm = (sm - z - DRIFT).max(0.0);
         if sp > h || sm > h {
             let up = sp >= sm;
             out.push(RegimeShift {
                 stream: stream.to_string(),
                 signal: signal.to_string(),
-                bucket_start_ms: b * cfg.bucket_ms,
-                detected_at_ms: (b + 1) * cfg.bucket_ms,
+                bucket_start_ms: b * BUCKET_MS,
+                detected_at_ms: (b + 1) * BUCKET_MS,
                 direction: if up { "up" } else { "down" }.to_string(),
                 magnitude_z: sp.max(sm),
                 shared: false,
             });
-            // Cooldown: skip the next `reanchor` buckets, then re-anchor
+            // Cooldown: skip the next `REANCHOR` buckets, then re-anchor
             // the level to their median, so one boundary alarms once
             // instead of ringing while the statistics settle.
-            let end = (i + cfg.reanchor).min(residuals.len() - 1);
+            let end = (i + REANCHOR).min(residuals.len() - 1);
             let settled: Vec<f64> = residuals[i..=end].iter().map(|&(_, r)| r).collect();
             offset = median(&settled);
             sp = 0.0;
@@ -333,7 +256,7 @@ pub fn detect_regimes(
     cfg.validate()?;
     debug_assert_eq!(times.len(), latencies.len());
     debug_assert_eq!(times.len(), actions.len());
-    let slots_per_day = DAY_MS / cfg.bucket_ms;
+    let slots_per_day = DAY_MS / BUCKET_MS;
 
     // Streams: pooled plus one per analyzed action type present.
     let mut streams: Vec<(String, Option<u8>)> = vec![("pooled".into(), None)];
@@ -350,7 +273,7 @@ pub fn detect_regimes(
         for i in 0..times.len() {
             if code.is_none_or(|c| actions[i] == c) {
                 buckets
-                    .entry(times[i].div_euclid(cfg.bucket_ms))
+                    .entry(times[i].div_euclid(BUCKET_MS))
                     .or_default()
                     .push(latencies[i]);
             }
@@ -358,7 +281,7 @@ pub fn detect_regimes(
         let mut level: Vec<(i64, f64)> = Vec::new();
         let mut locality: Vec<(i64, f64)> = Vec::new();
         for (&b, lats) in &buckets {
-            if lats.len() < cfg.min_bucket_n {
+            if lats.len() < MIN_BUCKET_N {
                 continue;
             }
             let logs: Vec<f64> = lats.iter().map(|&l| l.max(1e-9).ln()).collect();
@@ -376,10 +299,10 @@ pub fn detect_regimes(
     let action_alarms: Vec<(String, i64)> = shifts
         .iter()
         .filter(|s| s.stream != "pooled")
-        .map(|s| (s.stream.clone(), s.bucket_start_ms / cfg.bucket_ms))
+        .map(|s| (s.stream.clone(), s.bucket_start_ms / BUCKET_MS))
         .collect();
     for s in &mut shifts {
-        let b = s.bucket_start_ms / cfg.bucket_ms;
+        let b = s.bucket_start_ms / BUCKET_MS;
         let mut nearby: Vec<&str> = action_alarms
             .iter()
             .filter(|(_, ab)| (ab - b).abs() <= 1)
@@ -457,7 +380,7 @@ mod tests {
         // Detection latency bound: 8 buckets (2 hours at the default
         // 15-minute bucket) — the bound DESIGN.md documents and ci.sh
         // enforces through the regime experiment.
-        let bound = 8 * cfg.bucket_ms;
+        let bound = 8 * BUCKET_MS;
         assert!(
             up.detected_at_ms >= on && up.detected_at_ms - on <= bound,
             "up detected at {} for boundary {on}",
@@ -515,31 +438,23 @@ mod tests {
 
     #[test]
     fn bad_configs_are_rejected() {
-        let mut cfg = DetectorConfig {
-            bucket_ms: 7_000, // does not divide a day
-            ..DetectorConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        cfg.bucket_ms = default_bucket_ms();
-        cfg.min_ref_days = 0;
-        assert!(cfg.validate().is_err());
-        cfg.min_ref_days = 2;
-        cfg.threshold = 0.0;
-        cfg.calibration_reps = 0;
-        assert!(cfg.validate().is_err());
+        for threshold_scale in [0.0, -1.0, f64::NAN] {
+            let cfg = DetectorConfig { threshold_scale };
+            assert!(cfg.validate().is_err(), "{threshold_scale} accepted");
+        }
+        assert!(DetectorConfig::default().validate().is_ok());
     }
 
     #[test]
-    fn calibrated_threshold_is_seed_stable_and_positive() {
+    fn calibrated_threshold_is_stable_and_scales() {
         let cfg = DetectorConfig::default();
         let a = calibrated_threshold(&cfg, 500);
         let b = calibrated_threshold(&cfg, 500);
         assert_eq!(a.to_bits(), b.to_bits());
-        assert!(a > cfg.drift, "threshold {a} implausibly small");
-        let other = DetectorConfig {
-            seed: 1,
-            ..DetectorConfig::default()
+        assert!(a > DRIFT, "threshold {a} implausibly small");
+        let doubled = DetectorConfig {
+            threshold_scale: 2.0 * cfg.threshold_scale,
         };
-        assert_ne!(a.to_bits(), calibrated_threshold(&other, 500).to_bits());
+        assert_eq!(calibrated_threshold(&doubled, 500), 2.0 * a);
     }
 }

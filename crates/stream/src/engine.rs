@@ -49,6 +49,12 @@
 //!   succeeds. A failed or panicking run leaves the previous entry, which
 //!   is still exact for its own event count.
 //!
+//! The cache and its flags are plain fields: [`StreamEngine::snapshot`]
+//! takes `&mut self`, and every caller already holds the engine
+//! exclusively (`watch` owns its engine; the gateway reaches a tenant's
+//! engine only under that tenant's lock), so the engine keeps no lock or
+//! atomic of its own.
+//!
 //! Nothing past sanitize is kept per shard. The paper's `U` draws span the
 //! whole window and α compares hour slots across every day of it, so α's
 //! draw-cell table and the lossmodel's micro-cell scan read every live
@@ -59,10 +65,8 @@
 //! stage's input.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use autosens_core::pipeline::{AnalysisReport, DecaySpec, Degradation};
@@ -235,13 +239,12 @@ pub struct StreamEngine {
     /// Fleet-wide actions per local hour slot, maintained on admit/evict
     /// so [`StreamEngine::status`] is O(1).
     hour_counts: [u64; 24],
-    /// The dirty-tracked snapshot cache (interior mutability: snapshots
-    /// take `&self`). A `parking_lot` lock does not poison, and the entry
-    /// is only ever replaced whole, so a panic mid-snapshot cannot break
-    /// the tenant.
-    snap: Mutex<Option<SnapCache>>,
+    /// The dirty-tracked snapshot cache. The entry is only ever replaced
+    /// whole, after a run succeeds, so a failed or panicking snapshot
+    /// leaves the previous one in place.
+    snap: Option<SnapCache>,
     /// Whether the latest snapshot was served from the cache.
-    last_snapshot_reused: AtomicBool,
+    last_snapshot_reused: bool,
     flight: FlightRecorder,
     /// Open run of consecutive late drops, folded into one
     /// [`FlightKind::LateDropBurst`] event when the run ends.
@@ -253,10 +256,10 @@ pub struct StreamEngine {
     /// process re-emits, exactly like the flight recorder starts empty).
     emitted_shifts: BTreeSet<(String, String, i64)>,
     last_shifts: Vec<RegimeShift>,
-    /// Whether the latest snapshot had the loss-correction gate open
-    /// (interior mutability: snapshots take `&self`). Edge-triggers one
-    /// [`FlightKind::LossGateTrip`] event per open, not one per snapshot.
-    loss_gate_open: std::sync::atomic::AtomicBool,
+    /// Whether the latest snapshot had the loss-correction gate open.
+    /// Edge-triggers one [`FlightKind::LossGateTrip`] event per open, not
+    /// one per snapshot.
+    loss_gate_open: bool,
     /// The two series on every push's common path, resolved once:
     /// `autosens_stream_events_total` and
     /// `autosens_stream_watermark_lag_ms`. The rarer outcomes' series
@@ -296,13 +299,13 @@ impl StreamEngine {
             evicted: 0,
             records_in: 0,
             hour_counts: [0u64; 24],
-            snap: Mutex::new(None),
-            last_snapshot_reused: AtomicBool::new(false),
+            snap: None,
+            last_snapshot_reused: false,
             flight: FlightRecorder::new(FLIGHT_CAPACITY),
             open_late_burst: 0,
             emitted_shifts: BTreeSet::new(),
             last_shifts: Vec::new(),
-            loss_gate_open: std::sync::atomic::AtomicBool::new(false),
+            loss_gate_open: false,
             events_total,
             watermark_lag,
         })
@@ -583,7 +586,7 @@ impl StreamEngine {
     /// Whether the most recent [`StreamEngine::snapshot`] was served from
     /// the cache (no events since the snapshot before it).
     pub fn last_snapshot_reused(&self) -> bool {
-        self.last_snapshot_reused.load(Ordering::Relaxed)
+        self.last_snapshot_reused
     }
 
     /// Analyze the live window: the shared post-sanitize pipeline over a
@@ -594,18 +597,17 @@ impl StreamEngine {
     /// Snapshots are dirty-tracked (see the module docs): with no events
     /// since the last snapshot the cached report is shared again, and a
     /// dirty snapshot runs the plan over a borrowed view of the row store.
-    pub fn snapshot(&self) -> Result<Arc<AnalysisReport>, AutoSensError> {
+    pub fn snapshot(&mut self) -> Result<Arc<AnalysisReport>, AutoSensError> {
         let recorder = self.plan.recorder();
-        let mut cache = self.snap.lock();
-        if let Some(hit) = cache.as_ref().filter(|c| c.events == self.events) {
+        self.last_snapshot_reused = false;
+        if let Some(hit) = self.snap.as_ref().filter(|c| c.events == self.events) {
             recorder
                 .metrics()
                 .counter("autosens_stream_snapshot_reuse_total")
                 .inc();
-            self.last_snapshot_reused.store(true, Ordering::Relaxed);
+            self.last_snapshot_reused = true;
             return Ok(Arc::clone(&hit.report));
         }
-        self.last_snapshot_reused.store(false, Ordering::Relaxed);
 
         let mut span = recorder.root("stream_flush");
         span.field("events", self.events);
@@ -669,24 +671,20 @@ impl StreamEngine {
             .plan
             .run(PlanInput::prepared(&view, meta), RunOptions::default())?
             .report;
-        match &report.loss {
-            Some(loss) => {
-                if !self.loss_gate_open.swap(true, Ordering::Relaxed) {
-                    self.flight.record(
-                        FlightKind::LossGateTrip,
-                        self.max_event_time.unwrap_or(0),
-                        format!(
-                            "overall rate {:.3}, {} cells flagged",
-                            loss.overall_rate,
-                            loss.cells.len()
-                        ),
-                    );
-                }
-            }
-            None => self.loss_gate_open.store(false, Ordering::Relaxed),
+        if let (Some(loss), false) = (&report.loss, self.loss_gate_open) {
+            self.flight.record(
+                FlightKind::LossGateTrip,
+                self.max_event_time.unwrap_or(0),
+                format!(
+                    "overall rate {:.3}, {} cells flagged",
+                    loss.overall_rate,
+                    loss.cells.len()
+                ),
+            );
         }
+        self.loss_gate_open = report.loss.is_some();
         let report = Arc::new(report);
-        *cache = Some(SnapCache {
+        self.snap = Some(SnapCache {
             events: self.events,
             report: Arc::clone(&report),
         });
@@ -842,49 +840,33 @@ mod tests {
         assert_eq!(engine.status().hour_counts.iter().sum::<u64>(), 2);
     }
 
-    /// A panic while the snapshot lock is held must not break the engine:
-    /// the next snapshot still answers, and answers exactly.
+    /// A dirty snapshot that fails leaves the cached report in place: it
+    /// is still exact for its own event count, and nothing half-built
+    /// replaces it.
     #[test]
-    fn a_panic_under_the_snapshot_lock_leaves_snapshots_exact() {
+    fn a_failed_snapshot_leaves_the_cached_report() {
         let (log, _) = generate(&SimConfig::scenario(Scenario::Smoke)).unwrap();
         let cfg = StreamConfig {
             shard_ms: 6 * 3_600_000,
+            retain_ms: Some(24 * 3_600_000),
             ..StreamConfig::default()
         };
-        let feed = |engine: &mut StreamEngine| {
-            for r in log.view().iter() {
-                engine.push(r);
-            }
-        };
-        let mut engine = StreamEngine::new(cfg.clone(), Slice::all()).unwrap();
-        feed(&mut engine);
-        engine.snapshot().unwrap();
-        let snap = &engine.snap;
-        let joined = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _held = snap.lock();
-                panic!("injected panic under the snapshot lock");
-            })
-            .join()
-        });
-        assert!(joined.is_err(), "the injected panic did not happen");
-
-        let after = engine.snapshot().unwrap();
-        let mut fresh = StreamEngine::new(cfg, Slice::all()).unwrap();
-        feed(&mut fresh);
-        let expected = fresh.snapshot().unwrap();
-        let bits = |r: &AnalysisReport| {
-            let series: Vec<(u64, u64)> = r
-                .preference
-                .series()
-                .iter()
-                .map(|(x, y)| (x.to_bits(), y.to_bits()))
-                .collect();
-            let biased: Vec<u64> = r.biased.counts().iter().map(|c| c.to_bits()).collect();
-            let unbiased: Vec<u64> = r.unbiased.counts().iter().map(|c| c.to_bits()).collect();
-            (r.n_actions, series, biased, unbiased)
-        };
-        assert_eq!(bits(&after), bits(&expected));
+        let mut engine = StreamEngine::new(cfg, Slice::all()).unwrap();
+        let mut last = 0;
+        for r in log.view().iter() {
+            last = last.max(r.time.millis());
+            engine.push(r);
+        }
+        let cached = engine.snapshot().unwrap();
+        let events = engine.events();
+        // One record ten days past the frontier evicts every shard, so the
+        // live window holds a single row and the run fails.
+        engine.push(rec(last + 10 * 86_400_000, 120.0, 1));
+        assert_eq!(engine.status().live_records, 1);
+        assert!(engine.snapshot().is_err());
+        let kept = engine.snap.as_ref().expect("the cache entry survives");
+        assert_eq!(kept.events, events);
+        assert!(Arc::ptr_eq(&kept.report, &cached));
     }
 
     /// The O(1) status counters and the shard row counts (maintained on

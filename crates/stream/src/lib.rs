@@ -326,7 +326,7 @@ mod tests {
         let tampered = json.replacen(r#""records": ["#, stale, 1);
         assert_ne!(tampered, json, "the shard member was not planted");
         let ck = Checkpoint::from_json(&tampered).expect("parse");
-        let restored =
+        let mut restored =
             StreamEngine::restore(ck, Slice::all(), Recorder::disabled()).expect("restore");
         assert_eq!(restored.checkpoint(0).to_json().expect("serialize"), json);
         assert_eq!(engine.status(), restored.status());
