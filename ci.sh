@@ -179,6 +179,34 @@ if ! diff -u tests/fixtures/golden_analyze_loss.json "$SMOKE_DIR/golden_report_l
     exit 1
 fi
 
+echo "==> golden alpha-off gates (byte-identical --no-alpha --json, correction off and on)"
+# The two gates above run the α path only. `--no-alpha` pools B and U
+# without activity factors, and on the golden fixture its default output
+# also carries a `loss` section built from the loss-weighted partition, so
+# these two reports pin both branches of the α-off path. Regenerate the
+# fixtures ONLY for an intentional, reviewed behavior change:
+#   gzip -dc tests/fixtures/golden_telemetry.csv.gz > /tmp/golden.csv
+#   ./target/release/autosens analyze --in /tmp/golden.csv --json --quiet \
+#       --no-alpha --loss-correct=off > tests/fixtures/golden_analyze_noalpha.json
+#   ./target/release/autosens analyze --in /tmp/golden.csv --json --quiet \
+#       --no-alpha > tests/fixtures/golden_analyze_noalpha_loss.json
+./target/release/autosens analyze --in "$SMOKE_DIR/golden.csv" --json --quiet \
+    --no-alpha --loss-correct=off > "$SMOKE_DIR/golden_report_noalpha.json"
+if ! diff -u tests/fixtures/golden_analyze_noalpha.json "$SMOKE_DIR/golden_report_noalpha.json"; then
+    echo "ci.sh: analyze --no-alpha --loss-correct=off diverged from tests/fixtures/golden_analyze_noalpha.json" >&2
+    exit 1
+fi
+./target/release/autosens analyze --in "$SMOKE_DIR/golden.csv" --json --quiet \
+    --no-alpha > "$SMOKE_DIR/golden_report_noalpha_loss.json"
+grep -q '"loss"' "$SMOKE_DIR/golden_report_noalpha_loss.json" || {
+    echo "ci.sh: analyze --no-alpha of the golden fixture carries no loss section" >&2
+    exit 1
+}
+if ! diff -u tests/fixtures/golden_analyze_noalpha_loss.json "$SMOKE_DIR/golden_report_noalpha_loss.json"; then
+    echo "ci.sh: analyze --no-alpha diverged from tests/fixtures/golden_analyze_noalpha_loss.json" >&2
+    exit 1
+fi
+
 echo "==> container equivalence gate (convert + binary analyze vs text analyze)"
 # The `.asc` binary container is a pure transport: converting the golden
 # fixture and analyzing the container through the zero-parse mmap path must

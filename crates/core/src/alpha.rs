@@ -120,18 +120,12 @@ pub struct GroupAlpha {
     pub per_bin: Vec<(f64, f64)>,
     /// Action count in the group.
     pub n_actions: u64,
-    /// The group's biased (count) histogram.
-    pub biased: Histogram,
-    /// The group's unbiased (draw-count) histogram.
-    pub unbiased: Histogram,
-    /// The group's time-proportional share of the total unbiased draw
-    /// budget. The pooled U rescales each group's histogram to this mass so
-    /// pooling stays exactly time-weighted even though sparse groups
-    /// receive a floor of extra draws for α stability.
-    pub target_mass: f64,
 }
 
-/// The complete α estimate over a log.
+/// The complete α estimate over a log: per group, the activity factor,
+/// its Figure 8 series and the action count. The per-group histograms it
+/// was solved from are not part of it; [`estimate_alpha`] hands them to
+/// the caller as [`AlphaPools`].
 #[derive(Debug, Clone)]
 pub struct AlphaEstimate {
     /// The grouping used.
@@ -143,18 +137,43 @@ pub struct AlphaEstimate {
     pub primary_reference: usize,
     /// The reference groups used for averaging.
     pub references: Vec<usize>,
+}
+
+/// What [`estimate_alpha`] hands its caller besides the estimate: the
+/// per-group histograms to pool into one B and one U, and the scheduling
+/// reports of the jobs that built them. The pipeline pools them and drops
+/// them, so no report keeps a per-group histogram.
+#[derive(Debug)]
+pub struct AlphaPools {
+    /// Per-group biased histograms (loss-weighted when a model was given).
+    biased: Vec<Histogram>,
+    /// Per-group unbiased (draw-count) histograms.
+    unbiased: Vec<Histogram>,
+    /// Each group's time-proportional share of the total unbiased draw
+    /// budget. The pooled U rescales each group's histogram to this mass so
+    /// pooling stays exactly time-weighted even though sparse groups
+    /// receive a floor of extra draws for α stability.
+    target_mass: Vec<f64>,
+    /// With a loss model: the naive pooled B and U (unit weights, naive
+    /// α), bit-identical to pooling the estimate made without a model.
+    pub naive: Option<(Histogram, Histogram)>,
     /// Scheduling reports of the data-parallel jobs that built the
-    /// estimate (the slot partition plus one draw job per populated
-    /// group), for the pipeline's observability layer.
+    /// estimate (the slot partition, one draw job per populated group, and
+    /// the weighted partition when a model was given), for the pipeline's
+    /// observability layer.
     pub exec_reports: Vec<ExecReport>,
 }
 
-impl AlphaEstimate {
+impl AlphaPools {
     /// The α-normalized pooled biased histogram: each group's counts scaled
-    /// by `1/α_T`. Groups without a usable α are excluded.
-    pub fn normalized_biased(&self, binner: &Binner) -> Result<Histogram, AutoSensError> {
+    /// by `1/α_T` from `est`. Groups without a usable α are excluded.
+    pub fn normalized_biased(
+        &self,
+        est: &AlphaEstimate,
+        binner: &Binner,
+    ) -> Result<Histogram, AutoSensError> {
         let mut pooled = Histogram::new(binner.clone());
-        for g in &self.groups {
+        for (g, biased) in est.groups.iter().zip(&self.biased) {
             if let Some(alpha) = g.alpha {
                 // estimate_alpha never stores such an α, but the fields are
                 // public; fail typed rather than scaling by NaN/∞/0.
@@ -163,7 +182,7 @@ impl AlphaEstimate {
                         what: format!("alpha for group {}", g.label),
                     });
                 }
-                let mut h = g.biased.clone();
+                let mut h = biased.clone();
                 h.scale(1.0 / alpha).map_err(AutoSensError::from)?;
                 pooled.merge(&h).map_err(AutoSensError::from)?;
             }
@@ -171,17 +190,24 @@ impl AlphaEstimate {
         Ok(pooled)
     }
 
-    /// The pooled unbiased histogram over the groups with a usable α.
+    /// The pooled unbiased histogram over the groups of `est` with a usable
+    /// α.
     ///
     /// Each group's histogram is rescaled to its time-proportional target
     /// mass before merging, so the pooled distribution weights every group
     /// by the wall-clock time it covers — the defining property of `U`.
-    pub fn pooled_unbiased(&self, binner: &Binner) -> Result<Histogram, AutoSensError> {
+    pub fn pooled_unbiased(
+        &self,
+        est: &AlphaEstimate,
+        binner: &Binner,
+    ) -> Result<Histogram, AutoSensError> {
         let mut pooled = Histogram::new(binner.clone());
-        for g in &self.groups {
-            if g.alpha.is_some() && !g.unbiased.is_empty() && g.target_mass > 0.0 {
-                let mut h = g.unbiased.clone();
-                h.scale(g.target_mass / h.total())
+        for ((g, unbiased), &target_mass) in
+            est.groups.iter().zip(&self.unbiased).zip(&self.target_mass)
+        {
+            if g.alpha.is_some() && !unbiased.is_empty() && target_mass > 0.0 {
+                let mut h = unbiased.clone();
+                h.scale(target_mass / h.total())
                     .map_err(AutoSensError::from)?;
                 pooled.merge(&h).map_err(AutoSensError::from)?;
             }
@@ -408,41 +434,23 @@ impl Mergeable for GroupPartition {
 /// chunk builds its own per-cell histograms and counters, merged in chunk
 /// order). This is the batch producer of [`GroupPartition`]; rows are read
 /// straight off the view's columns, no records are copied.
+///
+/// Without a `model` every record enters its cell's histogram with unit
+/// weight; with one, with its loss-correction weight
+/// ([`LossModel::weight_for`] on its local day, hour, day kind and class).
+/// The action counters stay raw unit counts either way. Chunk boundaries
+/// and the chunk-order merge do not depend on the model, so both builds
+/// are bit-identical for every thread count.
 pub fn partition_by_group(
     log: &LogView<'_>,
     binner: &Binner,
+    model: Option<&LossModel>,
     threads: usize,
 ) -> Result<(GroupPartition, ExecReport), AutoSensError> {
-    partition_fold("alpha_partition", log, binner, threads, |_| 1.0)
-}
-
-/// [`partition_by_group`] with per-record loss-correction weights: each
-/// record's histogram contribution is scaled by [`LossModel::weight_for`]
-/// on its (local day, hour, day kind, class). Chunk boundaries and the
-/// chunk-order merge are identical to the unit-weight build, so the
-/// weighted partition is bit-identical for every thread count.
-pub fn partition_by_group_weighted(
-    log: &LogView<'_>,
-    binner: &Binner,
-    model: &LossModel,
-    threads: usize,
-) -> Result<(GroupPartition, ExecReport), AutoSensError> {
-    partition_fold("alpha_partition_weighted", log, binner, threads, |r| {
-        let day = r.time.day_local(r.tz_offset_ms);
-        let weekend = r.time.is_weekend_local(r.tz_offset_ms);
-        model.weight_for(day, r.hour_slot().0, weekend, r.class.code())
-    })
-}
-
-/// The shared chunked fold of both partition builds: every row enters its
-/// loss cell with histogram weight `weight(record)`.
-fn partition_fold(
-    label: &str,
-    log: &LogView<'_>,
-    binner: &Binner,
-    threads: usize,
-    weight: impl Fn(&ActionRecord) -> f64 + Sync,
-) -> Result<(GroupPartition, ExecReport), AutoSensError> {
+    let label = match model {
+        None => "alpha_partition",
+        Some(_) => "alpha_partition_weighted",
+    };
     let (partial, report) = autosens_exec::map_reduce(
         label,
         log.len(),
@@ -452,7 +460,12 @@ fn partition_fold(
             let mut part = GroupPartition::empty(binner);
             for i in range {
                 let r = log.get(i);
-                part.record_weighted(&r, weight(&r));
+                let weight = model.map_or(1.0, |m| {
+                    let day = r.time.day_local(r.tz_offset_ms);
+                    let weekend = r.time.is_weekend_local(r.tz_offset_ms);
+                    m.weight_for(day, r.hour_slot().0, weekend, r.class.code())
+                });
+                part.record_weighted(&r, weight);
             }
             part
         },
@@ -467,78 +480,26 @@ fn partition_fold(
 ///
 /// The log must be sorted and non-empty. The day windows used for the
 /// group-conditional unbiased draws are derived from the log's span.
+///
+/// Without a loss `model`, the α system is solved once, from unit-weight
+/// per-group counts. With one, it is solved twice from one set of inputs:
+/// once naive, from the raw counts (its pooled B and U come back as
+/// [`AlphaPools::naive`]), and once with the model's per-record weights
+/// baked into the biased histograms of *both* the group and the reference,
+/// via a weighted rescan of the log ([`partition_by_group`] with the
+/// model); the returned estimate and pools are the corrected ones. The
+/// RNG-bearing stage (the group-conditional unbiased draws) runs exactly
+/// once either way, so the caller's RNG consumption does not depend on the
+/// model. Reference selection, draw skipping and the reported `n_actions`
+/// use the raw counts in both solves; only the biased masses differ.
 pub fn estimate_alpha<R: Rng>(
     log: &LogView<'_>,
     binner: &Binner,
     grouping: Grouping,
     cfg: &AutoSensConfig,
     rng: &mut R,
-) -> Result<AlphaEstimate, AutoSensError> {
-    let (part, mut inputs) = build_alpha_inputs(log, binner, grouping, cfg, rng)?;
-    let biased = part.group_biased(grouping)?;
-    let exec_reports = std::mem::take(&mut inputs.exec_reports);
-    Ok(solve_alpha(
-        grouping,
-        &inputs,
-        binner,
-        cfg,
-        biased,
-        exec_reports,
-    ))
-}
-
-/// [`estimate_alpha`] solved twice from one set of inputs: once with the
-/// raw per-group counts (the naive estimate — bit-identical to
-/// [`estimate_alpha`] on the same log and RNG state) and
-/// once with the loss `model`'s per-record weights (cell × day factor,
-/// [`LossModel::weight_for`]) baked into the biased histograms of *both*
-/// the group and the reference via a weighted rescan of the log
-/// ([`partition_by_group_weighted`]). The RNG-bearing stage
-/// (group-conditional unbiased draws) runs exactly once, so the caller's
-/// RNG consumption matches the plain estimator's.
-///
-/// Reference selection, draw skipping, and the reported `n_actions` use
-/// the raw counts in both solves; only the biased masses differ.
-pub fn estimate_alpha_corrected<R: Rng>(
-    log: &LogView<'_>,
-    binner: &Binner,
-    grouping: Grouping,
-    cfg: &AutoSensConfig,
-    rng: &mut R,
-    model: &LossModel,
-) -> Result<(AlphaEstimate, AlphaEstimate), AutoSensError> {
-    let (part, mut inputs) = build_alpha_inputs(log, binner, grouping, cfg, rng)?;
-    let naive_biased = part.group_biased(grouping)?;
-    let (weighted, weighted_report) = partition_by_group_weighted(log, binner, model, cfg.threads)?;
-    inputs.exec_reports.push(weighted_report);
-    let corrected_biased = weighted.group_biased(grouping)?;
-    let exec_reports = std::mem::take(&mut inputs.exec_reports);
-    let naive = solve_alpha(grouping, &inputs, binner, cfg, naive_biased, exec_reports);
-    let corrected = solve_alpha(grouping, &inputs, binner, cfg, corrected_biased, Vec::new());
-    Ok((naive, corrected))
-}
-
-/// Everything α estimation derives from the log besides the per-group
-/// biased histograms: raw group counts, group-conditional unbiased
-/// histograms (the only RNG consumer), time-share target masses, and the
-/// reference choice. Built once, then solved against one or more biased
-/// regroupings.
-struct AlphaInputs {
-    n_actions: Vec<u64>,
-    unbiased: Vec<Histogram>,
-    target_mass: Vec<f64>,
-    references: Vec<usize>,
-    primary: usize,
-    exec_reports: Vec<ExecReport>,
-}
-
-fn build_alpha_inputs<R: Rng>(
-    log: &LogView<'_>,
-    binner: &Binner,
-    grouping: Grouping,
-    cfg: &AutoSensConfig,
-    rng: &mut R,
-) -> Result<(GroupPartition, AlphaInputs), AutoSensError> {
+    model: Option<&LossModel>,
+) -> Result<(AlphaEstimate, AlphaPools), AutoSensError> {
     if log.is_empty() {
         return Err(AutoSensError::EmptySlice("alpha estimation".into()));
     }
@@ -546,7 +507,7 @@ fn build_alpha_inputs<R: Rng>(
 
     // Partition counts by loss cell (records' own local hour, day kind and
     // class) as a chunked map-reduce.
-    let (part, report) = partition_by_group(log, binner, cfg.threads)?;
+    let (part, report) = partition_by_group(log, binner, None, cfg.threads)?;
     let mut exec_reports = vec![report];
     let n_actions = part.group_actions(grouping);
 
@@ -608,7 +569,7 @@ fn build_alpha_inputs<R: Rng>(
         target_mass[g] = ideal;
         // Sparse groups get a floor of extra draws so their α is not pure
         // noise; the pooled U rescales back to `ideal` (see
-        // [`AlphaEstimate::pooled_unbiased`]).
+        // [`AlphaPools::pooled_unbiased`]).
         let draws = (ideal.round() as usize).max(1_000);
         let h = if group_windows[g].is_empty() || n_actions[g] == 0 {
             Histogram::new(binner.clone())
@@ -636,40 +597,43 @@ fn build_alpha_inputs<R: Rng>(
             "alpha estimation found no populated reference group".into(),
         ));
     }
-    let primary = references[0];
 
-    Ok((
-        part,
-        AlphaInputs {
-            n_actions,
-            unbiased,
-            target_mass,
-            references,
-            primary,
-            exec_reports,
-        },
-    ))
-}
-
-/// Solve the α system for one set of per-group biased histograms.
-fn solve_alpha(
-    grouping: Grouping,
-    inputs: &AlphaInputs,
-    binner: &Binner,
-    cfg: &AutoSensConfig,
-    biased: Vec<Histogram>,
-    exec_reports: Vec<ExecReport>,
-) -> AlphaEstimate {
-    let n_groups = grouping.n_groups();
-    let AlphaInputs {
-        n_actions,
+    let mut pools = AlphaPools {
+        biased: part.group_biased(grouping)?,
         unbiased,
         target_mass,
-        references,
-        primary,
-        ..
-    } = inputs;
-    let primary = *primary;
+        naive: None,
+        exec_reports,
+    };
+    let solve =
+        |pools: &AlphaPools| solve_alpha(grouping, binner, cfg, &n_actions, &references, pools);
+    let mut est = solve(&pools);
+    if let Some(model) = model {
+        let (weighted, report) = partition_by_group(log, binner, Some(model), cfg.threads)?;
+        pools.exec_reports.push(report);
+        pools.naive = Some((
+            pools.normalized_biased(&est, binner)?,
+            pools.pooled_unbiased(&est, binner)?,
+        ));
+        pools.biased = weighted.group_biased(grouping)?;
+        est = solve(&pools);
+    }
+    Ok((est, pools))
+}
+
+/// Solve the α system for the per-group histograms in `pools`, against
+/// the given reference groups (the first is the primary).
+fn solve_alpha(
+    grouping: Grouping,
+    binner: &Binner,
+    cfg: &AutoSensConfig,
+    n_actions: &[u64],
+    references: &[usize],
+    pools: &AlphaPools,
+) -> AlphaEstimate {
+    let n_groups = grouping.n_groups();
+    let (biased, unbiased) = (&pools.biased, &pools.unbiased);
+    let primary = references[0];
 
     // α of every group against every reference, rescaled so the primary
     // group is 1 under each reference, then averaged across references.
@@ -730,9 +694,6 @@ fn solve_alpha(
             },
             per_bin: std::mem::take(&mut per_bin_primary[g]),
             n_actions: n_actions[g],
-            biased: biased[g].clone(),
-            unbiased: unbiased[g].clone(),
-            target_mass: target_mass[g],
         })
         .collect();
 
@@ -740,8 +701,7 @@ fn solve_alpha(
         grouping,
         groups,
         primary_reference: primary,
-        references: references.clone(),
-        exec_reports,
+        references: references.to_vec(),
     }
 }
 
@@ -751,6 +711,7 @@ mod tests {
     use autosens_telemetry::log::TelemetryLog;
     use autosens_telemetry::record::{ActionType, Outcome, UserClass, UserId};
     use autosens_telemetry::time::SimTime;
+    use rand::SeedableRng;
 
     #[test]
     fn grouping_maps_hours() {
@@ -924,7 +885,7 @@ mod tests {
             .map(|i| rec(nine_am + i * 5_000, 40.0 + i as f64, UserClass::Business))
             .collect();
         let log = TelemetryLog::from_records(records.clone()).unwrap();
-        let (part, _) = partition_by_group(&log.view(), &binner, 1).unwrap();
+        let (part, _) = partition_by_group(&log.view(), &binner, None, 1).unwrap();
         let present: Vec<usize> = part.present().map(|(c, _)| c).collect();
         assert_eq!(present, vec![GroupPartition::cell_of(&records[0])]);
         assert_eq!(part.n_records(), 600);
@@ -971,16 +932,127 @@ mod tests {
         }
         assert!(cell_bits(&serial).iter().any(|cell| cell.5 > 0));
         for threads in [1usize, 2, 4] {
-            let (plain, report) = partition_by_group(&view, &binner, threads).unwrap();
-            assert!(report.n_chunks > 1, "one chunk cannot test the merge");
-            assert_eq!(cell_bits(&plain), cell_bits(&serial), "threads={threads}");
-            let (weighted, _) =
-                partition_by_group_weighted(&view, &binner, &model, threads).unwrap();
-            assert_eq!(
-                cell_bits(&weighted),
-                cell_bits(&serial_weighted),
-                "weighted, threads={threads}"
-            );
+            for (model, serial) in [(None, &serial), (Some(&model), &serial_weighted)] {
+                let (part, report) = partition_by_group(&view, &binner, model, threads).unwrap();
+                assert!(report.n_chunks > 1, "one chunk cannot test the merge");
+                assert_eq!(
+                    cell_bits(&part),
+                    cell_bits(serial),
+                    "weighted={}, threads={threads}",
+                    model.is_some()
+                );
+            }
         }
+    }
+
+    /// The smoke log thinned by the bursty-loss plan of the pipeline's
+    /// `loss_correction_carries_naive_curves_on_lossy_input`, plus the loss
+    /// model its evidence yields.
+    fn lossy_smoke() -> (TelemetryLog, LossModel) {
+        use autosens_faults::{FaultOp, FaultPlan};
+        use autosens_sim::{generate, Scenario, SimConfig};
+        use autosens_telemetry::loss::{estimate_cell_loss_par, LossCounts};
+        let (log, _) = generate(&SimConfig::scenario(Scenario::Smoke)).unwrap();
+        let plan = FaultPlan {
+            seed: 0x10_55,
+            ops: vec![FaultOp::DropBursty {
+                rate: 0.3,
+                mean_burst: 40,
+            }],
+        };
+        let lossy = plan.apply(&log).unwrap();
+        assert!(lossy.is_sorted());
+        let view = lossy.view();
+        let counts = LossCounts::from_view_par(&view, 1);
+        let model = LossModel::from_evidence(&estimate_cell_loss_par(&view, &counts, 1));
+        (lossy, model)
+    }
+
+    fn alpha_config() -> AutoSensConfig {
+        AutoSensConfig {
+            unbiased_draws: 48_000,
+            ..AutoSensConfig::default()
+        }
+    }
+
+    fn bits(h: &Histogram) -> Vec<u64> {
+        h.counts().iter().map(|c| c.to_bits()).collect()
+    }
+
+    /// Both pooled histograms of an estimate, as bits.
+    fn pooled_bits(
+        est: &AlphaEstimate,
+        pools: &AlphaPools,
+        binner: &Binner,
+    ) -> (Vec<u64>, Vec<u64>) {
+        (
+            bits(&pools.normalized_biased(est, binner).unwrap()),
+            bits(&pools.pooled_unbiased(est, binner).unwrap()),
+        )
+    }
+
+    fn alpha_bits(est: &AlphaEstimate) -> Vec<Option<u64>> {
+        est.groups
+            .iter()
+            .map(|g| g.alpha.map(f64::to_bits))
+            .collect()
+    }
+
+    #[test]
+    fn naive_pools_equal_the_estimate_without_a_model() {
+        let (log, model) = lossy_smoke();
+        assert!(!model.is_noop(), "bursty loss left no cell flagged");
+        let view = log.view();
+        let cfg = alpha_config();
+        let binner = cfg.binner().unwrap();
+        let run = |model: Option<&LossModel>| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
+            estimate_alpha(&view, &binner, Grouping::HourSlots, &cfg, &mut rng, model).unwrap()
+        };
+        let (plain, plain_pools) = run(None);
+        assert!(plain_pools.naive.is_none());
+        let (corrected, pools) = run(Some(&model));
+        let (naive_b, naive_u) = pools.naive.as_ref().expect("a model yields naive pools");
+        let (plain_b, plain_u) = pooled_bits(&plain, &plain_pools, &binner);
+        assert_eq!(bits(naive_b), plain_b);
+        assert_eq!(bits(naive_u), plain_u);
+        // The correction reaches the estimate: its pooled B differs.
+        assert_ne!(pooled_bits(&corrected, &pools, &binner).0, plain_b);
+        // One partition and the draws without a model; the weighted
+        // partition on top with one.
+        assert_eq!(pools.exec_reports.len(), plain_pools.exec_reports.len() + 1);
+        assert_eq!(
+            pools.exec_reports.last().unwrap().label,
+            "alpha_partition_weighted"
+        );
+    }
+
+    #[test]
+    fn identity_model_corrects_nothing() {
+        let (log, _) = lossy_smoke();
+        let view = log.view();
+        let cfg = alpha_config();
+        let binner = cfg.binner().unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
+        let identity = LossModel::identity();
+        let (est, pools) = estimate_alpha(
+            &view,
+            &binner,
+            Grouping::HourSlots,
+            &cfg,
+            &mut rng,
+            Some(&identity),
+        )
+        .unwrap();
+        let (naive_b, naive_u) = pools.naive.as_ref().unwrap();
+        let (b, u) = pooled_bits(&est, &pools, &binner);
+        assert_eq!(b, bits(naive_b));
+        assert_eq!(u, bits(naive_u));
+        // The naive solve's α equals the corrected one: rebuild it from
+        // the same RNG state without a model.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
+        let (plain, _) =
+            estimate_alpha(&view, &binner, Grouping::HourSlots, &cfg, &mut rng, None).unwrap();
+        assert_eq!(alpha_bits(&est), alpha_bits(&plain));
     }
 }

@@ -14,9 +14,7 @@ use autosens_telemetry::record::{ActionType, UserClass};
 use autosens_telemetry::time::{DayPeriod, Month};
 use autosens_telemetry::users::{latency_quartiles, LatencyQuartiles};
 
-use crate::alpha::{
-    estimate_alpha, estimate_alpha_corrected, partition_by_group_weighted, AlphaEstimate, Grouping,
-};
+use crate::alpha::{estimate_alpha, partition_by_group, AlphaEstimate, Grouping};
 use crate::biased::biased_histogram;
 use crate::error::AutoSensError;
 use crate::lossmodel::{CellCorrection, LossModel};
@@ -145,8 +143,7 @@ pub struct AnalysisReport {
     /// Data-quality problems survived along the way (empty on clean input).
     pub degradations: Vec<Degradation>,
     /// Wall-clock time per pipeline stage (see [`op::STAGES`]), in execution
-    /// order. `None` only for reports built before instrumentation ran
-    /// (e.g. deserialized from older artifacts).
+    /// order. Every report [`AnalysisPlan::run`] returns carries `Some`.
     pub stage_timings: Option<Vec<StageTiming>>,
 }
 
@@ -164,7 +161,6 @@ impl AnalysisPlan {
             span.field("job", exec.label.clone());
             span.field("worker", w.worker);
             span.field("chunks", w.chunks);
-            span.field("steals", w.steals);
             span.field("wall_ms", w.wall_ms);
             span.finish();
         }
@@ -327,21 +323,15 @@ impl AnalysisPlan {
             // With an active correction the α system is solved twice from
             // one set of inputs (one RNG-bearing draw stage): once naive,
             // once with the loss weights applied to the biased masses.
-            let (est, naive_est) = if correct {
-                let (naive_est, est) = estimate_alpha_corrected(
-                    sub,
-                    &binner,
-                    grouping,
-                    &self.config,
-                    &mut rng,
-                    &model,
-                )?;
-                (est, Some(naive_est))
-            } else {
-                let est = estimate_alpha(sub, &binner, grouping, &self.config, &mut rng)?;
-                (est, None)
-            };
-            for r in &naive_est.as_ref().unwrap_or(&est).exec_reports {
+            let (est, pools) = estimate_alpha(
+                sub,
+                &binner,
+                grouping,
+                &self.config,
+                &mut rng,
+                correct.then_some(&model),
+            )?;
+            for r in &pools.exec_reports {
                 self.record_exec(&span, r);
             }
             // Groups with data but no usable α are dropped from the pooled
@@ -362,27 +352,21 @@ impl AnalysisPlan {
                 stage: op::ALPHA.into(),
                 wall_ms: span.finish(),
             });
+            // Pool the per-group histograms into one B and one U; the report
+            // keeps only the estimate, and the pools are dropped here.
             let span = root.child(op::BIASED_PDF);
-            let b = est.normalized_biased(&binner)?;
-            let naive_b = naive_est
-                .as_ref()
-                .map(|n| n.normalized_biased(&binner))
-                .transpose()?;
+            let b = pools.normalized_biased(&est, &binner)?;
             timings.push(StageTiming {
                 stage: op::BIASED_PDF.into(),
                 wall_ms: span.finish(),
             });
             let span = root.child(op::UNBIASED_PDF);
-            let u = est.pooled_unbiased(&binner)?;
-            let naive_u = naive_est
-                .as_ref()
-                .map(|n| n.pooled_unbiased(&binner))
-                .transpose()?;
+            let u = pools.pooled_unbiased(&est, &binner)?;
             timings.push(StageTiming {
                 stage: op::UNBIASED_PDF.into(),
                 wall_ms: span.finish(),
             });
-            (b, u, Some(est), naive_b.zip(naive_u))
+            (b, u, Some(est), pools.naive)
         } else {
             let span = root.child(op::BIASED_PDF);
             let naive_b = biased_histogram(sub, &binner);
@@ -394,7 +378,7 @@ impl AnalysisPlan {
                 // weighted rescan is the only loss-correct path over the
                 // view.
                 let (wpart, report) =
-                    partition_by_group_weighted(sub, &binner, &model, self.config.threads)?;
+                    partition_by_group(sub, &binner, Some(&model), self.config.threads)?;
                 self.record_exec(&span, &report);
                 if wpart.n_records() != sub.len() as u64 {
                     return Err(AutoSensError::Internal(format!(
@@ -729,7 +713,15 @@ impl AnalysisPlan {
                 return Err(AutoSensError::EmptySlice("alpha_by_period".into()));
             }
             let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xA1FA);
-            estimate_alpha(sub, &binner, Grouping::DayPeriods, &self.config, &mut rng)
+            estimate_alpha(
+                sub,
+                &binner,
+                Grouping::DayPeriods,
+                &self.config,
+                &mut rng,
+                None,
+            )
+            .map(|(est, _)| est)
         })?;
         let morning = 0usize; // group 0 = Morning8to14 by Grouping order
         if let Some(m_alpha) = est.groups[morning].alpha {
@@ -750,8 +742,8 @@ impl AnalysisPlan {
         Ok(est)
     }
 
-    /// Run labeled slice analyses through the work-stealing scheduler, one
-    /// slice per chunk. Results come back in input order regardless of the
+    /// Run labeled slice analyses through the chunk scheduler, one slice
+    /// per chunk. Results come back in input order regardless of the
     /// worker count, and a slice whose analysis panics yields a per-slice
     /// [`AutoSensError::Internal`] instead of sinking the whole batch.
     fn parallel_analyses<K: Send + Sync + Copy>(

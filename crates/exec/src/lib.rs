@@ -15,11 +15,13 @@
 //! threads. Chunk sizes come from [`chunk_size_for`], which depends only
 //! on the item count.
 //!
-//! Scheduling is work-stealing over the vendored crossbeam deques: chunks
-//! are dealt round-robin onto per-worker queues, an idle worker steals
-//! from its peers, and a chunk that panics is captured and surfaced as a
-//! typed [`scheduler::ExecError`] (smallest chunk index wins, so even the
-//! error is deterministic) — never a hang and never a partial merge.
+//! Scheduling is one self-scheduling loop: the calling thread and
+//! `threads − 1` scoped helpers each claim the next chunk index from one
+//! shared counter until none is left (a one-thread job spawns nothing),
+//! and a chunk that panics is captured and surfaced as a typed
+//! [`scheduler::ExecError`] (smallest chunk index wins, so even the error
+//! is deterministic) — never a hang and never a partial merge. The crate
+//! depends on nothing but `std`.
 
 pub mod faults;
 pub mod merge;

@@ -1,11 +1,12 @@
-//! The work-stealing chunk scheduler.
+//! The self-scheduling chunk loop.
 //!
 //! A job over `n_items` is cut into fixed-size chunks (boundaries depend
-//! only on `n_items` and `chunk_size`, never on the worker count). Chunk
-//! indices are dealt round-robin onto per-worker deques; each worker
-//! drains its own queue and steals from its peers when idle. Results are
-//! collected **by chunk index**, so downstream merges always happen in
-//! chunk order and the job's output is bit-identical for 1..N threads.
+//! only on `n_items` and `chunk_size`, never on the worker count). Every
+//! worker claims the next unclaimed chunk index from one shared counter
+//! until none is left; the calling thread is worker 0, so a one-thread
+//! job spawns nothing. Results are collected **by chunk index**, so
+//! downstream merges always happen in chunk order and the job's output is
+//! bit-identical for 1..N threads.
 //!
 //! A chunk that panics is caught ([`std::panic::catch_unwind`]) and the
 //! whole job fails with a typed [`ExecError`] naming the lowest-indexed
@@ -14,9 +15,8 @@
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-use crossbeam::deque::{Steal, Stealer, Worker};
 
 use crate::faults;
 use crate::merge::Mergeable;
@@ -52,8 +52,6 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Chunks this worker executed.
     pub chunks: u64,
-    /// How many of those chunks were stolen from a peer's queue.
-    pub steals: u64,
     /// Worker wall-clock time in milliseconds.
     pub wall_ms: f64,
 }
@@ -106,98 +104,59 @@ where
         return Ok((Vec::new(), report));
     }
 
-    let run_one = |chunk: usize| -> std::thread::Result<T> {
-        let range = chunk * chunk_size..((chunk + 1) * chunk_size).min(n_items);
-        catch_unwind(AssertUnwindSafe(|| {
-            faults::check(label, chunk);
-            map(chunk, range)
-        }))
-    };
-
-    // Collected as (chunk index, result) pairs per worker, reassembled in
-    // chunk order below — the scheduler's only source of nondeterminism
-    // (which worker ran a chunk) is erased here.
-    let mut collected: Vec<(usize, std::thread::Result<T>)> = Vec::with_capacity(n_chunks);
-
-    if threads == 1 {
+    // One worker's loop: claim the next chunk index until none is left.
+    // Which worker ran a chunk is the scheduler's only nondeterminism, and
+    // the chunk-order reassembly below erases it.
+    let next = AtomicUsize::new(0);
+    let work = |worker: usize| {
         let t0 = Instant::now();
-        for chunk in 0..n_chunks {
-            collected.push((chunk, run_one(chunk)));
+        let mut out: Vec<(usize, std::thread::Result<T>)> = Vec::new();
+        loop {
+            let chunk = next.fetch_add(1, Ordering::Relaxed);
+            if chunk >= n_chunks {
+                break;
+            }
+            let range = chunk * chunk_size..((chunk + 1) * chunk_size).min(n_items);
+            out.push((
+                chunk,
+                catch_unwind(AssertUnwindSafe(|| {
+                    faults::check(label, chunk);
+                    map(chunk, range)
+                })),
+            ));
         }
-        report.workers.push(WorkerStats {
-            worker: 0,
-            chunks: n_chunks as u64,
-            steals: 0,
+        let stats = WorkerStats {
+            worker,
+            chunks: out.len() as u64,
             wall_ms: t0.elapsed().as_secs_f64() * 1000.0,
-        });
-    } else {
-        let queues: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        for chunk in 0..n_chunks {
-            queues[chunk % threads].push(chunk);
-        }
-        let stealers: Vec<Stealer<usize>> = queues.iter().map(|q| q.stealer()).collect();
-        let joined = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = queues
-                .iter()
-                .enumerate()
-                .map(|(w, queue)| {
-                    let stealers = &stealers;
-                    let run_one = &run_one;
-                    scope.spawn(move |_| {
-                        let t0 = Instant::now();
-                        let mut out: Vec<(usize, std::thread::Result<T>)> = Vec::new();
-                        let mut stats = WorkerStats {
-                            worker: w,
-                            chunks: 0,
-                            steals: 0,
-                            wall_ms: 0.0,
-                        };
-                        loop {
-                            let mut next = queue.pop();
-                            if next.is_none() {
-                                // Steal from peers in a fixed ring order.
-                                for i in 1..stealers.len() {
-                                    match stealers[(w + i) % stealers.len()].steal() {
-                                        Steal::Success(c) => {
-                                            stats.steals += 1;
-                                            next = Some(c);
-                                            break;
-                                        }
-                                        Steal::Empty | Steal::Retry => {}
-                                    }
-                                }
-                            }
-                            let Some(chunk) = next else { break };
-                            stats.chunks += 1;
-                            out.push((chunk, run_one(chunk)));
-                        }
-                        stats.wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
-                        (stats, out)
-                    })
-                })
-                .collect();
-            handles
+        };
+        (stats, out)
+    };
+    let per_worker = std::thread::scope(|scope| {
+        let work = &work;
+        let helpers: Vec<_> = (1..threads).map(|w| scope.spawn(move || work(w))).collect();
+        let mut per_worker = vec![work(0)];
+        per_worker.extend(
+            helpers
                 .into_iter()
-                .map(|h| h.join().expect("exec worker catches its own unwinds"))
-                .collect::<Vec<_>>()
-        })
-        .expect("exec scope failed");
-        for (stats, mut out) in joined {
-            report.workers.push(stats);
-            collected.append(&mut out);
-        }
-    }
+                .map(|h| h.join().expect("exec worker catches its own unwinds")),
+        );
+        per_worker
+    });
 
     // Reassemble in chunk order; surface the lowest-indexed panic.
     let mut slots: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
     let mut first_panic: Option<(usize, String)> = None;
-    for (chunk, result) in collected {
-        match result {
-            Ok(value) => slots[chunk] = Some(value),
-            Err(payload) => {
-                let message = panic_message(payload);
-                if first_panic.as_ref().is_none_or(|(c, _)| chunk < *c) {
-                    first_panic = Some((chunk, message));
+    for (stats, out) in per_worker {
+        report.workers.push(stats);
+        for (chunk, result) in out {
+            match result {
+                Ok(value) => slots[chunk] = Some(value),
+                Err(payload) => {
+                    let message = panic_message(payload);
+                    if first_panic.as_ref().is_none_or(|(c, _)| chunk < *c) {
+                        first_panic = Some((chunk, message));
+                    }
                 }
             }
         }
@@ -211,7 +170,7 @@ where
     }
     let results = slots
         .into_iter()
-        // Invariant: every chunk index was dealt exactly once and either
+        // Invariant: every chunk index was claimed exactly once and either
         // produced a value or a panic (handled above).
         .map(|s| s.expect("every chunk ran"))
         .collect();
@@ -313,6 +272,26 @@ mod tests {
             assert!(err.message.contains("exploded"), "{}", err.message);
             assert!(err.to_string().contains("job 'boom'"));
         }
+    }
+
+    #[test]
+    fn one_thread_runs_every_chunk_on_the_caller() {
+        let caller = std::thread::current().id();
+        let (ids, report) =
+            run_chunks("caller", 100, 10, 1, |_, _| std::thread::current().id()).unwrap();
+        assert_eq!(ids.len(), 10);
+        assert!(ids.iter().all(|&id| id == caller));
+        assert_eq!(report.workers.len(), 1);
+        assert_eq!(report.workers[0].chunks, 10);
+        // With helpers, the caller is still worker 0 and every chunk runs
+        // on the caller or on a helper spawned for this job.
+        let (ids, report) =
+            run_chunks("caller", 100, 10, 4, |_, _| std::thread::current().id()).unwrap();
+        assert_eq!(report.workers.len(), 4);
+        assert_eq!(report.workers[0].worker, 0);
+        let helpers = ids.iter().filter(|&&id| id != caller).count() as u64;
+        let on_caller = ids.len() as u64 - helpers;
+        assert_eq!(on_caller, report.workers[0].chunks);
     }
 
     #[test]

@@ -11,10 +11,10 @@ fn concurrent_counter_updates_match_serial_reference() {
     const PER_THREAD: u64 = 10_000;
     let reg = MetricsRegistry::new();
     let counter = reg.counter("autosens_test_concurrent_total");
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..THREADS {
             let counter = counter.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..PER_THREAD {
                     if (t + i) % 2 == 0 {
                         counter.inc();
@@ -24,8 +24,7 @@ fn concurrent_counter_updates_match_serial_reference() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     // Serial reference: each thread contributes PER_THREAD/2 times 1 and
     // PER_THREAD/2 times 2.
     let expected = THREADS * (PER_THREAD / 2) * 3;
@@ -40,17 +39,16 @@ fn concurrent_histogram_updates_match_serial_reference() {
 
     let concurrent = MetricsRegistry::new();
     let hist = concurrent.histogram("autosens_test_latency_ms", &binner);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..THREADS {
             let hist = hist.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..PER_THREAD {
                     hist.observe(((t * PER_THREAD + i) % 120) as f64);
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let serial = MetricsRegistry::new();
     let reference = serial.histogram("autosens_test_latency_ms", &binner);
@@ -120,16 +118,15 @@ fn prometheus_parser_rejects_malformed_input() {
 fn spans_record_from_multiple_threads() {
     let recorder = Recorder::new();
     let root = recorder.root("parallel_analyses");
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for i in 0..4 {
             let parent = &root;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut child = parent.child("worker");
                 child.field("index", i as u64);
             });
         }
-    })
-    .unwrap();
+    });
     drop(root);
     let tree = recorder.finish();
     assert_eq!(tree.count_named("worker"), 4);

@@ -60,7 +60,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const TENANTS: usize = 8;
 const RECORDS: usize = 2_400;
-const BUDGET_BYTES: isize = 512 * 1024;
+const BUDGET_BYTES: isize = 256 * 1024;
 /// What 1-minute shards may cost a tenant over 6-hour ones.
 const NARROW_SHARD_SLACK_BYTES: isize = 64 * 1024;
 
@@ -107,7 +107,7 @@ fn serve_config() -> StreamConfig {
 /// Both phases share one test function: the counter is process-wide, so
 /// a test running in parallel would skew either reading.
 #[test]
-fn a_tenant_keeps_at_most_512_kib_at_any_shard_width() {
+fn a_tenant_keeps_at_most_256_kib_at_any_shard_width() {
     let records = tenant_stream();
     let keys: Vec<TenantKey> = (0..TENANTS)
         .map(|i| TenantKey::new("svc", format!("r{i}")).unwrap())

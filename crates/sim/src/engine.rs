@@ -76,7 +76,7 @@ pub fn generate(cfg: &SimConfig) -> Result<(TelemetryLog, GroundTruth), String> 
 /// [`generate`] with an explicit worker count (`0` = all available cores).
 ///
 /// Generation runs as a chunked job over the user population on the
-/// work-stealing scheduler. Every user's records come from an RNG derived
+/// chunk scheduler. Every user's records come from an RNG derived
 /// from `(master seed, user id)` and per-chunk shards concatenate in user
 /// order, so the telemetry is byte-identical for every thread count.
 pub fn generate_with_threads(
